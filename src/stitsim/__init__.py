@@ -18,7 +18,7 @@ from .errors import (
     StitsimError,
 )
 from .geometry import Hyperplane, Polygon, Segment, rectangle, regular_ngon
-from .measures import Atoms, HyperplaneMeasure, Isotropic, MeasureOnWindow
+from .measures import Atoms, HyperplaneMeasure, Isotropic
 from .rules import (
     HittingMeasure,
     IntrinsicVolume,
@@ -42,7 +42,6 @@ __all__ = [
     "IntrinsicVolume",
     "InvalidPolygon",
     "Isotropic",
-    "MeasureOnWindow",
     "PointDriven",
     "Polygon",
     "ProcessState",

@@ -10,17 +10,36 @@ over the whole family.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .engine import CroppedTessellation, new_process
+from .engine import CroppedTessellation, crop, new_process
 from .errors import ContainmentViolation, InsufficientSamples, ReplicateAborted
-from .geometry import Polygon, Segment, regular_ngon, segment_hits_polygon, segments_intersect
+from .geometry import (
+    Polygon,
+    Segment,
+    random_convex_polygon,
+    regular_ngon,
+    scale_about_centroid,
+    segment_hits_polygon,
+    segments_intersect,
+    vertex_count,
+)
 from .measures import HyperplaneMeasure, hitting_mass, joint_hitting_mass
-from .rules import RulePair, rate
+from .rules import (
+    HittingMeasure,
+    IntrinsicVolume,
+    RestrictedMeasure,
+    RulePair,
+    VertexCount,
+    check_bound,
+    rate,
+)
 
 Probe = Union[Polygon, Segment]
 
@@ -164,66 +183,35 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
-def _replicate_seed(seed: int, arm: int, rep: int) -> int:
-    state = np.random.SeedSequence(entropy=(seed, arm, rep)).generate_state(1, np.uint64)
-    return int(state[0])
-
-
-def _collect_stats(
+def _collect_chunk(
     rules: RulePair,
-    build_window: Polygon,
-    crop_window: Polygon,
+    V: Polygon,
+    W: Polygon,
     times: Sequence[float],
-    rep_start: int,
-    rep_count: int,
     probes: Sequence[Probe],
     seed: int,
-    arm: int,
+    chunk: tuple[int, int, int],
 ) -> tuple[list[list[WindowStats]], int]:
-    """Per-time lists of replicate statistics; returns (stats, aborted count)."""
-    from .engine import crop as crop_fn
+    """Per-time statistics of one chunk of replicates; returns (stats, aborted count).
 
+    The chunk is (arm, rep_start, rep_count).  Arm 0 builds in V, arm 1 builds
+    in W and crops to V.  Replicate `rep` runs on seed (seed, arm, rep), so its
+    statistics do not depend on how the replicates are chunked.
+    """
+    arm, rep_start, rep_count = chunk
+    build_window = W if arm else V
+    same_window = build_window == V
     per_time: list[list[WindowStats]] = [[] for _ in times]
     aborted = 0
-    same_window = build_window == crop_window
     for rep in range(rep_start, rep_start + rep_count):
-        state = new_process(build_window, rules, _replicate_seed(seed, arm, rep))
+        state = new_process(build_window, rules, (seed, arm, rep))
         try:
             snaps = state.snapshots(list(times))
         except ReplicateAborted:
             aborted += 1
             continue
         for k, snap in enumerate(snaps):
-            cropped = snap if same_window else crop_fn(snap, crop_window)
-            per_time[k].append(window_stats(cropped, probes))
-    return per_time, aborted
-
-
-def _collect_stats_chunked(args):
-    return _collect_stats(*args)
-
-
-def _collect_parallel(
-    rules, build_window, crop_window, times, n_reps, probes, seed, arm, n_jobs
-) -> tuple[list[list[WindowStats]], int]:
-    if n_jobs <= 1:
-        return _collect_stats(rules, build_window, crop_window, times, 0, n_reps, probes, seed, arm)
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, -(-n_reps // (n_jobs * 4)))
-    tasks = []
-    start = 0
-    while start < n_reps:
-        count = min(chunk, n_reps - start)
-        tasks.append((rules, build_window, crop_window, times, start, count, probes, seed, arm))
-        start += count
-    per_time: list[list[WindowStats]] = [[] for _ in times]
-    aborted = 0
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        for stats, ab in pool.map(_collect_stats_chunked, tasks):
-            aborted += ab
-            for k in range(len(times)):
-                per_time[k].extend(stats[k])
+            per_time[k].append(window_stats(snap if same_window else crop(snap, V), probes))
     return per_time, aborted
 
 
@@ -242,13 +230,31 @@ def consistency_test(
     """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V."""
     if n_reps < 100:
         raise ValueError("n_reps must be >= 100")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
     if not W.contains_polygon(V):
         raise ContainmentViolation("V must be contained in W")
     if probes is None:
         probes = default_probes(V)
 
-    direct, ab_d = _collect_parallel(rules, V, V, times, n_reps, probes, seed, 0, n_jobs)
-    cropped, ab_c = _collect_parallel(rules, W, V, times, n_reps, probes, seed, 1, n_jobs)
+    size = -(-n_reps // (4 * n_jobs))
+    chunks = [
+        (arm, start, min(size, n_reps - start)) for arm in (0, 1) for start in range(0, n_reps, size)
+    ]
+    work = partial(_collect_chunk, rules, V, W, times, probes, seed)
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            results = list(pool.map(work, chunks))
+    else:
+        results = list(map(work, chunks))
+    per_arm: list[list[list[WindowStats]]] = [[[] for _ in times] for _ in (0, 1)]
+    aborted = [0, 0]
+    for (arm, _, _), (stats, ab) in zip(chunks, results):
+        aborted[arm] += ab
+        for column, part in zip(per_arm[arm], stats):
+            column.extend(part)
+    direct, cropped = per_arm
+    ab_d, ab_c = aborted
     if ab_d > max_abort_frac * n_reps or ab_c > max_abort_frac * n_reps:
         raise ReplicateAborted(
             f"too many aborted replicates: {ab_d}/{ab_c} of {n_reps} per arm"
@@ -294,7 +300,7 @@ def rate_estimate(
         raise ValueError("dt too large: expected divisions in (0, dt) must stay below 0.1")
     hits = 0
     for rep in range(n_reps):
-        state = new_process(V, rules, _replicate_seed(seed, 2, rep))
+        state = new_process(V, rules, (seed, 2, rep))
         state.advance(dt)
         if any(segment_hits_polygon(s, B) for s, _ in state.segments):
             hits += 1
@@ -369,8 +375,6 @@ class IdentityResult:
 
 
 def _random_nested_triple(rng) -> tuple[Polygon, Polygon, Polygon]:
-    from .geometry import random_convex_polygon, scale_about_centroid
-
     W = random_convex_polygon(
         rng,
         n_points=int(rng.integers(5, 11)),
@@ -382,6 +386,97 @@ def _random_nested_triple(rng) -> tuple[Polygon, Polygon, Polygon]:
     return V, W, B
 
 
+EXACT = 1e-10  # residual threshold of the exact identities
+
+
+class _NotApplicable(Exception):
+    """The rule pair lacks what an identity is about; the message says what."""
+
+
+def _division_measure(rules: RulePair) -> HyperplaneMeasure:
+    if not isinstance(rules.division, RestrictedMeasure):
+        raise _NotApplicable("needs a measure-driven division rule")
+    return rules.division.measure
+
+
+# Each check draws n_cases random cases and returns (passed, max residual, threshold).
+
+
+def _fundamental(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
+    measure = _division_measure(rules)
+    worst = 0.0
+    for _ in range(n_cases):
+        V, W, B = _random_nested_triple(rng)
+        worst = max(worst, fundamental_residual(measure, V, W, B))
+    return worst < EXACT, worst, EXACT
+
+
+def _corollary(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
+    measure = _division_measure(rules)
+    worst = 0.0
+    for _ in range(n_cases):
+        _, W, B = _random_nested_triple(rng)
+        mass_b = hitting_mass(measure, B)
+        worst = max(worst, abs(joint_hitting_mass(measure, B, W) - mass_b) / mass_b)
+    return worst < EXACT, worst, EXACT
+
+
+def _nu_limit(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
+    if not rules.stit_flag:
+        raise _NotApplicable("needs a shared-measure pair")
+    measure = rules.division.measure
+    worst = 0.0
+    ok = True
+    for _ in range(max(1, n_cases // 10)):
+        probe = random_convex_polygon(
+            rng, n_points=6, scale=0.5, center=(rng.standard_normal(), rng.standard_normal())
+        )
+        est = nu_limit(rules, probe, [1.0, 2.0, 4.0, 8.0, 16.0])
+        ok = ok and est.limit_reached
+        target = hitting_mass(measure, probe)
+        for v1, v2 in zip(est.values, est.values[1:]):
+            worst = max(worst, (v1 - v2) / target)  # monotonicity violation
+        worst = max(worst, abs(est.values[-1] - target) / target)
+    return ok and worst < EXACT, worst, EXACT
+
+
+def _rate_matches_nu(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
+    measure = _division_measure(rules)
+    worst = 0.0
+    for _ in range(n_cases):
+        C = random_convex_polygon(rng, n_points=int(rng.integers(4, 10)), scale=1.0)
+        worst = max(worst, rate_vs_nu_residual(rules, measure, C))
+    return worst < EXACT, worst, EXACT
+
+
+def _division_bound(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
+    sel = rules.selection
+    worst = 0.0
+    for _ in range(max(1, n_cases // 5)):
+        C = random_convex_polygon(rng, n_points=int(rng.integers(4, 10)), scale=1.0)
+        k_hat = check_bound(sel, C, 200, rng)
+        if isinstance(sel, VertexCount):
+            n = vertex_count(C)
+            bound = (n + 2) / n
+        elif isinstance(sel, (IntrinsicVolume, HittingMeasure)):
+            bound = 1.0 + 1e-12
+        else:
+            bound = 1e3  # a sampled rate ratio above this flags a mis-specified rule
+        worst = max(worst, k_hat - bound)
+    return worst <= 0.0, max(worst, 0.0), 0.0
+
+
+# name -> (random stream id, check); the id keys the identity's generator to
+# (seed, id), so an identity's result for a seed does not depend on the others.
+IDENTITIES = {
+    "fundamental": (0, _fundamental),
+    "corollary": (1, _corollary),
+    "nu_limit": (2, _nu_limit),
+    "rate_matches_nu": (3, _rate_matches_nu),
+    "division_bound": (4, _division_bound),
+}
+
+
 def identity_suite(
     rules: RulePair, identities: Sequence[str], n_cases: int = 100, seed: int = 0
 ) -> list[IdentityResult]:
@@ -390,82 +485,16 @@ def identity_suite(
     The shared-measure pair passes everything; an area or vertex-count
     selection fails 'rate_matches_nu' by design.
     """
-    from .geometry import random_convex_polygon
-    from .rules import (
-        HittingMeasure,
-        IntrinsicVolume,
-        RestrictedMeasure,
-        VertexCount as VertexCountRule,
-        check_bound,
-    )
-    from .geometry import vertex_count as vcount
-
-    measure = rules.division.measure if isinstance(rules.division, RestrictedMeasure) else None
     results: list[IdentityResult] = []
-    name_ids = {"fundamental": 0, "corollary": 1, "nu_limit": 2, "rate_matches_nu": 3, "division_bound": 4}
     for name in identities:
-        if name not in name_ids:
+        if name not in IDENTITIES:
             raise ValueError(f"unknown identity '{name}'")
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, name_ids[name])))
-        if name == "fundamental":
-            if measure is None:
-                results.append(IdentityResult(name, False, math.inf, 1e-10, "needs a measure-driven division rule"))
-                continue
-            worst = 0.0
-            for _ in range(n_cases):
-                V, W, B = _random_nested_triple(rng)
-                worst = max(worst, fundamental_residual(measure, V, W, B))
-            results.append(IdentityResult(name, worst < 1e-10, worst, 1e-10))
-        elif name == "corollary":
-            if measure is None:
-                results.append(IdentityResult(name, False, math.inf, 1e-10, "needs a measure-driven division rule"))
-                continue
-            worst = 0.0
-            for _ in range(n_cases):
-                _, W, B = _random_nested_triple(rng)
-                mass_b = hitting_mass(measure, B)
-                worst = max(worst, abs(joint_hitting_mass(measure, B, W) - mass_b) / mass_b)
-            results.append(IdentityResult(name, worst < 1e-10, worst, 1e-10))
-        elif name == "nu_limit":
-            if not rules.stit_flag:
-                results.append(IdentityResult(name, False, math.inf, 1e-10, "needs a shared-measure pair"))
-                continue
-            worst = 0.0
-            ok = True
-            for _ in range(max(1, n_cases // 10)):
-                probe = random_convex_polygon(
-                    rng, n_points=6, scale=0.5, center=(rng.standard_normal(), rng.standard_normal())
-                )
-                est = nu_limit(rules, probe, [1.0, 2.0, 4.0, 8.0, 16.0])
-                ok = ok and est.limit_reached
-                target = hitting_mass(measure, probe)
-                for v1, v2 in zip(est.values, est.values[1:]):
-                    worst = max(worst, (v1 - v2) / target)  # monotonicity violation
-                worst = max(worst, abs(est.values[-1] - target) / target)
-            results.append(IdentityResult(name, ok and worst < 1e-10, worst, 1e-10))
-        elif name == "rate_matches_nu":
-            if measure is None:
-                results.append(IdentityResult(name, False, math.inf, 1e-10, "needs a measure-driven division rule"))
-                continue
-            worst = 0.0
-            for _ in range(n_cases):
-                C = random_convex_polygon(rng, n_points=int(rng.integers(4, 10)), scale=1.0)
-                worst = max(worst, rate_vs_nu_residual(rules, measure, C))
-            results.append(IdentityResult(name, worst < 1e-10, worst, 1e-10))
-        elif name == "division_bound":
-            worst = 0.0
-            for _ in range(max(1, n_cases // 5)):
-                C = random_convex_polygon(rng, n_points=int(rng.integers(4, 10)), scale=1.0)
-                k_hat = check_bound(rules.selection, C, 200, rng)
-                if isinstance(rules.selection, VertexCountRule):
-                    n = vcount(C)
-                    bound = (n + 2) / n
-                elif isinstance(rules.selection, (IntrinsicVolume, HittingMeasure)):
-                    bound = 1.0 + 1e-12
-                else:
-                    bound = 1e3
-                worst = max(worst, k_hat - bound)
-            results.append(IdentityResult(name, worst <= 0.0, max(worst, 0.0), 0.0))
-        else:
-            raise ValueError(f"unknown identity '{name}'")
+        stream, check = IDENTITIES[name]
+        rng = np.random.default_rng((seed, stream))
+        try:
+            passed, worst, threshold = check(rules, rng, n_cases)
+        except _NotApplicable as exc:
+            results.append(IdentityResult(name, False, math.inf, EXACT, str(exc)))
+            continue
+        results.append(IdentityResult(name, passed, worst, threshold))
     return results

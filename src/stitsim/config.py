@@ -12,6 +12,7 @@ import json
 import math
 from typing import Any, Optional, Sequence
 
+from .analysis import IDENTITIES
 from .errors import ConfigError, InvalidPolygon
 from .geometry import Polygon
 from .measures import Atoms, HyperplaneMeasure, Isotropic
@@ -162,8 +163,10 @@ def _check_version_and_seed(cfg: dict, path: str = "config"):
     if cfg.get("version") != SCHEMA_VERSION:
         raise ConfigError(f"{path}: 'version' must be {SCHEMA_VERSION}")
     seed = cfg.get("seed")
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"{path}: integer 'seed' is mandatory (no wall-clock seeding)")
+    if seed < 0:
+        raise ConfigError(f"{path}: 'seed' must be a non-negative integer, got {seed}")
 
 
 def load_config(path: str) -> dict:
@@ -219,9 +222,6 @@ def parse_consistency(cfg: dict) -> dict:
     }
 
 
-KNOWN_IDENTITIES = ("fundamental", "nu_limit", "corollary", "rate_matches_nu", "division_bound")
-
-
 def parse_verify(cfg: dict) -> dict:
     _require_keys(
         cfg, "config", ["version", "seed", "rules", "identities"], ["n_cases"]
@@ -231,9 +231,9 @@ def parse_verify(cfg: dict) -> dict:
     if not isinstance(idents, list):
         raise ConfigError("config.identities: expected a list")
     for name in idents:
-        if name not in KNOWN_IDENTITIES:
+        if name not in IDENTITIES:
             raise ConfigError(
-                f"config.identities: unknown identity '{name}' (known: {KNOWN_IDENTITIES})"
+                f"config.identities: unknown identity '{name}' (known: {list(IDENTITIES)})"
             )
     return {
         "seed": cfg["seed"],

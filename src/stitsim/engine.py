@@ -1,9 +1,12 @@
 """Event-driven cell-division process in a convex window.
 
-Each cell carries its own counter-based RNG stream keyed by (seed, cell
-index), so trajectories replay exactly for a given seed and replicates can be
-distributed without sharing generator state.  Life times are fixed at cell
-birth: death = birth + Exp(1)/rate(cell).
+A trajectory draws from one generator, `np.random.default_rng(seed)`, where
+the seed is an int or a tuple such as (seed, arm, replicate).  Events pop
+from the heap in a fixed order, (death time, cell index), and each draws the
+dividing line or lines of the popped cell, then the life times of its plus
+and minus children.  So a trajectory is a pure function of its seed, and
+advancing in stages equals advancing in one shot.  Life times are fixed at
+cell birth: death = birth + Exp(1)/rate(cell).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ class Cell:
     birth_time: float
     death_time: float
     index: int
-    rng: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -41,11 +43,6 @@ class CroppedTessellation:
     window: Polygon
     segments: tuple[Segment, ...]
     time: float
-
-
-def _base_key(seed: int) -> int:
-    s = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    return (int(s[0]) << 64) | int(s[1])
 
 
 class ProcessState:
@@ -60,10 +57,10 @@ class ProcessState:
         "_heap",
         "_next_index",
         "_events",
-        "_key",
+        "_rng",
     )
 
-    def __init__(self, window: Polygon, rules: RulePair, seed: int):
+    def __init__(self, window: Polygon, rules: RulePair, seed: int | tuple[int, ...]):
         self.window = window
         self.rules = rules
         self.seed = seed
@@ -72,15 +69,14 @@ class ProcessState:
         self._heap: list[tuple[float, int, Cell]] = []
         self._next_index = 0
         self._events = 0
-        self._key = _base_key(seed)
+        self._rng = np.random.default_rng(seed)
         self._spawn(window, 0.0)
 
     def _spawn(self, polygon: Polygon, birth: float) -> Cell:
         idx = self._next_index
         self._next_index += 1
-        rng = np.random.Generator(np.random.Philox(key=(self._key + idx) % (1 << 128)))
-        tau = rng.standard_exponential()
-        cell = Cell(polygon, birth, birth + tau / rate(self.rules.selection, polygon), idx, rng)
+        tau = self._rng.standard_exponential()
+        cell = Cell(polygon, birth, birth + tau / rate(self.rules.selection, polygon), idx)
         heapq.heappush(self._heap, (cell.death_time, idx, cell))
         return cell
 
@@ -101,7 +97,7 @@ class ProcessState:
             t_div = cell.death_time
             pieces = None
             for _ in range(MAX_RESAMPLE):
-                h = divide(div, cell.polygon, cell.rng)
+                h = divide(div, cell.polygon, self._rng)
                 try:
                     plus, minus, trace = split(cell.polygon, h)
                 except DegenerateSplit:
@@ -137,7 +133,7 @@ class ProcessState:
         return out
 
 
-def new_process(W: Polygon, rules: RulePair, seed: int) -> ProcessState:
+def new_process(W: Polygon, rules: RulePair, seed: int | tuple[int, ...]) -> ProcessState:
     return ProcessState(W, rules, seed)
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import ContainmentViolation
 from .geometry import Hyperplane, Polygon, offset_interval, width
 
 
@@ -105,6 +104,17 @@ def _edge_normal_angles(C: Polygon) -> list[float]:
     return out
 
 
+def sample_atom(thetas: Sequence[float], weights: Sequence[float], rng) -> float:
+    """Draw one of the angles with probability proportional to its weight."""
+    u = rng.random() * sum(weights)
+    acc = 0.0
+    for t, w in zip(thetas, weights):
+        acc += w
+        if u <= acc:
+            return t
+    return thetas[-1]  # rounding left u above the last partial sum
+
+
 def sample_hitting(L: HyperplaneMeasure, C: Polygon, rng) -> Hyperplane:
     """Draw a line from the restriction of L to the lines hitting C.
 
@@ -113,16 +123,7 @@ def sample_hitting(L: HyperplaneMeasure, C: Polygon, rng) -> Hyperplane:
     """
     d = L.directions
     if isinstance(d, Atoms):
-        weights = [w * width(C, t) for t, w in zip(d.thetas, d.weights)]
-        total = sum(weights)
-        u = rng.random() * total
-        acc = 0.0
-        theta = d.thetas[-1]
-        for t, w in zip(d.thetas, weights):
-            acc += w
-            if u <= acc:
-                theta = t
-                break
+        theta = sample_atom(d.thetas, [w * width(C, t) for t, w in zip(d.thetas, d.weights)], rng)
     else:
         envelope = C.diameter()
         while True:
@@ -133,25 +134,3 @@ def sample_hitting(L: HyperplaneMeasure, C: Polygon, rng) -> Hyperplane:
     a = lo + rng.random() * (hi - lo)
     return Hyperplane(theta, a)
 
-
-@dataclass(frozen=True)
-class MeasureOnWindow:
-    """A measure restricted to the lines hitting a fixed window, with cached total."""
-
-    base: HyperplaneMeasure
-    window: Polygon
-    total: float = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        exact = hitting_mass(self.base, self.window)
-        if self.total is None:
-            object.__setattr__(self, "total", exact)
-        elif abs(self.total - exact) > 1e-10 * max(1.0, exact):
-            raise ValueError(f"cached total {self.total} disagrees with recomputed {exact}")
-
-
-def hitting_prob(M: MeasureOnWindow, B: Polygon) -> float:
-    """Probability that a line drawn from the window restriction hits B."""
-    if not M.window.contains_polygon(B):
-        raise ContainmentViolation("probe polygon is not inside the window")
-    return hitting_mass(M.base, B) / M.total

@@ -19,6 +19,7 @@ from .measures import (
     HyperplaneMeasure,
     Isotropic,
     hitting_mass,
+    sample_atom,
     sample_hitting,
 )
 from .errors import DegenerateSplit
@@ -102,20 +103,9 @@ def divide(r: DivisionRule, C: Polygon, rng) -> Hyperplane:
     if isinstance(d, Isotropic):
         theta = rng.random() * math.pi
     else:
-        u = rng.random()
-        acc = 0.0
-        theta = d.thetas[-1]
-        for t, w in zip(d.thetas, d.weights):
-            acc += w
-            if u <= acc:
-                theta = t
-                break
+        theta = sample_atom(d.thetas, d.weights, rng)
     a = x * math.cos(theta) + y * math.sin(theta)
     return Hyperplane(theta, a)
-
-
-# A sampled rate ratio above this flags a mis-specified selection rule.
-BOUND_EXPLOSION = 1e3
 
 
 def check_bound(r: SelectionRule, C: Polygon, n_samples: int, rng) -> float:

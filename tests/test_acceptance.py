@@ -35,7 +35,7 @@ from stitsim.geometry import (
     split,
     vertex_count,
 )
-from stitsim.measures import axis_aligned, hitting_prob, sample_hitting
+from stitsim.measures import axis_aligned, hitting_mass, sample_hitting
 from stitsim.rules import (
     HittingMeasure,
     IntrinsicVolume,
@@ -102,14 +102,13 @@ def test_criterion_3_first_hyperplane_law():
         s.regular_ngon((0.5, 0.5), 0.2, 32),
         s.Polygon([(0.1, 0.6), (0.5, 0.55), (0.45, 0.95)]),
     ]
-    M = s.MeasureOnWindow(ISO, V_SQUARE)
     n = 100_000
     rng = np.random.default_rng(303)
     draws = [sample_hitting(ISO, V_SQUARE, rng) for _ in range(n)]
     ok = True
     details = []
     for i, B in enumerate(probes):
-        p = hitting_prob(M, B)
+        p = hitting_mass(ISO, B) / hitting_mass(ISO, V_SQUARE)
         hits = 0
         for h in draws:
             lo, hi = offset_interval(B, h.theta)

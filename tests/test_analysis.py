@@ -11,6 +11,7 @@ from stitsim import (
 )
 from stitsim.analysis import (
     CONSISTENT,
+    _collect_chunk,
     chi_square_2x2,
     consistency_test,
     default_probes,
@@ -143,9 +144,30 @@ class TestConsistencyPipeline:
         )
         assert report.verdict == "inconsistent-detected"
 
+    def test_parallel_report_equals_serial(self, unit_square, stit_rules):
+        W = rectangle(0, 0, 2, 2)
+        serial = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=1)
+        parallel = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=2)
+        assert serial.to_dict() == parallel.to_dict()
+
+    def test_replicate_independent_of_chunking(self, unit_square, stit_rules):
+        W = rectangle(0, 0, 2, 2)
+        probes = default_probes(unit_square)
+        times = [0.5, 1.0]
+        for arm in (0, 1):
+            whole, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 7, (arm, 0, 6))
+            assert aborted == 0
+            for rep in (0, 3, 5):
+                alone, _ = _collect_chunk(stit_rules, unit_square, W, times, probes, 7, (arm, rep, 1))
+                assert [column[0] for column in alone] == [column[rep] for column in whole]
+
     def test_requires_min_replicates(self, unit_square, stit_rules):
         with pytest.raises(ValueError):
             consistency_test(stit_rules, unit_square, unit_square, [1.0], 50)
+
+    def test_requires_positive_n_jobs(self, unit_square, stit_rules):
+        with pytest.raises(ValueError):
+            consistency_test(stit_rules, unit_square, unit_square, [1.0], 100, n_jobs=0)
 
     def test_report_serialization_roundtrip(self, unit_square, stit_rules):
         report = consistency_test(

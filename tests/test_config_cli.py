@@ -93,6 +93,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_simulate({"version": 1, "window": SQUARE, "rules": STIT_RULES, "time": 2.0})
 
+    @pytest.mark.parametrize("seed", [True, -1])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError):
+            parse_simulate({"version": 1, "seed": seed, "window": SQUARE, "rules": STIT_RULES, "time": 2.0})
+
     def test_self_intersecting_window_rejected(self):
         bowtie = [[0, 0], [1, 1], [1, 0], [0, 1]]
         with pytest.raises(ConfigError):
@@ -168,6 +173,15 @@ class TestCliSimulate:
 
         state = new_process(Polygon(SQUARE), pr(STIT_RULES), 42).advance(3.0)
         assert [(s, b) for s, b in state.segments] == records
+
+    @pytest.mark.parametrize("seed, override", [(1, ["--seed", "-1"]), (True, [])])
+    def test_bad_seed_exits_1(self, tmp_path, capsys, seed, override):
+        cfg = write_config(
+            tmp_path,
+            {"version": 1, "seed": seed, "window": SQUARE, "rules": STIT_RULES, "time": 1.0},
+        )
+        assert main(["simulate", "--config", cfg, *override, "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_malformed_window_exits_1(self, tmp_path):
         cfg = write_config(
