@@ -43,6 +43,9 @@ from .rules import (
 
 Probe = Union[Polygon, Segment]
 
+MIN_REPS = 100  # fewest replicates per arm that consistency_test accepts
+MAX_DIVISIONS_PER_DT = 0.1  # rate_estimate's bound on rate(V) * dt
+
 
 @dataclass(frozen=True)
 class WindowStats:
@@ -53,14 +56,8 @@ class WindowStats:
 
 
 def window_stats(T: CroppedTessellation, probes: Sequence[Probe] = ()) -> WindowStats:
+    """Statistics of one crop; every probe must lie in `T.window` (not checked here)."""
     V = T.window
-    for pr in probes:
-        if isinstance(pr, Polygon):
-            if not V.contains_polygon(pr):
-                raise ContainmentViolation("probe polygon outside the window")
-        elif not (V.contains_point(pr.p) and V.contains_point(pr.q)):
-            raise ContainmentViolation("probe segment outside the window")
-
     total = 0.0
     interior = 0
     for s in T.segments:
@@ -79,7 +76,7 @@ def window_stats(T: CroppedTessellation, probes: Sequence[Probe] = ()) -> Window
 
 
 def default_probes(V: Polygon, grid: int = 3, radius_frac: float = 0.1) -> list[Polygon]:
-    """Grid of 32-gon disks spanning the bounding box of V."""
+    """The 32-gon disks of a grid spanning the bounding box of V that V contains."""
     xs = [p[0] for p in V.vertices]
     ys = [p[1] for p in V.vertices]
     side = min(max(xs) - min(xs), max(ys) - min(ys))
@@ -89,7 +86,9 @@ def default_probes(V: Polygon, grid: int = 3, radius_frac: float = 0.1) -> list[
         for j in range(grid):
             cx = min(xs) + (i + 1) / (grid + 1) * (max(xs) - min(xs))
             cy = min(ys) + (j + 1) / (grid + 1) * (max(ys) - min(ys))
-            probes.append(regular_ngon((cx, cy), r, 32))
+            disk = regular_ngon((cx, cy), r, 32)
+            if V.contains_polygon(disk):
+                probes.append(disk)
     return probes
 
 
@@ -195,23 +194,23 @@ def _collect_chunk(
     """Per-time statistics of one chunk of replicates; returns (stats, aborted count).
 
     The chunk is (arm, rep_start, rep_count).  Arm 0 builds in V, arm 1 builds
-    in W and crops to V.  Replicate `rep` runs on seed (seed, arm, rep), so its
-    statistics do not depend on how the replicates are chunked.
+    in W, and both crop each snapshot to V once.  Replicate `rep` runs on seed
+    (seed, arm, rep), so its statistics do not depend on how the replicates
+    are chunked.
     """
     arm, rep_start, rep_count = chunk
     build_window = W if arm else V
-    same_window = build_window == V
     per_time: list[list[WindowStats]] = [[] for _ in times]
     aborted = 0
     for rep in range(rep_start, rep_start + rep_count):
         state = new_process(build_window, rules, (seed, arm, rep))
         try:
-            snaps = state.snapshots(list(times))
+            row = [window_stats(crop(state.advance(t), V), probes) for t in times]
         except ReplicateAborted:
             aborted += 1
             continue
-        for k, snap in enumerate(snaps):
-            per_time[k].append(window_stats(snap if same_window else crop(snap, V), probes))
+        for column, stats in zip(per_time, row):
+            column.append(stats)
     return per_time, aborted
 
 
@@ -228,14 +227,20 @@ def consistency_test(
     n_jobs: int = 1,
 ) -> ConsistencyReport:
     """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V."""
-    if n_reps < 100:
-        raise ValueError("n_reps must be >= 100")
+    if n_reps < MIN_REPS:
+        raise ValueError(f"n_reps must be >= {MIN_REPS}")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     if not W.contains_polygon(V):
         raise ContainmentViolation("V must be contained in W")
     if probes is None:
         probes = default_probes(V)
+    for pr in probes:
+        if isinstance(pr, Polygon):
+            if not V.contains_polygon(pr):
+                raise ContainmentViolation("probe polygon outside the window")
+        elif not (V.contains_point(pr.p) and V.contains_point(pr.q)):
+            raise ContainmentViolation("probe segment outside the window")
 
     size = -(-n_reps // (4 * n_jobs))
     chunks = [
@@ -296,8 +301,10 @@ def rate_estimate(
     """
     if not V.contains_polygon(B):
         raise ContainmentViolation("B must be contained in V")
-    if rate(rules.selection, V) * dt >= 0.1:
-        raise ValueError("dt too large: expected divisions in (0, dt) must stay below 0.1")
+    if rate(rules.selection, V) * dt >= MAX_DIVISIONS_PER_DT:
+        raise ValueError(
+            f"dt too large: expected divisions in (0, dt) must stay below {MAX_DIVISIONS_PER_DT}"
+        )
     hits = 0
     for rep in range(n_reps):
         state = new_process(V, rules, (seed, 2, rep))

@@ -12,7 +12,7 @@ import json
 import math
 from typing import Any, Optional, Sequence
 
-from .analysis import IDENTITIES
+from .analysis import IDENTITIES, MAX_DIVISIONS_PER_DT, MIN_REPS
 from .errors import ConfigError, InvalidPolygon
 from .geometry import Polygon
 from .measures import Atoms, HyperplaneMeasure, Isotropic
@@ -23,6 +23,7 @@ from .rules import (
     RestrictedMeasure,
     RulePair,
     VertexCount,
+    rate,
 )
 
 SCHEMA_VERSION = 1
@@ -38,6 +39,14 @@ def _require_keys(obj: dict, path: str, required: Sequence[str], optional: Seque
     for k in obj:
         if k not in allowed:
             raise ConfigError(f"{path}: unknown key '{k}' (allowed: {sorted(allowed)})")
+
+
+def _number(value: Any, path: str, kind: type = float):
+    """value as a float (or int), or a ConfigError naming the path."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
 
 
 def parse_directions(spec: Any, path: str):
@@ -98,7 +107,10 @@ def parse_rules(spec: Any, path: str = "rules") -> RulePair:
     if kind == "intrinsic_volume":
         if "index" not in sel_spec:
             raise ConfigError(f"{path}.selection: intrinsic_volume needs 'index'")
-        selection: Any = IntrinsicVolume(int(sel_spec["index"]))
+        try:
+            selection: Any = IntrinsicVolume(int(sel_spec["index"]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.selection.index: {exc}") from exc
     elif kind == "vertex_count":
         selection = VertexCount()
     elif kind == "hitting_measure":
@@ -151,7 +163,7 @@ def parse_window(spec: Any, path: str) -> Polygon:
 def parse_times(spec: Any, path: str) -> list[float]:
     if not isinstance(spec, list) or not spec:
         raise ConfigError(f"{path}: expected a non-empty list of times")
-    times = [float(t) for t in spec]
+    times = [_number(t, f"{path}[{i}]") for i, t in enumerate(spec)]
     if any(t <= 0 or not math.isfinite(t) for t in times):
         raise ConfigError(f"{path}: times must be positive and finite")
     if any(b < a for a, b in zip(times, times[1:])):
@@ -183,7 +195,7 @@ def load_config(path: str) -> dict:
 def parse_simulate(cfg: dict) -> dict:
     _require_keys(cfg, "config", ["version", "seed", "window", "rules", "time"], ["out_prefix"])
     _check_version_and_seed(cfg)
-    t = float(cfg["time"])
+    t = _number(cfg["time"], "config.time")
     if t <= 0 or not math.isfinite(t):
         raise ConfigError("config.time: must be positive and finite")
     return {
@@ -209,15 +221,20 @@ def parse_consistency(cfg: dict) -> dict:
         raise ConfigError("config: window_inner must be contained in window_outer")
     probes = None
     if "probes" in cfg and cfg["probes"] != "default":
+        if not isinstance(cfg["probes"], list):
+            raise ConfigError("config.probes: expected \"default\" or a list of polygons")
         probes = [parse_window(p, f"config.probes[{i}]") for i, p in enumerate(cfg["probes"])]
+    n_reps = _number(cfg["n_reps"], "config.n_reps", int)
+    if n_reps < MIN_REPS:
+        raise ConfigError(f"config.n_reps: must be >= {MIN_REPS}, got {n_reps}")
     return {
         "seed": cfg["seed"],
         "V": V,
         "W": W,
         "rules": parse_rules(cfg["rules"]),
         "times": parse_times(cfg["times"], "config.times"),
-        "n_reps": int(cfg["n_reps"]),
-        "alpha": float(cfg.get("alpha", 0.001)),
+        "n_reps": n_reps,
+        "alpha": _number(cfg.get("alpha", 0.001), "config.alpha"),
         "probes": probes,
     }
 
@@ -239,7 +256,7 @@ def parse_verify(cfg: dict) -> dict:
         "seed": cfg["seed"],
         "rules": parse_rules(cfg["rules"]),
         "identities": list(idents),
-        "n_cases": int(cfg.get("n_cases", 100)),
+        "n_cases": _number(cfg.get("n_cases", 100), "config.n_cases", int),
     }
 
 
@@ -252,14 +269,27 @@ def parse_rate(cfg: dict) -> dict:
     probe = parse_window(cfg["probe"], "config.probe")
     if not window.contains_polygon(probe):
         raise ConfigError("config: probe must be contained in window")
-    dts = [float(d) for d in cfg["dts"]]
+    if not isinstance(cfg["dts"], list):
+        raise ConfigError("config.dts: expected a list of time steps")
+    dts = [_number(d, f"config.dts[{i}]") for i, d in enumerate(cfg["dts"])]
     if not dts or any(d <= 0 for d in dts):
         raise ConfigError("config.dts: need positive time steps")
+    rules = parse_rules(cfg["rules"])
+    window_rate = rate(rules.selection, window)
+    for i, dt in enumerate(dts):
+        if window_rate * dt >= MAX_DIVISIONS_PER_DT:
+            raise ConfigError(
+                f"config.dts[{i}]: {dt} too large; rate(window) * dt = {window_rate * dt:.3g}"
+                f" must stay below {MAX_DIVISIONS_PER_DT}"
+            )
+    n_reps = _number(cfg["n_reps"], "config.n_reps", int)
+    if n_reps < 1:
+        raise ConfigError(f"config.n_reps: must be >= 1, got {n_reps}")
     return {
         "seed": cfg["seed"],
         "window": window,
         "probe": probe,
-        "rules": parse_rules(cfg["rules"]),
+        "rules": rules,
         "dts": dts,
-        "n_reps": int(cfg["n_reps"]),
+        "n_reps": n_reps,
     }

@@ -18,10 +18,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ContainmentViolation, ReplicateAborted
+from .errors import ContainmentViolation, DegenerateSplit, ReplicateAborted
 from .geometry import Polygon, Segment, clip_segment, split
 from .rules import RulePair, divide, rate
-from .errors import DegenerateSplit
 
 MAX_RESAMPLE = 100
 MAX_EVENTS = 10_000_000

@@ -8,6 +8,7 @@ convex up to a snap tolerance that is relative to the polygon's size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -57,7 +58,7 @@ class Segment:
 class Polygon:
     """Strictly convex polygon, CCW vertex tuple, canonicalized and validated once."""
 
-    __slots__ = ("vertices", "area", "perimeter", "_diameter", "_scale")
+    __slots__ = ("vertices", "area", "perimeter", "_diameter", "_scale", "_box", "_reach")
 
     def __init__(self, vertices: Iterable[Sequence[float]]):
         pts = [(float(x), float(y)) for x, y in vertices]
@@ -69,7 +70,8 @@ class Polygon:
 
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
-        scale = max(max(xs) - min(xs), max(ys) - min(ys))
+        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+        scale = max(x_hi - x_lo, y_hi - y_lo)
         if scale <= 0.0:
             raise InvalidPolygon("degenerate polygon: zero extent")
         tol = SNAP_REL * scale
@@ -122,6 +124,9 @@ class Polygon:
         object.__setattr__(self, "perimeter", perim)
         object.__setattr__(self, "_diameter", None)
         object.__setattr__(self, "_scale", scale)
+        # box of the input points; the kept vertices are a subset, so it covers them
+        object.__setattr__(self, "_box", (x_lo, y_lo, x_hi, y_hi))
+        object.__setattr__(self, "_reach", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -154,6 +159,30 @@ class Polygon:
             )
             object.__setattr__(self, "_diameter", d)
         return d
+
+    def _reach_terms(self) -> tuple[float, float]:
+        """(a, b): the containment tests accept no point further than a + b*span
+        outside the bounding box; see `_box_misses`."""
+        r = self._reach
+        if r is None:
+            vs = self.vertices
+            n = len(vs)
+            a = b = 0.0
+            for i in range(n):
+                x0, y0 = vs[i - 1]
+                x1, y1 = vs[i]
+                x2, y2 = vs[(i + 1) % n]
+                l_in = math.hypot(x1 - x0, y1 - y0)
+                l_out = math.hypot(x2 - x1, y2 - y1)
+                sine = _orient(x0, y0, x1, y1, x2, y2) / (l_in * l_out)
+                if sine <= 1e-14:  # too flat for the computed turn to be trusted
+                    a = b = math.inf
+                    break
+                a = max(a, (1.0 / l_in + 1.0 / l_out) / sine)
+                b = max(b, 1.0 / sine)
+            r = (2.0 * self.snap_tol * self._scale * a, 40.0 * sys.float_info.epsilon * b)
+            object.__setattr__(self, "_reach", r)
+        return r
 
     def translate(self, dx: float, dy: float) -> "Polygon":
         return Polygon([(x + dx, y + dy) for x, y in self.vertices])
@@ -381,8 +410,51 @@ def sample_uniform_point(C: Polygon, rng) -> tuple[float, float]:
     return (px, py)
 
 
+# Early rejection by bounding box, exact with respect to the full tests.
+#
+# Let tau = C.snap_tol * C._scale and, for an edge e from v0, cross_e(x) =
+# cross(e, x - v0).  contains_point and the parallel-edge branch of
+# clip_segment accept x when cross_e(x) >= -tau for every edge, that is up to
+# tau/|e| beyond e's line.  When clip_segment returns a segment, its start
+# p + t0*d, 0 <= t0 <= 1, satisfies cross_e >= 0 for every edge not parallel
+# to it, because t0 lies on the inner side of each edge crossing.  Rounding
+# moves each computed cross product by at most 20u*|e|*L (u = eps/2), where L
+# is the x span plus the y span of the segment's and C's boxes together, since
+# num, den and t0*den are sums of products of an edge component with a
+# distance at most L.  So every point the tests accept satisfies
+# cross_e(x) >= -tau_e, with tau_e = tau + 20u*|e|*L.
+#
+# Take a vertex v furthest along an axis direction.  Its neighbours are no
+# further, so -e_in and e_out point back from that direction, and the turn
+# X = cross(e_in, e_out) is positive.  The two relaxed constraints at v alone
+# leave the wedge v + w + cone(-e_in, e_out), w = (tau_out*e_in -
+# tau_in*e_out)/X, which reaches no further along the axis than v + w.  With
+# s = X/(|e_in||e_out|), the sine of the turn,
+#     |w| <= tau*(1/|e_in| + 1/|e_out|)/s + 40u*L/s.
+# The box holds v, so no accepted point lies further outside it than the
+# maximum of that bound over the vertices.  `_reach_terms` doubles the
+# maximum, for the rounding of s and of the comparisons, and gives it up when
+# a turn is too flat to trust (s <= 1e-14; s is computed to within 4u).
+
+
+def _box_misses(seg: Segment, C: Polygon) -> bool:
+    """True when no point of seg can pass C's containment or clip tests."""
+    px, py = seg.p
+    qx, qy = seg.q
+    x_lo, y_lo, x_hi, y_hi = C._box
+    sx_lo, sx_hi = (px, qx) if px <= qx else (qx, px)
+    sy_lo, sy_hi = (py, qy) if py <= qy else (qy, py)
+    if sx_lo <= x_hi and x_lo <= sx_hi and sy_lo <= y_hi and y_lo <= sy_hi:
+        return False
+    a, b = C._reach_terms()
+    span = max(sx_hi, x_hi) - min(sx_lo, x_lo) + max(sy_hi, y_hi) - min(sy_lo, y_lo)
+    return max(sx_lo - x_hi, x_lo - sx_hi, sy_lo - y_hi, y_lo - sy_hi) > a + b * span
+
+
 def clip_segment(seg: Segment, C: Polygon) -> Optional[Segment]:
     """Intersection of a segment with a convex polygon, or None if empty/degenerate."""
+    if _box_misses(seg, C):
+        return None
     px, py = seg.p
     dx = seg.q[0] - px
     dy = seg.q[1] - py
@@ -452,6 +524,8 @@ def segments_intersect(s1: Segment, s2: Segment, tol: float = 0.0) -> bool:
 
 def segment_hits_polygon(seg: Segment, C: Polygon) -> bool:
     """Nonempty intersection of a closed segment with a closed convex polygon."""
+    if _box_misses(seg, C):
+        return False
     if C.contains_point(seg.p) or C.contains_point(seg.q):
         return True
     return clip_segment(seg, C) is not None

@@ -7,7 +7,11 @@ from stitsim import (
     CroppedTessellation,
     InsufficientSamples,
     Segment,
+    analysis,
+    crop,
+    new_process,
     rectangle,
+    regular_ngon,
 )
 from stitsim.analysis import (
     CONSISTENT,
@@ -62,11 +66,14 @@ class TestWindowStats:
         assert window_stats(hit, [probe]).probe_hits == (True,)
         assert window_stats(miss, [probe]).probe_hits == (False,)
 
-    def test_probe_containment_enforced(self, unit_square):
-        with pytest.raises(ContainmentViolation):
-            window_stats(
-                CroppedTessellation(unit_square, (), 1.0), [rectangle(0.5, 0.5, 2.0, 2.0)]
-            )
+    def test_default_probes_of_unit_square(self, unit_square):
+        grid = [regular_ngon(((i + 1) / 4, (j + 1) / 4), 0.1, 32) for i in range(3) for j in range(3)]
+        assert default_probes(unit_square) == grid
+
+    def test_default_probes_lie_in_a_triangle(self, triangle):
+        probes = default_probes(triangle)
+        assert 0 < len(probes) < 9
+        assert all(triangle.contains_polygon(pr) for pr in probes)
 
 
 class TestKSTwoSample:
@@ -160,6 +167,30 @@ class TestConsistencyPipeline:
             for rep in (0, 3, 5):
                 alone, _ = _collect_chunk(stit_rules, unit_square, W, times, probes, 7, (arm, rep, 1))
                 assert [column[0] for column in alone] == [column[rep] for column in whole]
+
+    def test_crop_once_matches_crop_of_full_window_snapshots(self, unit_square, stit_rules):
+        W = rectangle(0, 0, 3, 3)
+        probes = default_probes(unit_square)
+        times = [0.75, 1.5]
+        stats, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 1, (1, 0, 20))
+        assert aborted == 0
+        old_route = [[] for _ in times]
+        for rep in range(20):
+            snaps = new_process(W, stit_rules, (1, 1, rep)).snapshots(times)
+            for column, snap in zip(old_route, snaps):
+                column.append(window_stats(crop(snap, unit_square), probes))
+        assert stats == old_route
+
+    def test_probe_containment_checked_before_replicates(self, unit_square, stit_rules, monkeypatch):
+        def no_replicates(*args):
+            raise AssertionError("a replicate ran before the probes were checked")
+
+        monkeypatch.setattr(analysis, "new_process", no_replicates)
+        outside = [rectangle(0.5, 0.5, 2.0, 2.0), Segment((0.5, 0.5), (1.5, 0.5))]
+        messages = ["probe polygon outside the window", "probe segment outside the window"]
+        for probe, message in zip(outside, messages):
+            with pytest.raises(ContainmentViolation, match=message):
+                consistency_test(stit_rules, unit_square, unit_square, [1.0], 100, probes=[probe])
 
     def test_requires_min_replicates(self, unit_square, stit_rules):
         with pytest.raises(ValueError):

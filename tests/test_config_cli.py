@@ -20,6 +20,27 @@ SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 BIG = [[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [0.0, 3.0]]
 ISO = {"intensity": 1.0, "directions": "isotropic"}
 STIT_RULES = {"stit": {"measure": ISO}}
+TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+SIMULATE = {"version": 1, "seed": 1, "window": SQUARE, "rules": STIT_RULES, "time": 1.0}
+CONSISTENCY = {
+    "version": 1,
+    "seed": 1,
+    "window_inner": SQUARE,
+    "window_outer": BIG,
+    "rules": STIT_RULES,
+    "times": [0.5],
+    "n_reps": 100,
+}
+VERIFY = {"version": 1, "seed": 1, "rules": STIT_RULES, "identities": ["corollary"]}
+RATE = {
+    "version": 1,
+    "seed": 1,
+    "window": SQUARE,
+    "probe": [[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]],
+    "rules": STIT_RULES,
+    "dts": [0.02],
+    "n_reps": 10,
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -268,6 +289,57 @@ class TestCliConsistency:
             },
         )
         assert main(["consistency", "--config", cfg, "--threads", "1", "--out", str(tmp_path)]) == 2
+
+    def test_triangular_inner_window_with_default_probes(self, tmp_path):
+        cfg = write_config(tmp_path, {**CONSISTENCY, "window_inner": TRIANGLE})
+        assert main(["consistency", "--config", cfg, "--threads", "1", "--out", str(tmp_path)]) in (0, 2)
+        report = json.loads((tmp_path / "consistency_report.json").read_text())
+        assert report["n_reps"] == 100
+
+
+class TestCliBadInput:
+    @pytest.mark.parametrize(
+        "command, base, key, value",
+        [
+            ("simulate", SIMULATE, "time", "abc"),
+            ("consistency", CONSISTENCY, "times", [0.5, "abc"]),
+            ("consistency", CONSISTENCY, "n_reps", "abc"),
+            ("consistency", CONSISTENCY, "n_reps", 99),
+            ("consistency", CONSISTENCY, "alpha", "abc"),
+            ("consistency", CONSISTENCY, "probes", 5),
+            (
+                "consistency",
+                CONSISTENCY,
+                "rules",
+                {"selection": {"kind": "intrinsic_volume", "index": "a"}, "division": {"kind": "point_driven"}},
+            ),
+            ("verify", VERIFY, "n_cases", "abc"),
+            ("rate", RATE, "dts", ["abc"]),
+            ("rate", RATE, "n_reps", "abc"),
+            ("rate", RATE, "n_reps", 0),
+            # rate(unit square) = 4/pi for the isotropic STIT pair, so dt = 0.1 gives 0.127
+            ("rate", RATE, "dts", [0.02, 0.1]),
+        ],
+        ids=[
+            "simulate-time",
+            "consistency-times",
+            "consistency-n_reps",
+            "consistency-n_reps-below-100",
+            "consistency-alpha",
+            "consistency-probes",
+            "consistency-intrinsic-volume-index",
+            "verify-n_cases",
+            "rate-dts",
+            "rate-n_reps",
+            "rate-n_reps-zero",
+            "rate-dt-too-large",
+        ],
+    )
+    def test_exits_1_with_config_error(self, tmp_path, capsys, command, base, key, value):
+        cfg = write_config(tmp_path, {**base, key: value})
+        assert main([command, "--config", cfg, "--threads", "1", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
 
 
 class TestCliRate:

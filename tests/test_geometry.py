@@ -14,7 +14,9 @@ from stitsim.geometry import (
     offset_interval,
     random_convex_polygon,
     rectangle,
+    regular_ngon,
     sample_uniform_point,
+    segment_hits_polygon,
     split,
     support,
     vertex_count,
@@ -236,3 +238,109 @@ class TestClipSegment:
     def test_inside_segment_unchanged(self, unit_square):
         s = clip_segment(Segment((0.2, 0.2), (0.8, 0.8)), unit_square)
         assert s.p == (0.2, 0.2) and s.q == (0.8, 0.8)
+
+
+def _reference_clip_segment(seg, C):
+    """clip_segment as it was before the bounding-box rejection."""
+    px, py = seg.p
+    dx = seg.q[0] - px
+    dy = seg.q[1] - py
+    t0, t1 = 0.0, 1.0
+    vs = C.vertices
+    n = len(vs)
+    for i in range(n):
+        x0, y0 = vs[i]
+        x1, y1 = vs[(i + 1) % n]
+        ex, ey = x1 - x0, y1 - y0
+        num = ex * (py - y0) - ey * (px - x0)
+        den = ex * dy - ey * dx
+        if abs(den) < 1e-300:
+            if num < -C.snap_tol * C._scale:
+                return None
+            continue
+        t = -num / den
+        if den > 0:
+            if t > t0:
+                t0 = t
+        else:
+            if t < t1:
+                t1 = t
+        if t0 > t1:
+            return None
+    seg_len = math.hypot(dx, dy)
+    snap = max(1e-12, C.snap_tol / seg_len) if seg_len > 0 else 1e-12
+    if t0 < snap:
+        t0 = 0.0
+    if t1 > 1.0 - snap:
+        t1 = 1.0
+    p = seg.p if t0 == 0.0 else (px + t0 * dx, py + t0 * dy)
+    q = seg.q if t1 == 1.0 else (px + t1 * dx, py + t1 * dy)
+    if math.hypot(q[0] - p[0], q[1] - p[1]) <= C.snap_tol:
+        return None
+    return Segment(p, q)
+
+
+def _reference_segment_hits_polygon(seg, C):
+    """segment_hits_polygon as it was before the bounding-box rejection."""
+    if C.contains_point(seg.p) or C.contains_point(seg.q):
+        return True
+    return _reference_clip_segment(seg, C) is not None
+
+
+def _test_polygon(rng, kind):
+    center = tuple(rng.standard_normal(2) * 10 ** rng.uniform(-1, 3))
+    size = 10 ** rng.uniform(-3, 3)
+    if kind == "random":
+        return random_convex_polygon(rng, n_points=int(rng.integers(3, 12)), scale=size, center=center)
+    if kind == "probe":
+        return regular_ngon(center, size, 32)
+    # long thin triangle or quadrilateral, rotated
+    thin = size * 10 ** rng.uniform(-9, -1)
+    pts = [(0.0, 0.0), (size, 0.0), (size, thin)] + ([(0.0, thin)] if rng.random() < 0.5 else [])
+    c, s = math.cos(rng.uniform(0, 2 * math.pi)), math.sin(rng.uniform(0, 2 * math.pi))
+    return Polygon([(center[0] + c * x - s * y, center[1] + s * x + c * y) for x, y in pts])
+
+
+def _test_segment(rng, C, kind):
+    vs = C.vertices
+    i = int(rng.integers(len(vs)))
+    v, w = np.array(vs[i]), np.array(vs[(i + 1) % len(vs)])
+    edge = w - v
+    outward = np.array([edge[1], -edge[0]]) / np.hypot(*edge)
+    # offsets from far inside the snap tolerance to well outside it, either side
+    eps = C.snap_tol * 10 ** rng.uniform(-3, 5) * rng.choice([-1.0, 1.0])
+    length = C._scale * 10 ** rng.uniform(-4, 1)
+    angle = rng.choice([rng.uniform(0, 2 * math.pi), 0.0, math.pi / 2, math.atan2(edge[1], edge[0])])
+    direction = np.array([math.cos(angle), math.sin(angle)])
+    if kind == "near":
+        p = v + eps * np.array([math.cos(rng.uniform(0, 7)), math.sin(rng.uniform(0, 7))])
+        q = p + length * direction
+    elif kind == "touching":
+        p = v + rng.random() * edge + eps * outward
+        q = p + length * direction * (1.0 if direction @ outward >= 0 else -1.0)
+    elif kind == "vertex":
+        p = v + length * rng.random() * direction
+        q = v - length * rng.random() * direction
+    else:  # collinear with an edge, shifted off its line by eps
+        p = v + rng.uniform(-1, 2) * edge + eps * outward
+        q = v + rng.uniform(-1, 2) * edge + eps * outward
+    return Segment((float(p[0]), float(p[1])), (float(q[0]), float(q[1])))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "probe", "thin"]),
+    st.sampled_from(["near", "touching", "vertex", "collinear"]),
+)
+def test_box_rejection_keeps_clip_and_hit_results(seed, polygon_kind, segment_kind):
+    rng = np.random.default_rng(seed)
+    try:
+        C = _test_polygon(rng, polygon_kind)
+    except InvalidPolygon:
+        return
+    seg = _test_segment(rng, C, segment_kind)
+    if seg.p == seg.q:
+        return
+    assert clip_segment(seg, C) == _reference_clip_segment(seg, C)
+    assert segment_hits_polygon(seg, C) == _reference_segment_hits_polygon(seg, C)
