@@ -44,6 +44,9 @@ from .rules import (
 Probe = Union[Polygon, Segment]
 
 MIN_REPS = 100  # fewest replicates per arm that consistency_test accepts
+MAX_ABORT_FRAC = 0.01  # consistency_test fails when more of an arm's replicates abort
+PROBE_GRID = 3  # default_probes places PROBE_GRID x PROBE_GRID disks
+PROBE_RADIUS_FRAC = 0.1  # default probe radius over the shorter side of V's bounding box
 MAX_DIVISIONS_PER_DT = 0.1  # rate_estimate's bound on rate(V) * dt
 
 
@@ -75,17 +78,17 @@ def window_stats(T: CroppedTessellation, probes: Sequence[Probe] = ()) -> Window
     return WindowStats(total, len(T.segments), interior, tuple(hits))
 
 
-def default_probes(V: Polygon, grid: int = 3, radius_frac: float = 0.1) -> list[Polygon]:
+def default_probes(V: Polygon) -> list[Polygon]:
     """The 32-gon disks of a grid spanning the bounding box of V that V contains."""
     xs = [p[0] for p in V.vertices]
     ys = [p[1] for p in V.vertices]
     side = min(max(xs) - min(xs), max(ys) - min(ys))
-    r = radius_frac * side
+    r = PROBE_RADIUS_FRAC * side
     probes = []
-    for i in range(grid):
-        for j in range(grid):
-            cx = min(xs) + (i + 1) / (grid + 1) * (max(xs) - min(xs))
-            cy = min(ys) + (j + 1) / (grid + 1) * (max(ys) - min(ys))
+    for i in range(PROBE_GRID):
+        for j in range(PROBE_GRID):
+            cx = min(xs) + (i + 1) / (PROBE_GRID + 1) * (max(xs) - min(xs))
+            cy = min(ys) + (j + 1) / (PROBE_GRID + 1) * (max(ys) - min(ys))
             disk = regular_ngon((cx, cy), r, 32)
             if V.contains_polygon(disk):
                 probes.append(disk)
@@ -223,12 +226,13 @@ def consistency_test(
     probes: Optional[Sequence[Probe]] = None,
     seed: int = 0,
     alpha: float = 0.001,
-    max_abort_frac: float = 0.01,
     n_jobs: int = 1,
 ) -> ConsistencyReport:
     """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V."""
     if n_reps < MIN_REPS:
         raise ValueError(f"n_reps must be >= {MIN_REPS}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     if not W.contains_polygon(V):
@@ -260,7 +264,7 @@ def consistency_test(
             column.extend(part)
     direct, cropped = per_arm
     ab_d, ab_c = aborted
-    if ab_d > max_abort_frac * n_reps or ab_c > max_abort_frac * n_reps:
+    if ab_d > MAX_ABORT_FRAC * n_reps or ab_c > MAX_ABORT_FRAC * n_reps:
         raise ReplicateAborted(
             f"too many aborted replicates: {ab_d}/{ab_c} of {n_reps} per arm"
         )
@@ -309,7 +313,7 @@ def rate_estimate(
     for rep in range(n_reps):
         state = new_process(V, rules, (seed, 2, rep))
         state.advance(dt)
-        if any(segment_hits_polygon(s, B) for s, _ in state.segments):
+        if any(segment_hits_polygon(s, B) for s in state.segments):
             hits += 1
     return hits / (n_reps * dt)
 

@@ -227,6 +227,9 @@ def parse_consistency(cfg: dict) -> dict:
     n_reps = _number(cfg["n_reps"], "config.n_reps", int)
     if n_reps < MIN_REPS:
         raise ConfigError(f"config.n_reps: must be >= {MIN_REPS}, got {n_reps}")
+    alpha = _number(cfg.get("alpha", 0.001), "config.alpha")
+    if not 0 < alpha < 1:
+        raise ConfigError(f"config.alpha: must lie in (0, 1), got {alpha}")
     return {
         "seed": cfg["seed"],
         "V": V,
@@ -234,7 +237,7 @@ def parse_consistency(cfg: dict) -> dict:
         "rules": parse_rules(cfg["rules"]),
         "times": parse_times(cfg["times"], "config.times"),
         "n_reps": n_reps,
-        "alpha": _number(cfg.get("alpha", 0.001), "config.alpha"),
+        "alpha": alpha,
         "probes": probes,
     }
 
@@ -252,11 +255,14 @@ def parse_verify(cfg: dict) -> dict:
             raise ConfigError(
                 f"config.identities: unknown identity '{name}' (known: {list(IDENTITIES)})"
             )
+    n_cases = _number(cfg.get("n_cases", 100), "config.n_cases", int)
+    if n_cases < 1:
+        raise ConfigError(f"config.n_cases: must be >= 1, got {n_cases}")
     return {
         "seed": cfg["seed"],
         "rules": parse_rules(cfg["rules"]),
         "identities": list(idents),
-        "n_cases": _number(cfg.get("n_cases", 100), "config.n_cases", int),
+        "n_cases": n_cases,
     }
 
 
@@ -272,8 +278,8 @@ def parse_rate(cfg: dict) -> dict:
     if not isinstance(cfg["dts"], list):
         raise ConfigError("config.dts: expected a list of time steps")
     dts = [_number(d, f"config.dts[{i}]") for i, d in enumerate(cfg["dts"])]
-    if not dts or any(d <= 0 for d in dts):
-        raise ConfigError("config.dts: need positive time steps")
+    if not dts or any(d <= 0 or not math.isfinite(d) for d in dts):
+        raise ConfigError("config.dts: need positive, finite time steps")
     rules = parse_rules(cfg["rules"])
     window_rate = rate(rules.selection, window)
     for i, dt in enumerate(dts):

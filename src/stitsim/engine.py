@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,14 +25,15 @@ from .rules import RulePair, divide, rate
 MAX_RESAMPLE = 100
 MAX_EVENTS = 10_000_000
 MERGE_REL_TOL = 1e-9
+TILING_REL_TOL = 1e-9  # check_tiling's bound on |sum of cell areas - window area| / window area
 
 
-@dataclass
-class Cell:
-    polygon: Polygon
-    birth_time: float
+class Cell(NamedTuple):
+    """A live cell; it is its own heap entry, ordered by (death time, index)."""
+
     death_time: float
-    index: int
+    index: int  # unique, so two entries never compare their polygons
+    polygon: Polygon
 
 
 @dataclass(frozen=True)
@@ -41,80 +42,66 @@ class CroppedTessellation:
 
     window: Polygon
     segments: tuple[Segment, ...]
-    time: float
 
 
 class ProcessState:
-    """Mutable trajectory state; `advance` mutates in place and returns self."""
+    """Mutable trajectory state; `advance` mutates in place and returns self.
 
-    __slots__ = (
-        "window",
-        "rules",
-        "seed",
-        "clock",
-        "segments",
-        "_heap",
-        "_next_index",
-        "_events",
-        "_rng",
-    )
+    `segments[i]` is the chord of the i-th division and `births[i]` its time.
+    """
+
+    __slots__ = ("window", "rules", "seed", "clock", "segments", "births", "_heap", "_next_index", "_rng")
 
     def __init__(self, window: Polygon, rules: RulePair, seed: int | tuple[int, ...]):
         self.window = window
         self.rules = rules
         self.seed = seed
         self.clock = 0.0
-        self.segments: list[tuple[Segment, float]] = []
-        self._heap: list[tuple[float, int, Cell]] = []
+        self.segments: list[Segment] = []
+        self.births: list[float] = []
+        self._heap: list[Cell] = []
         self._next_index = 0
-        self._events = 0
         self._rng = np.random.default_rng(seed)
         self._spawn(window, 0.0)
 
-    def _spawn(self, polygon: Polygon, birth: float) -> Cell:
+    def _spawn(self, polygon: Polygon, birth: float) -> None:
         idx = self._next_index
         self._next_index += 1
         tau = self._rng.standard_exponential()
-        cell = Cell(polygon, birth, birth + tau / rate(self.rules.selection, polygon), idx)
-        heapq.heappush(self._heap, (cell.death_time, idx, cell))
-        return cell
+        heapq.heappush(self._heap, Cell(birth + tau / rate(self.rules.selection, polygon), idx, polygon))
 
     @property
     def live_cells(self) -> list[Cell]:
-        return [entry[2] for entry in self._heap]
+        return list(self._heap)
 
-    def check_tiling(self, rel_tol: float = 1e-9) -> bool:
-        total = sum(c.polygon.area for c in self.live_cells)
-        return abs(total - self.window.area) <= rel_tol * self.window.area
+    def check_tiling(self) -> bool:
+        total = sum(c.polygon.area for c in self._heap)
+        return abs(total - self.window.area) <= TILING_REL_TOL * self.window.area
 
     def advance(self, t: float) -> "ProcessState":
         if t < self.clock:
             raise ValueError(f"cannot advance backwards: {t} < {self.clock}")
         div = self.rules.division
-        while self._heap and self._heap[0][0] <= t:
-            _, _, cell = heapq.heappop(self._heap)
-            t_div = cell.death_time
-            pieces = None
+        while self._heap and self._heap[0].death_time <= t:
+            t_div, idx, polygon = heapq.heappop(self._heap)
             for _ in range(MAX_RESAMPLE):
-                h = divide(div, cell.polygon, self._rng)
+                h = divide(div, polygon, self._rng)
                 try:
-                    plus, minus, trace = split(cell.polygon, h)
+                    plus, minus, trace = split(polygon, h)
                 except DegenerateSplit:
                     continue
-                if plus is None or minus is None:
-                    continue  # tangent line, treat like a degenerate hit
-                pieces = (plus, minus, trace)
-                break
-            if pieces is None:
+                if plus is not None and minus is not None:
+                    break
+                # else a tangent line: resample as for a degenerate hit
+            else:
                 raise ReplicateAborted(
-                    f"cell {cell.index}: {MAX_RESAMPLE} degenerate dividing lines in a row"
+                    f"cell {idx}: {MAX_RESAMPLE} degenerate dividing lines in a row"
                 )
-            plus, minus, trace = pieces
-            self.segments.append((trace, t_div))
+            self.segments.append(trace)
+            self.births.append(t_div)
             self._spawn(plus, t_div)
             self._spawn(minus, t_div)
-            self._events += 1
-            if self._events > MAX_EVENTS:
+            if len(self.segments) > MAX_EVENTS:
                 raise ReplicateAborted(f"event cap {MAX_EVENTS} exceeded")
         self.clock = t
         return self
@@ -207,29 +194,21 @@ def _on_boundary(seg: Segment, V: Polygon, tol: float) -> bool:
     return False
 
 
-def crop(source: Union[ProcessState, CroppedTessellation], V: Polygon) -> CroppedTessellation:
-    """Intersect the tessellation's chord set with V, merging collinear pieces.
+def crop(source: ProcessState | CroppedTessellation, V: Polygon) -> CroppedTessellation:
+    """Intersect the source's chord set with V, merging collinear pieces.
 
-    Cell provenance is forgotten: chords from distinct parent cells that lie on
-    one line become a single maximal segment.  Chords falling onto the boundary
-    of V are dropped.
+    Reads only `source.window` and `source.segments`.  Cell provenance is
+    forgotten: chords from distinct parent cells that lie on one line become a
+    single maximal segment.  Chords falling onto the boundary of V are dropped.
     """
-    if isinstance(source, ProcessState):
-        window = source.window
-        raw = [s for s, _ in source.segments]
-        time = source.clock
-    else:
-        window = source.window
-        raw = list(source.segments)
-        time = source.time
-    if not window.contains_polygon(V):
+    if not source.window.contains_polygon(V):
         raise ContainmentViolation("crop window V must be contained in the source window")
 
     scale = max(abs(c) for v in V.vertices for c in v) or 1.0
     tol = MERGE_REL_TOL * scale
     clipped = []
-    for s in raw:
+    for s in source.segments:
         c = clip_segment(s, V)
         if c is not None and c.length > tol and not _on_boundary(c, V, tol):
             clipped.append(c)
-    return CroppedTessellation(V, tuple(_merge_collinear(clipped, scale)), time)
+    return CroppedTessellation(V, tuple(_merge_collinear(clipped, scale)))

@@ -108,16 +108,27 @@ class Polygon:
         start = min(range(len(kept)), key=lambda i: kept[i])
         kept = kept[start:] + kept[:start]
 
+        # All turns are left turns, so the boundary winds once exactly when the
+        # signs of the nonzero edge dy change at most twice (up, then down).
         area2 = 0.0
         perim = 0.0
         m = len(kept)
+        up = None
+        flips = 0
         for i in range(m):
             x0, y0 = kept[i]
             x1, y1 = kept[(i + 1) % m]
             area2 += x0 * y1 - x1 * y0
             perim += math.hypot(x1 - x0, y1 - y0)
+            dy = y1 - y0
+            if dy != 0.0:
+                if up is not None and up != (dy > 0.0):
+                    flips += 1
+                up = dy > 0.0
         if area2 <= 0.0:
             raise InvalidPolygon("non-positive signed area")
+        if flips > 2:
+            raise InvalidPolygon("boundary winds more than once")
 
         object.__setattr__(self, "vertices", tuple(kept))
         object.__setattr__(self, "area", 0.5 * area2)
@@ -500,24 +511,19 @@ def _orient(ax, ay, bx, by, cx, cy) -> float:
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def segments_intersect(s1: Segment, s2: Segment, tol: float = 0.0) -> bool:
+def segments_intersect(s1: Segment, s2: Segment) -> bool:
     """Closed segment intersection test (touching counts)."""
     d1 = _orient(*s1.p, *s1.q, *s2.p)
     d2 = _orient(*s1.p, *s1.q, *s2.q)
     d3 = _orient(*s2.p, *s2.q, *s1.p)
     d4 = _orient(*s2.p, *s2.q, *s1.q)
-    if ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and (
-        (d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)
-    ):
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
         return True
 
     def on(p, q, r):
-        if abs(_orient(*p, *q, *r)) > max(tol, 1e-12 * (abs(p[0]) + abs(q[0]) + 1.0)):
+        if abs(_orient(*p, *q, *r)) > 1e-12 * (abs(p[0]) + abs(q[0]) + 1.0):
             return False
-        return (
-            min(p[0], q[0]) - tol <= r[0] <= max(p[0], q[0]) + tol
-            and min(p[1], q[1]) - tol <= r[1] <= max(p[1], q[1]) + tol
-        )
+        return min(p[0], q[0]) <= r[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
 
     return on(s1.p, s1.q, s2.p) or on(s1.p, s1.q, s2.q) or on(s2.p, s2.q, s1.p) or on(s2.p, s2.q, s1.q)
 

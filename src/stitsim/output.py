@@ -9,12 +9,13 @@ hand-rolled to keep output byte-deterministic.
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from .config import rules_to_dict
-from .engine import CroppedTessellation, ProcessState
+from .engine import ProcessState
 from .errors import ConfigError
 from .geometry import Segment
+
+SVG_SIZE = 640  # pixels along the longer side of the window's bounding box, margins included
 
 
 def _fmt(x: float) -> str:
@@ -31,7 +32,7 @@ def dump_geometry(state: ProcessState, path: str) -> None:
     }
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        for seg, birth in state.segments:
+        for seg, birth in zip(state.segments, state.births):
             fh.write(
                 f"{_fmt(seg.p[0])} {_fmt(seg.p[1])} {_fmt(seg.q[0])} {_fmt(seg.q[1])} {_fmt(birth)}\n"
             )
@@ -42,13 +43,21 @@ def load_geometry(path: str) -> tuple[dict, list[tuple[Segment, float]]]:
         header = fh.readline()
         if not header.startswith("# "):
             raise ConfigError(f"{path}: missing metadata header")
-        meta = json.loads(header[2:])
+        try:
+            meta = json.loads(header[2:])
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:1: bad metadata header: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path}:1: metadata header must be a JSON object")
         records = []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if len(parts) != 5:
                 raise ConfigError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            px, py, qx, qy, birth = (float(p) for p in parts)
+            try:
+                px, py, qx, qy, birth = (float(p) for p in parts)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             records.append((Segment((px, py), (qx, qy)), birth))
     if meta.get("n_segments") != len(records):
         raise ConfigError(f"{path}: header says {meta.get('n_segments')} segments, found {len(records)}")
@@ -80,28 +89,16 @@ def _color(t: float) -> str:
     return "#" + "".join(f"{round(255 * c):02x}" for c in rgb)
 
 
-def render_svg(
-    source: Union[ProcessState, CroppedTessellation],
-    path: str,
-    size: int = 640,
-) -> None:
-    """Window outline plus segments colored by birth time (single color for crops)."""
-    if isinstance(source, ProcessState):
-        window = source.window
-        segments = list(source.segments)
-        t_max = source.clock
-    else:
-        window = source.window
-        segments = [(s, 0.0) for s in source.segments]
-        t_max = 0.0
-
+def render_svg(state: ProcessState, path: str) -> None:
+    """Window outline plus segments colored by birth time."""
+    window = state.window
     xs = [v[0] for v in window.vertices]
     ys = [v[1] for v in window.vertices]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0)
     margin = 0.04 * span
-    scale = size / (span + 2 * margin)
+    scale = SVG_SIZE / (span + 2 * margin)
 
     def sx(x: float) -> str:
         return f"{(x - x0 + margin) * scale:.3f}"
@@ -120,9 +117,9 @@ def render_svg(
         + " ".join(f"{sx(vx)},{sy(vy)}" for vx, vy in window.vertices)
         + '" fill="none" stroke="black" stroke-width="1.5"/>',
     ]
-    sw = max(0.6, 0.0015 * size)
-    for seg, birth in segments:
-        color = _color(birth / t_max if t_max > 0 else 0.0)
+    sw = max(0.6, 0.0015 * SVG_SIZE)
+    for seg, birth in zip(state.segments, state.births):
+        color = _color(birth / state.clock if state.clock > 0 else 0.0)
         lines.append(
             f'<line x1="{sx(seg.p[0])}" y1="{sy(seg.p[1])}" '
             f'x2="{sx(seg.q[0])}" y2="{sy(seg.q[1])}" '

@@ -32,14 +32,14 @@ from stitsim.rules import IntrinsicVolume, RestrictedMeasure, RulePair, VertexCo
 class TestWindowStats:
     def test_empty_tessellation(self, unit_square):
         probes = default_probes(unit_square)
-        s = window_stats(CroppedTessellation(unit_square, (), 1.0), probes)
+        s = window_stats(CroppedTessellation(unit_square, ()), probes)
         assert s.total_length == 0.0
         assert s.segment_count == 0
         assert s.interior_endpoints == 0
         assert s.probe_hits == (False,) * len(probes)
 
     def test_single_full_chord(self, unit_square):
-        t = CroppedTessellation(unit_square, (Segment((0.0, 0.5), (1.0, 0.5)),), 1.0)
+        t = CroppedTessellation(unit_square, (Segment((0.0, 0.5), (1.0, 0.5)),))
         s = window_stats(t)
         assert s.total_length == pytest.approx(1.0)
         assert s.segment_count == 1
@@ -49,20 +49,19 @@ class TestWindowStats:
         t = CroppedTessellation(
             unit_square,
             (Segment((0.0, 0.5), (1.0, 0.5)), Segment((0.5, 0.0), (0.5, 1.0))),
-            1.0,
         )
         s = window_stats(t)
         assert s.segment_count == 2
         assert s.interior_endpoints == 0
 
     def test_dead_end_counts_as_interior_endpoint(self, unit_square):
-        t = CroppedTessellation(unit_square, (Segment((0.0, 0.5), (0.6, 0.5)),), 1.0)
+        t = CroppedTessellation(unit_square, (Segment((0.0, 0.5), (0.6, 0.5)),))
         assert window_stats(t).interior_endpoints == 1
 
     def test_probe_hit_detection(self, unit_square):
         probe = rectangle(0.4, 0.4, 0.6, 0.6)
-        hit = CroppedTessellation(unit_square, (Segment((0.0, 0.5), (1.0, 0.5)),), 1.0)
-        miss = CroppedTessellation(unit_square, (Segment((0.0, 0.1), (1.0, 0.1)),), 1.0)
+        hit = CroppedTessellation(unit_square, (Segment((0.0, 0.5), (1.0, 0.5)),))
+        miss = CroppedTessellation(unit_square, (Segment((0.0, 0.1), (1.0, 0.1)),))
         assert window_stats(hit, [probe]).probe_hits == (True,)
         assert window_stats(miss, [probe]).probe_hits == (False,)
 
@@ -199,6 +198,12 @@ class TestConsistencyPipeline:
     def test_requires_positive_n_jobs(self, unit_square, stit_rules):
         with pytest.raises(ValueError):
             consistency_test(stit_rules, unit_square, unit_square, [1.0], 100, n_jobs=0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 5.0, float("nan")])
+    def test_alpha_must_lie_in_unit_interval(self, unit_square, stit_rules, monkeypatch, alpha):
+        monkeypatch.setattr("stitsim.analysis.new_process", None)  # no replicate may run
+        with pytest.raises(ValueError, match="alpha"):
+            consistency_test(stit_rules, unit_square, unit_square, [1.0], 100, alpha=alpha)
 
     def test_report_serialization_roundtrip(self, unit_square, stit_rules):
         report = consistency_test(

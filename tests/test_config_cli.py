@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -21,6 +22,8 @@ BIG = [[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [0.0, 3.0]]
 ISO = {"intensity": 1.0, "directions": "isotropic"}
 STIT_RULES = {"stit": {"measure": ISO}}
 TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+# star order: every turn is a left turn, but the boundary winds twice
+PENTAGRAM = [[math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)] for k in range(5)]
 SIMULATE = {"version": 1, "seed": 1, "window": SQUARE, "rules": STIT_RULES, "time": 1.0}
 CONSISTENCY = {
     "version": 1,
@@ -193,7 +196,7 @@ class TestCliSimulate:
         from stitsim.geometry import Polygon
 
         state = new_process(Polygon(SQUARE), pr(STIT_RULES), 42).advance(3.0)
-        assert [(s, b) for s, b in state.segments] == records
+        assert list(zip(state.segments, state.births)) == records
 
     @pytest.mark.parametrize("seed, override", [(1, ["--seed", "-1"]), (True, [])])
     def test_bad_seed_exits_1(self, tmp_path, capsys, seed, override):
@@ -210,6 +213,23 @@ class TestCliSimulate:
             {"version": 1, "seed": 1, "window": [[0, 0], [1, 1], [1, 0], [0, 1]], "rules": STIT_RULES, "time": 1.0},
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+class TestLoadGeometry:
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('# {"n_segments": 1}\n1 2 3 x 5\n', ":2:"),
+            ('# {"n_segments": 1\n0 0 1 1 0.5\n', ":1:"),
+            ("# [1]\n0 0 1 1 0.5\n", ":1:"),
+        ],
+        ids=["non-numeric-field", "broken-json-header", "header-not-an-object"],
+    )
+    def test_malformed_dump_raises_config_error(self, tmp_path, text, where):
+        path = tmp_path / "dump.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}{where}")):
+            load_geometry(str(path))
 
 
 class TestCliVerify:
@@ -302,10 +322,13 @@ class TestCliBadInput:
         "command, base, key, value",
         [
             ("simulate", SIMULATE, "time", "abc"),
+            ("simulate", SIMULATE, "window", PENTAGRAM),
             ("consistency", CONSISTENCY, "times", [0.5, "abc"]),
             ("consistency", CONSISTENCY, "n_reps", "abc"),
             ("consistency", CONSISTENCY, "n_reps", 99),
             ("consistency", CONSISTENCY, "alpha", "abc"),
+            ("consistency", CONSISTENCY, "alpha", -1),
+            ("consistency", CONSISTENCY, "alpha", 5),
             ("consistency", CONSISTENCY, "probes", 5),
             (
                 "consistency",
@@ -314,7 +337,9 @@ class TestCliBadInput:
                 {"selection": {"kind": "intrinsic_volume", "index": "a"}, "division": {"kind": "point_driven"}},
             ),
             ("verify", VERIFY, "n_cases", "abc"),
+            ("verify", VERIFY, "n_cases", 0),
             ("rate", RATE, "dts", ["abc"]),
+            ("rate", RATE, "dts", [float("nan")]),
             ("rate", RATE, "n_reps", "abc"),
             ("rate", RATE, "n_reps", 0),
             # rate(unit square) = 4/pi for the isotropic STIT pair, so dt = 0.1 gives 0.127
@@ -322,14 +347,19 @@ class TestCliBadInput:
         ],
         ids=[
             "simulate-time",
+            "simulate-window-pentagram",
             "consistency-times",
             "consistency-n_reps",
             "consistency-n_reps-below-100",
             "consistency-alpha",
+            "consistency-alpha-negative",
+            "consistency-alpha-above-1",
             "consistency-probes",
             "consistency-intrinsic-volume-index",
             "verify-n_cases",
+            "verify-n_cases-zero",
             "rate-dts",
+            "rate-dts-nan",
             "rate-n_reps",
             "rate-n_reps-zero",
             "rate-dt-too-large",

@@ -10,15 +10,28 @@ from stitsim import (
     crop,
     new_process,
     rectangle,
+    regular_ngon,
 )
 from stitsim.engine import _merge_collinear
+from stitsim.geometry import scale_about_centroid
+
+@pytest.fixture
+def hexagon():
+    return regular_ngon((0.0, 0.0), 1.0, 6)
+
+
+# The slanted edges of the triangle and the hexagon exercise splitting and
+# clipping off the axes.
+@pytest.fixture(params=["unit_square", "triangle", "hexagon"])
+def window(request):
+    return request.getfixturevalue(request.param)
 
 
 class TestNewProcess:
     def test_deterministic_for_seed(self, unit_square, stit_rules):
         a = new_process(unit_square, stit_rules, 42).advance(2.0)
         b = new_process(unit_square, stit_rules, 42).advance(2.0)
-        assert a.segments == b.segments
+        assert (a.segments, a.births) == (b.segments, b.births)
 
     def test_different_seeds_differ(self, unit_square, stit_rules):
         a = new_process(unit_square, stit_rules, 1).advance(2.0)
@@ -47,12 +60,12 @@ class TestAdvance:
         state = new_process(unit_square, stit_rules, 5)
         first = state.live_cells[0].death_time
         state.advance(0.999 * first)
-        assert state.segments == []
+        assert state.segments == [] and state.births == []
 
     def test_advance_is_two_stage_consistent(self, unit_square, stit_rules):
         one_shot = new_process(unit_square, stit_rules, 9).advance(3.0)
         staged = new_process(unit_square, stit_rules, 9).advance(1.0).advance(3.0)
-        assert one_shot.segments == staged.segments
+        assert (one_shot.segments, one_shot.births) == (staged.segments, staged.births)
 
     def test_cannot_go_backwards(self, unit_square, stit_rules):
         state = new_process(unit_square, stit_rules, 1).advance(1.0)
@@ -63,16 +76,17 @@ class TestAdvance:
         state = new_process(unit_square, stit_rules, 17).advance(2.0)
         assert len(state.live_cells) == len(state.segments) + 1
 
-    def test_tiling_invariant(self, unit_square, stit_rules):
+    def test_tiling_invariant(self, window, stit_rules):
         for seed in range(30):
-            state = new_process(unit_square, stit_rules, seed).advance(4.0)
+            state = new_process(window, stit_rules, seed).advance(4.0)
             assert state.check_tiling()
 
-    def test_segments_inside_window(self, unit_square, stit_rules):
-        state = new_process(unit_square, stit_rules, 23).advance(4.0)
-        for seg, birth in state.segments:
-            assert unit_square.contains_point(seg.p, tol=1e-9)
-            assert unit_square.contains_point(seg.q, tol=1e-9)
+    def test_segments_inside_window(self, window, stit_rules):
+        state = new_process(window, stit_rules, 23).advance(4.0)
+        assert len(state.segments) == len(state.births) > 0
+        for seg, birth in zip(state.segments, state.births):
+            assert window.contains_point(seg.p, tol=1e-9)
+            assert window.contains_point(seg.q, tol=1e-9)
             assert 0 < birth <= state.clock
 
 
@@ -102,27 +116,27 @@ class TestCrop:
         state = new_process(unit_square, stit_rules, 11).advance(2.0)
         full = crop(state, unit_square)
         assert len(full.segments) <= len(state.segments)
-        total_raw = sum(s.length for s, _ in state.segments)
+        total_raw = sum(s.length for s in state.segments)
         total_crop = sum(s.length for s in full.segments)
         assert total_crop == pytest.approx(total_raw, rel=1e-9)
 
     def test_single_chord_clipped(self, unit_square):
-        t = CroppedTessellation(unit_square, (Segment((-1.0, 0.4), (2.0, 0.4)),), 1.0)
+        t = CroppedTessellation(unit_square, (Segment((-1.0, 0.4), (2.0, 0.4)),))
         out = crop(t, rectangle(0.25, 0.0, 0.75, 1.0))
         assert len(out.segments) == 1
         assert out.segments[0].length == pytest.approx(0.5)
 
     def test_disjoint_region_empty(self, unit_square):
-        t = CroppedTessellation(unit_square, (Segment((0.1, 0.1), (0.2, 0.1)),), 1.0)
+        t = CroppedTessellation(unit_square, (Segment((0.1, 0.1), (0.2, 0.1)),))
         out = crop(t, rectangle(0.5, 0.5, 0.9, 0.9))
         assert out.segments == ()
 
-    def test_idempotent(self, unit_square, stit_rules):
-        state = new_process(unit_square, stit_rules, 13).advance(3.0)
-        V = rectangle(0.2, 0.2, 0.8, 0.8)
+    def test_idempotent(self, window, stit_rules):
+        state = new_process(window, stit_rules, 13).advance(3.0)
+        V = scale_about_centroid(window, 0.6)
         once = crop(state, V)
         twice = crop(once, V)
-        assert once.segments == twice.segments
+        assert once.segments and once.segments == twice.segments
 
     def test_commutes_with_time(self, stit_rules):
         W = rectangle(0.0, 0.0, 2.0, 2.0)
@@ -139,7 +153,7 @@ class TestCrop:
             crop(state, rectangle(0.5, 0.5, 2.0, 2.0))
 
     def test_boundary_chords_dropped(self, unit_square):
-        t = CroppedTessellation(unit_square, (Segment((0.0, 0.5), (1.0, 0.5)),), 1.0)
+        t = CroppedTessellation(unit_square, (Segment((0.0, 0.5), (1.0, 0.5)),))
         out = crop(t, rectangle(0.0, 0.5, 1.0, 1.0))
         assert out.segments == ()
 

@@ -37,6 +37,19 @@ class TestPolygonValidation:
         with pytest.raises(InvalidPolygon):
             Polygon([(0, 0), (1, 0)])
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)) for k in range(5)],
+            [(0, 0), (1, 0), (1, 1), (0, 1)] * 2,
+        ],
+        ids=["pentagram", "square-twice"],
+    )
+    def test_rejects_doubly_wound(self, vertices):
+        # every turn is a left turn, but the boundary goes round twice
+        with pytest.raises(InvalidPolygon, match="winds more than once"):
+            Polygon(vertices)
+
     def test_rejects_nonconvex(self):
         with pytest.raises(InvalidPolygon):
             Polygon([(0, 0), (2, 0), (1, 0.1), (2, 2), (0, 2)])
