@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -22,26 +22,20 @@ from .engine import CroppedTessellation, crop, new_process
 from .errors import ContainmentViolation, InsufficientSamples, ReplicateAborted
 from .geometry import (
     Polygon,
-    Segment,
     random_convex_polygon,
     regular_ngon,
     scale_about_centroid,
     segment_hits_polygon,
-    segments_intersect,
     vertex_count,
 )
 from .measures import HyperplaneMeasure, hitting_mass, joint_hitting_mass
 from .rules import (
-    HittingMeasure,
-    IntrinsicVolume,
     RestrictedMeasure,
     RulePair,
     VertexCount,
     check_bound,
     rate,
 )
-
-Probe = Union[Polygon, Segment]
 
 MIN_REPS = 100  # fewest replicates per arm that consistency_test accepts
 MAX_ABORT_FRAC = 0.01  # consistency_test fails when more of an arm's replicates abort
@@ -58,7 +52,7 @@ class WindowStats:
     probe_hits: tuple[bool, ...]
 
 
-def window_stats(T: CroppedTessellation, probes: Sequence[Probe] = ()) -> WindowStats:
+def window_stats(T: CroppedTessellation, probes: Sequence[Polygon] = ()) -> WindowStats:
     """Statistics of one crop; every probe must lie in `T.window` (not checked here)."""
     V = T.window
     total = 0.0
@@ -68,14 +62,8 @@ def window_stats(T: CroppedTessellation, probes: Sequence[Probe] = ()) -> Window
         for endpoint in (s.p, s.q):
             if V.strictly_contains_point(endpoint, tol=1e-9):
                 interior += 1
-    hits = []
-    for pr in probes:
-        if isinstance(pr, Polygon):
-            hit = any(segment_hits_polygon(s, pr) for s in T.segments)
-        else:
-            hit = any(segments_intersect(s, pr) for s in T.segments)
-        hits.append(hit)
-    return WindowStats(total, len(T.segments), interior, tuple(hits))
+    hits = tuple(any(segment_hits_polygon(s, pr) for s in T.segments) for pr in probes)
+    return WindowStats(total, len(T.segments), interior, hits)
 
 
 def default_probes(V: Polygon) -> list[Polygon]:
@@ -158,17 +146,7 @@ class ConsistencyReport:
             "aborted_cropped": self.aborted[1],
             "alpha": self.alpha,
             "verdict": self.verdict,
-            "results": [
-                {
-                    "time": r.time,
-                    "statistic": r.statistic,
-                    "kind": r.kind,
-                    "value": r.value,
-                    "p_raw": r.p_raw,
-                    "p_holm": r.p_holm,
-                }
-                for r in self.results
-            ],
+            "results": [asdict(r) for r in self.results],
         }
 
     def to_text(self) -> str:
@@ -190,7 +168,7 @@ def _collect_chunk(
     V: Polygon,
     W: Polygon,
     times: Sequence[float],
-    probes: Sequence[Probe],
+    probes: Sequence[Polygon],
     seed: int,
     chunk: tuple[int, int, int],
 ) -> tuple[list[list[WindowStats]], int]:
@@ -223,7 +201,7 @@ def consistency_test(
     W: Polygon,
     times: Sequence[float],
     n_reps: int,
-    probes: Optional[Sequence[Probe]] = None,
+    probes: Optional[Sequence[Polygon]] = None,
     seed: int = 0,
     alpha: float = 0.001,
     n_jobs: int = 1,
@@ -239,12 +217,8 @@ def consistency_test(
         raise ContainmentViolation("V must be contained in W")
     if probes is None:
         probes = default_probes(V)
-    for pr in probes:
-        if isinstance(pr, Polygon):
-            if not V.contains_polygon(pr):
-                raise ContainmentViolation("probe polygon outside the window")
-        elif not (V.contains_point(pr.p) and V.contains_point(pr.q)):
-            raise ContainmentViolation("probe segment outside the window")
+    if not all(V.contains_polygon(pr) for pr in probes):
+        raise ContainmentViolation("probe polygon outside the window")
 
     size = -(-n_reps // (4 * n_jobs))
     chunks = [
@@ -320,7 +294,6 @@ def rate_estimate(
 
 @dataclass(frozen=True)
 class NuEstimate:
-    window_sizes: tuple[float, ...]
     values: tuple[float, ...]
     limit_reached: bool
 
@@ -346,7 +319,7 @@ def nu_limit(rules: RulePair, H_probe: Polygon, sizes: Sequence[float]) -> NuEst
         values.append(joint_hitting_mass(measure, H_probe, Wn))
         if Wn.contains_polygon(H_probe):
             limit_reached = True
-    return NuEstimate(tuple(sizes), tuple(values), limit_reached)
+    return NuEstimate(tuple(values), limit_reached)
 
 
 def fundamental_residual(
@@ -469,10 +442,8 @@ def _division_bound(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, fl
         if isinstance(sel, VertexCount):
             n = vertex_count(C)
             bound = (n + 2) / n
-        elif isinstance(sel, (IntrinsicVolume, HittingMeasure)):
+        else:  # IntrinsicVolume or HittingMeasure: monotone under inclusion
             bound = 1.0 + 1e-12
-        else:
-            bound = 1e3  # a sampled rate ratio above this flags a mis-specified rule
         worst = max(worst, k_hat - bound)
     return worst <= 0.0, max(worst, 0.0), 0.0
 

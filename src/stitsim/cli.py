@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import config as cfgmod
 from .analysis import (
@@ -30,19 +31,22 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def cmd_simulate(cfg: dict, out_dir: str, n_jobs: int) -> int:
+def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     state = new_process(cfg["window"], cfg["rules"], cfg["seed"])
     state.advance(cfg["time"])
     prefix = cfg["out_prefix"]
-    dump = _out_path(out_dir, f"{prefix}.txt")
-    svg = _out_path(out_dir, f"{prefix}.svg")
+    dump = _out_path(args.out, f"{prefix}.txt")
+    svg = _out_path(args.out, f"{prefix}.svg")
     dump_geometry(state, dump)
     render_svg(state, svg)
     print(f"wrote {dump} ({len(state.segments)} segments) and {svg}")
     return 0
 
 
-def cmd_consistency(cfg: dict, out_dir: str, n_jobs: int) -> int:
+def cmd_consistency(cfg: dict, args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        print("error: --threads must be >= 1", file=sys.stderr)
+        return 1
     report = consistency_test(
         cfg["rules"],
         cfg["V"],
@@ -52,46 +56,34 @@ def cmd_consistency(cfg: dict, out_dir: str, n_jobs: int) -> int:
         probes=cfg["probes"],
         seed=cfg["seed"],
         alpha=cfg["alpha"],
-        n_jobs=n_jobs,
+        n_jobs=args.threads,
     )
-    with open(_out_path(out_dir, "consistency_report.json"), "w") as fh:
+    with open(_out_path(args.out, "consistency_report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     text = report.to_text()
-    with open(_out_path(out_dir, "consistency_report.txt"), "w") as fh:
+    with open(_out_path(args.out, "consistency_report.txt"), "w") as fh:
         fh.write(text + "\n")
     print(text)
     return 0 if report.verdict == CONSISTENT else 2
 
 
-def cmd_verify(cfg: dict, out_dir: str, n_jobs: int) -> int:
+def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
     if not cfg["identities"]:
         print("error: nothing to verify (empty identity list)", file=sys.stderr)
         return 1
     results = identity_suite(cfg["rules"], cfg["identities"], cfg["n_cases"], cfg["seed"])
-    payload = []
-    all_pass = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        all_pass = all_pass and r.passed
         extra = f"  ({r.detail})" if r.detail else ""
         print(f"{status}  {r.name:<16} residual {r.max_residual:.3e} (threshold {r.threshold:g}){extra}")
-        payload.append(
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "max_residual": r.max_residual,
-                "threshold": r.threshold,
-                "detail": r.detail,
-            }
-        )
-    with open(_out_path(out_dir, "verify_report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    with open(_out_path(args.out, "verify_report.json"), "w") as fh:
+        json.dump([asdict(r) for r in results], fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return 0 if all_pass else 2
+    return 0 if all(r.passed for r in results) else 2
 
 
-def cmd_rate(cfg: dict, out_dir: str, n_jobs: int) -> int:
+def cmd_rate(cfg: dict, args: argparse.Namespace) -> int:
     rules = cfg["rules"]
     target = None
     if rules.stit_flag:
@@ -102,7 +94,7 @@ def cmd_rate(cfg: dict, out_dir: str, n_jobs: int) -> int:
         est = rate_estimate(rules, cfg["window"], cfg["probe"], dt, cfg["n_reps"], seed=cfg["seed"])
         rows.append({"dt": dt, "estimate": est, "n_reps": cfg["n_reps"]})
         print(f"dt={dt:<10g} rate estimate {est:.6g}")
-    with open(_out_path(out_dir, "rate_report.json"), "w") as fh:
+    with open(_out_path(args.out, "rate_report.json"), "w") as fh:
         json.dump({"target": target, "rows": rows}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
@@ -126,28 +118,27 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="replicate parallelism cap (default: cores)")
         p.add_argument("--out", default=".", help="output directory")
+        if name == "consistency":
+            p.add_argument(
+                "--threads", type=int, default=os.cpu_count() or 1, help="worker processes (default: cores)"
+            )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     parse, run = _COMMANDS[args.command]
-    n_jobs = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if n_jobs < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         raw = cfgmod.load_config(args.config)
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = parse(raw)
-        return run(cfg, args.out, n_jobs)
+        return run(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except StitsimError as exc:
+    except (StitsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

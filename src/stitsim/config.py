@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from typing import Any, Optional, Sequence
 
 from .analysis import IDENTITIES, MAX_DIVISIONS_PER_DT, MIN_REPS
@@ -65,7 +66,8 @@ def parse_directions(spec: Any, path: str):
 def parse_measure(spec: Any, path: str) -> HyperplaneMeasure:
     _require_keys(spec, path, ["intensity", "directions"])
     try:
-        return HyperplaneMeasure(float(spec["intensity"]), parse_directions(spec["directions"], path))
+        intensity = _number(spec["intensity"], f"{path}.intensity")
+        return HyperplaneMeasure(intensity, parse_directions(spec["directions"], path))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -198,12 +200,17 @@ def parse_simulate(cfg: dict) -> dict:
     t = _number(cfg["time"], "config.time")
     if t <= 0 or not math.isfinite(t):
         raise ConfigError("config.time: must be positive and finite")
+    prefix = cfg.get("out_prefix", "tessellation")
+    if not isinstance(prefix, str) or any(c in prefix for c in ("/", os.sep, "\0")):
+        raise ConfigError(
+            f"config.out_prefix: expected a file name (no path separator or NUL byte), got {prefix!r}"
+        )
     return {
         "seed": cfg["seed"],
         "window": parse_window(cfg["window"], "config.window"),
         "rules": parse_rules(cfg["rules"]),
         "time": t,
-        "out_prefix": cfg.get("out_prefix", "tessellation"),
+        "out_prefix": prefix,
     }
 
 
@@ -251,7 +258,7 @@ def parse_verify(cfg: dict) -> dict:
     if not isinstance(idents, list):
         raise ConfigError("config.identities: expected a list")
     for name in idents:
-        if name not in IDENTITIES:
+        if not isinstance(name, str) or name not in IDENTITIES:
             raise ConfigError(
                 f"config.identities: unknown identity '{name}' (known: {list(IDENTITIES)})"
             )

@@ -204,7 +204,7 @@ def crop(source: ProcessState | CroppedTessellation, V: Polygon) -> CroppedTesse
     if not source.window.contains_polygon(V):
         raise ContainmentViolation("crop window V must be contained in the source window")
 
-    scale = max(abs(c) for v in V.vertices for c in v) or 1.0
+    scale = V._scale  # V's extent, so the tolerances do not depend on where V sits
     tol = MERGE_REL_TOL * scale
     clipped = []
     for s in source.segments:

@@ -1,4 +1,4 @@
-"""Convex-polygon primitives: line splits, support/width, intrinsic volumes, sampling.
+"""Convex-polygon primitives: line splits, offset intervals/width, intrinsic volumes, sampling.
 
 Everything here is pure and reentrant; randomness always comes from an rng
 passed in by the caller.  Polygons are immutable, counter-clockwise, strictly
@@ -292,13 +292,6 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]
     return lower[:-1] + upper[:-1]
 
 
-def support(C: Polygon, theta: float, sign: int) -> float:
-    """Support value h_C(sign * u(theta)) = max over vertices of <v, sign*u>."""
-    ux = math.cos(theta) * sign
-    uy = math.sin(theta) * sign
-    return max(x * ux + y * uy for x, y in C.vertices)
-
-
 def offset_interval(C: Polygon, theta: float) -> tuple[float, float]:
     """Offsets a for which the line (theta, a) hits C: [-h_C(-u), h_C(u)]."""
     ux = math.cos(theta)
@@ -509,23 +502,6 @@ def clip_segment(seg: Segment, C: Polygon) -> Optional[Segment]:
 
 def _orient(ax, ay, bx, by, cx, cy) -> float:
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def segments_intersect(s1: Segment, s2: Segment) -> bool:
-    """Closed segment intersection test (touching counts)."""
-    d1 = _orient(*s1.p, *s1.q, *s2.p)
-    d2 = _orient(*s1.p, *s1.q, *s2.q)
-    d3 = _orient(*s2.p, *s2.q, *s1.p)
-    d4 = _orient(*s2.p, *s2.q, *s1.q)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-
-    def on(p, q, r):
-        if abs(_orient(*p, *q, *r)) > 1e-12 * (abs(p[0]) + abs(q[0]) + 1.0):
-            return False
-        return min(p[0], q[0]) <= r[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
-
-    return on(s1.p, s1.q, s2.p) or on(s1.p, s1.q, s2.q) or on(s2.p, s2.q, s1.p) or on(s2.p, s2.q, s1.q)
 
 
 def segment_hits_polygon(seg: Segment, C: Polygon) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from stitsim import (
     ContainmentViolation,
     CroppedTessellation,
+    HyperplaneMeasure,
     InsufficientSamples,
     Segment,
     analysis,
@@ -26,7 +27,7 @@ from stitsim.analysis import (
     rate_estimate,
     window_stats,
 )
-from stitsim.rules import IntrinsicVolume, RestrictedMeasure, RulePair, VertexCount
+from stitsim.rules import HittingMeasure, IntrinsicVolume, PointDriven, RestrictedMeasure, RulePair, VertexCount
 
 
 class TestWindowStats:
@@ -185,11 +186,10 @@ class TestConsistencyPipeline:
             raise AssertionError("a replicate ran before the probes were checked")
 
         monkeypatch.setattr(analysis, "new_process", no_replicates)
-        outside = [rectangle(0.5, 0.5, 2.0, 2.0), Segment((0.5, 0.5), (1.5, 0.5))]
-        messages = ["probe polygon outside the window", "probe segment outside the window"]
-        for probe, message in zip(outside, messages):
-            with pytest.raises(ContainmentViolation, match=message):
-                consistency_test(stit_rules, unit_square, unit_square, [1.0], 100, probes=[probe])
+        with pytest.raises(ContainmentViolation, match="probe polygon outside the window"):
+            consistency_test(
+                stit_rules, unit_square, unit_square, [1.0], 100, probes=[rectangle(0.5, 0.5, 2.0, 2.0)]
+            )
 
     def test_requires_min_replicates(self, unit_square, stit_rules):
         with pytest.raises(ValueError):
@@ -281,3 +281,23 @@ class TestIdentitySuite:
         by_name = {r.name: r for r in results}
         assert not by_name["rate_matches_nu"].passed
         assert by_name["fundamental"].passed  # the division side alone is still exact
+
+    def test_division_bound_passes_for_vertex_count(self):
+        pair = RulePair(VertexCount(), PointDriven())
+        [result] = identity_suite(pair, ["division_bound"], n_cases=20, seed=4)
+        assert result.passed, result.max_residual
+
+    @pytest.mark.parametrize(
+        "division, identity, detail",
+        [
+            (PointDriven(), "fundamental", "needs a measure-driven division rule"),
+            (RestrictedMeasure(HyperplaneMeasure(1.0)), "nu_limit", "needs a shared-measure pair"),
+        ],
+        ids=["point-driven", "unshared-measure"],
+    )
+    def test_inapplicable_identity_fails_with_reason(self, iso_measure, division, identity, detail):
+        pair = RulePair(HittingMeasure(iso_measure), division)  # never a shared-measure pair
+        [result] = identity_suite(pair, [identity], n_cases=10, seed=5)
+        assert not result.passed
+        assert result.max_residual == math.inf
+        assert result.detail == detail

@@ -13,8 +13,9 @@ from stitsim.config import (
     parse_verify,
     rules_to_dict,
 )
+from stitsim.measures import HyperplaneMeasure, axis_aligned
 from stitsim.output import load_geometry
-from stitsim.rules import HittingMeasure, PointDriven, RestrictedMeasure
+from stitsim.rules import HittingMeasure, IntrinsicVolume, PointDriven, RestrictedMeasure, RulePair, VertexCount
 
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -100,6 +101,21 @@ class TestRulesParsing:
         assert again.stit_flag
         assert isinstance(again.selection, HittingMeasure)
         assert isinstance(again.division, RestrictedMeasure)
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            RulePair(IntrinsicVolume(1), RestrictedMeasure(HyperplaneMeasure(1.0))),
+            RulePair(VertexCount(), PointDriven(axis_aligned())),
+            RulePair(HittingMeasure(HyperplaneMeasure(2.0)), PointDriven()),
+            RulePair(HittingMeasure(HyperplaneMeasure(1.0)), RestrictedMeasure(HyperplaneMeasure(1.5, axis_aligned()))),
+        ],
+        ids=["intrinsic-volume", "vertex-count-axis-point-driven", "hitting-point-driven", "hitting-axis-measure"],
+    )
+    def test_roundtrip_through_json(self, rules):
+        again = parse_rules(json.loads(json.dumps(rules_to_dict(rules))))
+        assert again == rules
+        assert again.stit_flag == rules.stit_flag
 
 
 class TestConfigValidation:
@@ -323,6 +339,9 @@ class TestCliBadInput:
         [
             ("simulate", SIMULATE, "time", "abc"),
             ("simulate", SIMULATE, "window", PENTAGRAM),
+            ("simulate", SIMULATE, "rules", {"stit": {"measure": {"intensity": None, "directions": "isotropic"}}}),
+            ("simulate", SIMULATE, "out_prefix", "sub/x"),
+            ("simulate", SIMULATE, "out_prefix", "a\0b"),
             ("consistency", CONSISTENCY, "times", [0.5, "abc"]),
             ("consistency", CONSISTENCY, "n_reps", "abc"),
             ("consistency", CONSISTENCY, "n_reps", 99),
@@ -338,6 +357,7 @@ class TestCliBadInput:
             ),
             ("verify", VERIFY, "n_cases", "abc"),
             ("verify", VERIFY, "n_cases", 0),
+            ("verify", VERIFY, "identities", [["x"]]),
             ("rate", RATE, "dts", ["abc"]),
             ("rate", RATE, "dts", [float("nan")]),
             ("rate", RATE, "n_reps", "abc"),
@@ -348,6 +368,9 @@ class TestCliBadInput:
         ids=[
             "simulate-time",
             "simulate-window-pentagram",
+            "simulate-intensity-null",
+            "simulate-out_prefix-path",
+            "simulate-out_prefix-nul",
             "consistency-times",
             "consistency-n_reps",
             "consistency-n_reps-below-100",
@@ -358,6 +381,7 @@ class TestCliBadInput:
             "consistency-intrinsic-volume-index",
             "verify-n_cases",
             "verify-n_cases-zero",
+            "verify-identities-not-strings",
             "rate-dts",
             "rate-dts-nan",
             "rate-n_reps",
@@ -367,9 +391,28 @@ class TestCliBadInput:
     )
     def test_exits_1_with_config_error(self, tmp_path, capsys, command, base, key, value):
         cfg = write_config(tmp_path, {**base, key: value})
-        assert main([command, "--config", cfg, "--threads", "1", "--out", str(tmp_path / "o")]) == 1
+        threads = ["--threads", "1"] if command == "consistency" else []
+        assert main([command, "--config", cfg, *threads, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SIMULATE)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["simulate", "--config", cfg, "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_threads_below_1_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, CONSISTENCY)
+        assert main(["consistency", "--config", cfg, "--threads", "0", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "rate"])
+    def test_threads_only_on_consistency(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "unread.json", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestCliRate:

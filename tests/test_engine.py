@@ -152,6 +152,13 @@ class TestCrop:
         with pytest.raises(ContainmentViolation):
             crop(state, rectangle(0.5, 0.5, 2.0, 2.0))
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_short_chord_kept_wherever_the_window_sits(self, unit_square, offset):
+        V = unit_square.translate(offset, offset)
+        chord = Segment((offset + 0.5, offset + 0.5), (offset + 0.5 + 1e-4, offset + 0.5))
+        out = crop(CroppedTessellation(V, (chord,)), V)
+        assert out.segments == (chord,)
+
     def test_boundary_chords_dropped(self, unit_square):
         t = CroppedTessellation(unit_square, (Segment((0.0, 0.5), (1.0, 0.5)),))
         out = crop(t, rectangle(0.0, 0.5, 1.0, 1.0))

@@ -18,7 +18,6 @@ from stitsim.geometry import (
     sample_uniform_point,
     segment_hits_polygon,
     split,
-    support,
     vertex_count,
     width,
 )
@@ -114,11 +113,12 @@ class TestSplit:
 
 class TestSupportWidth:
     def test_square_axis(self, unit_square):
-        assert support(unit_square, 0.0, +1) == pytest.approx(1.0)
-        assert support(unit_square, 0.0, -1) == pytest.approx(0.0)
+        lo, hi = offset_interval(unit_square, 0.0)
+        assert hi == pytest.approx(1.0)
+        assert -lo == pytest.approx(0.0)
 
     def test_square_diagonal(self, unit_square):
-        assert support(unit_square, math.pi / 4, +1) == pytest.approx(math.sqrt(2))
+        assert offset_interval(unit_square, math.pi / 4)[1] == pytest.approx(math.sqrt(2))
         assert width(unit_square, math.pi / 4) == pytest.approx(math.sqrt(2))
 
     def test_square_widths(self, unit_square):
