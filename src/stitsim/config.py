@@ -43,11 +43,20 @@ def _require_keys(obj: dict, path: str, required: Sequence[str], optional: Seque
 
 
 def _number(value: Any, path: str, kind: type = float):
-    """value as a float (or int), or a ConfigError naming the path."""
+    """value as a float (or int), or a ConfigError naming the path.
+
+    A boolean, a string or, for an int, a non-integral value is an error
+    rather than a silent conversion.
+    """
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+    if kind is int and number != value:
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return number
 
 
 def parse_directions(spec: Any, path: str):
@@ -55,8 +64,8 @@ def parse_directions(spec: Any, path: str):
         return Isotropic()
     if isinstance(spec, list):
         try:
-            thetas = tuple(float(t) for t, _ in spec)
-            weights = tuple(float(w) for _, w in spec)
+            thetas = tuple(_number(t, path) for t, _ in spec)
+            weights = tuple(_number(w, path) for _, w in spec)
             return Atoms(thetas, weights)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad direction atoms: {exc}") from exc
@@ -67,7 +76,7 @@ def parse_measure(spec: Any, path: str) -> HyperplaneMeasure:
     _require_keys(spec, path, ["intensity", "directions"])
     try:
         intensity = _number(spec["intensity"], f"{path}.intensity")
-        return HyperplaneMeasure(intensity, parse_directions(spec["directions"], path))
+        return HyperplaneMeasure(intensity, parse_directions(spec["directions"], f"{path}.directions"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -109,9 +118,10 @@ def parse_rules(spec: Any, path: str = "rules") -> RulePair:
     if kind == "intrinsic_volume":
         if "index" not in sel_spec:
             raise ConfigError(f"{path}.selection: intrinsic_volume needs 'index'")
+        index = _number(sel_spec["index"], f"{path}.selection.index", int)
         try:
-            selection: Any = IntrinsicVolume(int(sel_spec["index"]))
-        except (TypeError, ValueError) as exc:
+            selection: Any = IntrinsicVolume(index)
+        except ValueError as exc:
             raise ConfigError(f"{path}.selection.index: {exc}") from exc
     elif kind == "vertex_count":
         selection = VertexCount()

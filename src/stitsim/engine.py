@@ -12,7 +12,6 @@ cell birth: death = birth + Exp(1)/rate(cell).
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,7 +23,7 @@ from .rules import RulePair, divide, rate
 
 MAX_RESAMPLE = 100
 MAX_EVENTS = 10_000_000
-MERGE_REL_TOL = 1e-9
+MIN_CHORD_REL = 1e-9  # crop keeps chords longer than this fraction of V's extent
 TILING_REL_TOL = 1e-9  # check_tiling's bound on |sum of cell areas - window area| / window area
 
 
@@ -38,7 +37,7 @@ class Cell(NamedTuple):
 
 @dataclass(frozen=True)
 class CroppedTessellation:
-    """Maximal closed chords of a tessellation inside a window, window boundary excluded."""
+    """Closed chords of a tessellation clipped to a window, each a maximal segment (see `crop`)."""
 
     window: Polygon
     segments: tuple[Segment, ...]
@@ -123,92 +122,18 @@ def new_process(W: Polygon, rules: RulePair, seed: int | tuple[int, ...]) -> Pro
     return ProcessState(W, rules, seed)
 
 
-def _merge_collinear(segments: list[Segment], scale: float) -> list[Segment]:
-    """Merge touching collinear segments into maximal ones."""
-    tol = MERGE_REL_TOL * scale
-    keyed = []
-    for s in segments:
-        dx = s.q[0] - s.p[0]
-        dy = s.q[1] - s.p[1]
-        phi = math.atan2(dy, dx) % math.pi
-        theta = (phi + math.pi / 2) % math.pi
-        ux, uy = math.cos(theta), math.sin(theta)
-        a = s.p[0] * ux + s.p[1] * uy
-        if theta >= math.pi - MERGE_REL_TOL:
-            theta -= math.pi
-            a = -a
-        keyed.append((theta, a, s))
-    keyed.sort(key=lambda k: (k[0], k[1]))
-
-    out: list[Segment] = []
-    i = 0
-    n = len(keyed)
-    while i < n:
-        j = i + 1
-        while (
-            j < n
-            and keyed[j][0] - keyed[i][0] <= MERGE_REL_TOL
-            and abs(keyed[j][1] - keyed[i][1]) <= tol
-        ):
-            j += 1
-        group = [keyed[k][2] for k in range(i, j)]
-        if len(group) == 1:
-            out.append(group[0])
-        else:
-            theta = keyed[i][0]
-            dx, dy = -math.sin(theta), math.cos(theta)
-            intervals = []
-            for s in group:
-                tp = s.p[0] * dx + s.p[1] * dy
-                tq = s.q[0] * dx + s.q[1] * dy
-                if tp <= tq:
-                    intervals.append((tp, tq, s.p, s.q))
-                else:
-                    intervals.append((tq, tp, s.q, s.p))
-            intervals.sort(key=lambda iv: iv[0])
-            lo, hi, plo, phi_pt = intervals[0]
-            for t0, t1, p0, p1 in intervals[1:]:
-                if t0 <= hi + tol:
-                    if t1 > hi:
-                        hi, phi_pt = t1, p1
-                else:
-                    out.append(Segment(plo, phi_pt))
-                    lo, hi, plo, phi_pt = t0, t1, p0, p1
-            out.append(Segment(plo, phi_pt))
-        i = j
-    return out
-
-
-def _on_boundary(seg: Segment, V: Polygon, tol: float) -> bool:
-    vs = V.vertices
-    n = len(vs)
-    for i in range(n):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % n]
-        ex, ey = x1 - x0, y1 - y0
-        norm = math.hypot(ex, ey)
-        d_p = abs(ex * (seg.p[1] - y0) - ey * (seg.p[0] - x0)) / norm
-        d_q = abs(ex * (seg.q[1] - y0) - ey * (seg.q[0] - x0)) / norm
-        if d_p <= tol and d_q <= tol:
-            return True
-    return False
-
-
 def crop(source: ProcessState | CroppedTessellation, V: Polygon) -> CroppedTessellation:
-    """Intersect the source's chord set with V, merging collinear pieces.
+    """Clip each of the source's chords to V and keep the pieces longer than a floor.
 
-    Reads only `source.window` and `source.segments`.  Cell provenance is
-    forgotten: chords from distinct parent cells that lie on one line become a
-    single maximal segment.  Chords falling onto the boundary of V are dropped.
+    Reads only `source.window` and `source.segments`, and keeps their order.
+    The floor is MIN_CHORD_REL times V's extent, so it does not depend on
+    where V sits.  Every division rule draws the line offset from a continuous
+    law, so with probability 1 no two chords are collinear and no chord lies
+    along an edge of V: each clipped chord is already a maximal segment.
     """
     if not source.window.contains_polygon(V):
         raise ContainmentViolation("crop window V must be contained in the source window")
 
-    scale = V._scale  # V's extent, so the tolerances do not depend on where V sits
-    tol = MERGE_REL_TOL * scale
-    clipped = []
-    for s in source.segments:
-        c = clip_segment(s, V)
-        if c is not None and c.length > tol and not _on_boundary(c, V, tol):
-            clipped.append(c)
-    return CroppedTessellation(V, tuple(_merge_collinear(clipped, scale)))
+    min_length = MIN_CHORD_REL * V._scale
+    clipped = (clip_segment(s, V) for s in source.segments)
+    return CroppedTessellation(V, tuple(c for c in clipped if c is not None and c.length > min_length))

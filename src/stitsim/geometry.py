@@ -110,15 +110,18 @@ class Polygon:
 
         # All turns are left turns, so the boundary winds once exactly when the
         # signs of the nonzero edge dy change at most twice (up, then down).
+        # The cross products are taken about kept[0]: about (0, 0) they cancel
+        # for a small cell far from the origin.
         area2 = 0.0
         perim = 0.0
         m = len(kept)
         up = None
         flips = 0
+        ox, oy = kept[0]
         for i in range(m):
             x0, y0 = kept[i]
             x1, y1 = kept[(i + 1) % m]
-            area2 += x0 * y1 - x1 * y0
+            area2 += (x0 - ox) * (y1 - oy) - (x1 - ox) * (y0 - oy)
             perim += math.hypot(x1 - x0, y1 - y0)
             dy = y1 - y0
             if dy != 0.0:
@@ -201,15 +204,14 @@ class Polygon:
     def centroid(self) -> tuple[float, float]:
         cx = cy = 0.0
         a2 = 0.0
-        vs = self.vertices
-        for i in range(len(vs)):
-            x0, y0 = vs[i]
-            x1, y1 = vs[(i + 1) % len(vs)]
+        ox, oy = self.vertices[0]  # local origin, as for the area in __init__
+        rel = [(x - ox, y - oy) for x, y in self.vertices]
+        for (x0, y0), (x1, y1) in zip(rel, rel[1:] + rel[:1]):
             w = x0 * y1 - x1 * y0
             a2 += w
             cx += (x0 + x1) * w
             cy += (y0 + y1) * w
-        return (cx / (3.0 * a2), cy / (3.0 * a2))
+        return (ox + cx / (3.0 * a2), oy + cy / (3.0 * a2))
 
     def contains_point(self, p: Sequence[float], tol: Optional[float] = None) -> bool:
         """Closed containment test; tol widens the polygon slightly."""

@@ -38,8 +38,8 @@ class Atoms:
             raise ValueError("need at least two distinct directions")
         if any(not (0.0 <= t < math.pi) for t in self.thetas):
             raise ValueError("atom angles must lie in [0, pi)")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("atom weights must be positive")
+        if any(not (w > 0 and math.isfinite(w)) for w in self.weights):
+            raise ValueError("atom weights must be positive and finite")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("atom weights must sum to 1")
 

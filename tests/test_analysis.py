@@ -7,6 +7,7 @@ from stitsim import (
     CroppedTessellation,
     HyperplaneMeasure,
     InsufficientSamples,
+    Polygon,
     Segment,
     analysis,
     crop,
@@ -150,6 +151,14 @@ class TestConsistencyPipeline:
             pair, unit_square, rectangle(0, 0, 3, 3), [0.75, 1.5], 500, seed=2, alpha=0.001
         )
         assert report.verdict == "inconsistent-detected"
+
+    def test_stit_consistent_on_a_triangle(self, triangle, stit_rules):
+        W = Polygon([(-1.0, -1.0), (3.0, -1.0), (-1.0, 3.0)])
+        times = [0.75, 1.5]
+        report = consistency_test(stit_rules, triangle, W, times, 100, seed=11)
+        assert report.verdict == CONSISTENT
+        for t in times:
+            assert sum(r.time == t and r.kind == "chi2" for r in report.results) == 3
 
     def test_parallel_report_equals_serial(self, unit_square, stit_rules):
         W = rectangle(0, 0, 2, 2)

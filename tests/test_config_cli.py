@@ -342,9 +342,18 @@ class TestCliBadInput:
             ("simulate", SIMULATE, "rules", {"stit": {"measure": {"intensity": None, "directions": "isotropic"}}}),
             ("simulate", SIMULATE, "out_prefix", "sub/x"),
             ("simulate", SIMULATE, "out_prefix", "a\0b"),
+            ("simulate", SIMULATE, "time", True),
+            (
+                "simulate",
+                SIMULATE,
+                "rules",
+                {"stit": {"measure": {"intensity": 1.0, "directions": [[0.0, float("nan")], [1.5, 0.5]]}}},
+            ),
             ("consistency", CONSISTENCY, "times", [0.5, "abc"]),
             ("consistency", CONSISTENCY, "n_reps", "abc"),
             ("consistency", CONSISTENCY, "n_reps", 99),
+            ("consistency", CONSISTENCY, "n_reps", 150.5),
+            ("consistency", CONSISTENCY, "n_reps", "150"),
             ("consistency", CONSISTENCY, "alpha", "abc"),
             ("consistency", CONSISTENCY, "alpha", -1),
             ("consistency", CONSISTENCY, "alpha", 5),
@@ -354,6 +363,12 @@ class TestCliBadInput:
                 CONSISTENCY,
                 "rules",
                 {"selection": {"kind": "intrinsic_volume", "index": "a"}, "division": {"kind": "point_driven"}},
+            ),
+            (
+                "consistency",
+                CONSISTENCY,
+                "rules",
+                {"selection": {"kind": "intrinsic_volume", "index": 1.5}, "division": {"kind": "point_driven"}},
             ),
             ("verify", VERIFY, "n_cases", "abc"),
             ("verify", VERIFY, "n_cases", 0),
@@ -371,14 +386,19 @@ class TestCliBadInput:
             "simulate-intensity-null",
             "simulate-out_prefix-path",
             "simulate-out_prefix-nul",
+            "simulate-time-bool",
+            "simulate-atom-weight-nan",
             "consistency-times",
             "consistency-n_reps",
             "consistency-n_reps-below-100",
+            "consistency-n_reps-fractional",
+            "consistency-n_reps-string",
             "consistency-alpha",
             "consistency-alpha-negative",
             "consistency-alpha-above-1",
             "consistency-probes",
             "consistency-intrinsic-volume-index",
+            "consistency-intrinsic-volume-index-fractional",
             "verify-n_cases",
             "verify-n_cases-zero",
             "verify-identities-not-strings",

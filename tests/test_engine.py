@@ -12,8 +12,8 @@ from stitsim import (
     rectangle,
     regular_ngon,
 )
-from stitsim.engine import _merge_collinear
 from stitsim.geometry import scale_about_centroid
+from stitsim.rules import RestrictedMeasure, RulePair, VertexCount
 
 @pytest.fixture
 def hexagon():
@@ -80,6 +80,12 @@ class TestAdvance:
         for seed in range(30):
             state = new_process(window, stit_rules, seed).advance(4.0)
             assert state.check_tiling()
+
+    def test_vertex_count_reaches_sub_resolution_cells_without_aborting(self, unit_square, iso_measure):
+        # this replicate cuts cells far from (0, 0) down to diameters near
+        # 1e-9; their areas must stay accurate for their splits to pass
+        rules = RulePair(VertexCount(), RestrictedMeasure(iso_measure))
+        new_process(unit_square, rules, (1, 0, 110)).advance(1.5)
 
     def test_segments_inside_window(self, window, stit_rules):
         state = new_process(window, stit_rules, 23).advance(4.0)
@@ -159,27 +165,29 @@ class TestCrop:
         out = crop(CroppedTessellation(V, (chord,)), V)
         assert out.segments == (chord,)
 
-    def test_boundary_chords_dropped(self, unit_square):
-        t = CroppedTessellation(unit_square, (Segment((0.0, 0.5), (1.0, 0.5)),))
-        out = crop(t, rectangle(0.0, 0.5, 1.0, 1.0))
-        assert out.segments == ()
+    @pytest.mark.parametrize(
+        "chord",
+        [
+            Segment((0.5, 1e-10), (0.5 + 1e-9, 9e-10)),
+            # a chord of vertex-count replicate (9, 1, 32), in a sub-resolution cell at y = 0
+            Segment((0.002135450349503824, 6.97e-10), (0.0021354493241716177, 9.40e-10)),
+        ],
+        ids=["slanted", "vertex-count-replicate"],
+    )
+    def test_chord_near_an_edge_kept(self, unit_square, chord):
+        # both endpoints lie within 1e-9 of y = 0, but the chord crosses that band
+        assert chord.length > 1e-9
+        out = crop(CroppedTessellation(unit_square, (chord,)), unit_square)
+        assert out.segments == (chord,)
 
-
-class TestMergeCollinear:
-    def test_touching_collinear_merged(self):
-        segs = [Segment((0.0, 0.0), (0.5, 0.0)), Segment((0.5, 0.0), (1.0, 0.0))]
-        merged = _merge_collinear(segs, 1.0)
-        assert len(merged) == 1
-        assert merged[0].length == pytest.approx(1.0)
-
-    def test_parallel_but_offset_not_merged(self):
-        segs = [Segment((0.0, 0.0), (1.0, 0.0)), Segment((0.0, 0.5), (1.0, 0.5))]
-        assert len(_merge_collinear(segs, 1.0)) == 2
-
-    def test_collinear_disjoint_not_merged(self):
-        segs = [Segment((0.0, 0.0), (0.4, 0.0)), Segment((0.6, 0.0), (1.0, 0.0))]
-        assert len(_merge_collinear(segs, 1.0)) == 2
-
-    def test_crossing_not_merged(self):
-        segs = [Segment((0.0, 0.0), (1.0, 1.0)), Segment((0.0, 1.0), (1.0, 0.0))]
-        assert len(_merge_collinear(segs, 1.0)) == 2
+    def test_mean_length_is_intensity_times_time_times_area(self, unit_square, stit_rules):
+        # STIT built in W and cropped to V has the law of STIT built in V, and
+        # E[total chord length in V] = I * t * area(V), with I = 1 here
+        W = rectangle(0.0, 0.0, 3.0, 3.0)
+        t = 1.5
+        lengths = [
+            sum(s.length for s in crop(new_process(W, stit_rules, (2026, rep)).advance(t), unit_square).segments)
+            for rep in range(400)
+        ]
+        stderr = np.std(lengths, ddof=1) / math.sqrt(len(lengths))
+        assert abs(np.mean(lengths) - t * unit_square.area) < 4.5 * stderr

@@ -144,6 +144,13 @@ class TestIntrinsicVolumes:
         assert v1 == pytest.approx((2.0 + math.sqrt(2)) / 2.0)
         assert v2 == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("leg", [1e-8, 1e-9])
+    def test_tiny_triangle_far_from_origin(self, leg):
+        tri = Polygon([(0.5, 0.5), (0.5 + leg, 0.5), (0.5, 0.5 + leg)])
+        assert tri.area == pytest.approx(leg * leg / 2, rel=1e-6)
+        cx, cy = tri.centroid()
+        assert (cx - 0.5, cy - 0.5) == pytest.approx((leg / 3, leg / 3), rel=1e-6)
+
 
 class TestUniformSampling:
     def test_square_mean(self, unit_square, rng):
