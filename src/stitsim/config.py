@@ -166,9 +166,14 @@ def rules_to_dict(rules: RulePair) -> dict:
 def parse_window(spec: Any, path: str) -> Polygon:
     if not isinstance(spec, list) or len(spec) < 3:
         raise ConfigError(f"{path}: window must be a list of at least 3 [x, y] vertices")
+    vertices = []
+    for i, vertex in enumerate(spec):
+        if not isinstance(vertex, list) or len(vertex) != 2:
+            raise ConfigError(f"{path}[{i}]: expected an [x, y] vertex, got {vertex!r}")
+        vertices.append(tuple(_number(c, f"{path}[{i}]") for c in vertex))
     try:
-        return Polygon(spec)
-    except (InvalidPolygon, TypeError, ValueError) as exc:
+        return Polygon(vertices)
+    except InvalidPolygon as exc:
         raise ConfigError(f"{path}: invalid window: {exc}") from exc
 
 

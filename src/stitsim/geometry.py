@@ -104,30 +104,37 @@ class Polygon:
         if len(kept) < 3:
             raise InvalidPolygon("polygon collapses after collinear removal")
 
+        self._finish(kept, scale, (x_lo, y_lo, x_hi, y_hi))
+
+    def _finish(self, kept: list[tuple[float, float]], scale: float, box: tuple) -> None:
+        """Rotate the checked vertex list to its canonical start, measure it, set the slots.
+
+        `box` is the bounding box of the input points; the kept vertices are a
+        subset, so it covers them.
+        """
         # Canonical start: lexicographically smallest vertex.
-        start = min(range(len(kept)), key=lambda i: kept[i])
+        start = kept.index(min(kept))
         kept = kept[start:] + kept[:start]
 
         # All turns are left turns, so the boundary winds once exactly when the
         # signs of the nonzero edge dy change at most twice (up, then down).
         # The cross products are taken about kept[0]: about (0, 0) they cancel
         # for a small cell far from the origin.
+        hypot = math.hypot
         area2 = 0.0
         perim = 0.0
-        m = len(kept)
         up = None
         flips = 0
-        ox, oy = kept[0]
-        for i in range(m):
-            x0, y0 = kept[i]
-            x1, y1 = kept[(i + 1) % m]
+        ox, oy = x0, y0 = kept[0]
+        for x1, y1 in kept[1:] + kept[:1]:
             area2 += (x0 - ox) * (y1 - oy) - (x1 - ox) * (y0 - oy)
-            perim += math.hypot(x1 - x0, y1 - y0)
+            perim += hypot(x1 - x0, y1 - y0)
             dy = y1 - y0
             if dy != 0.0:
                 if up is not None and up != (dy > 0.0):
                     flips += 1
                 up = dy > 0.0
+            x0, y0 = x1, y1
         if area2 <= 0.0:
             raise InvalidPolygon("non-positive signed area")
         if flips > 2:
@@ -138,8 +145,7 @@ class Polygon:
         object.__setattr__(self, "perimeter", perim)
         object.__setattr__(self, "_diameter", None)
         object.__setattr__(self, "_scale", scale)
-        # box of the input points; the kept vertices are a subset, so it covers them
-        object.__setattr__(self, "_box", (x_lo, y_lo, x_hi, y_hi))
+        object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_reach", None)
 
     def __setattr__(self, name, value):
@@ -166,11 +172,13 @@ class Polygon:
         d = self._diameter
         if d is None:
             vs = self.vertices
-            d = max(
-                math.hypot(vs[i][0] - vs[j][0], vs[i][1] - vs[j][1])
-                for i in range(len(vs))
-                for j in range(i + 1, len(vs))
-            )
+            hypot = math.hypot
+            d = 0.0
+            for i, (xi, yi) in enumerate(vs):
+                for xj, yj in vs[i + 1:]:
+                    e = hypot(xi - xj, yi - yj)
+                    if e > d:
+                        d = e
             object.__setattr__(self, "_diameter", d)
         return d
 
@@ -316,6 +324,43 @@ def vertex_count(C: Polygon) -> int:
     return len(C.vertices)
 
 
+def _piece(pts: list[tuple[float, float]]) -> Polygon:
+    """Polygon(pts) for a split piece, without redoing what the parent proved.
+
+    The points are CCW, and each is a parent vertex or a convex combination of
+    two, so they are finite floats inside the parent's box.  The dedup and
+    turn tests of `Polygon.__init__` run on every vertex, but only as checks:
+    when none lands within tolerance the full constructor would keep every
+    point, so the same shared tail gives the same polygon.  Otherwise the full
+    constructor decides what to drop or reject.
+    """
+    x_lo = x_hi = pts[0][0]
+    y_lo = y_hi = pts[0][1]
+    for x, y in pts:
+        if x < x_lo:
+            x_lo = x
+        elif x > x_hi:
+            x_hi = x
+        if y < y_lo:
+            y_lo = y
+        elif y > y_hi:
+            y_hi = y
+    scale = max(x_hi - x_lo, y_hi - y_lo)
+    tol = SNAP_REL * scale
+    cross_tol = tol * scale
+    hypot = math.hypot
+    ax, ay = pts[-2]
+    bx, by = pts[-1]
+    for cx, cy in pts:
+        # edge b -> c, and the turn at b
+        if hypot(cx - bx, cy - by) <= tol or (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= cross_tol:
+            return Polygon(pts)
+        ax, ay, bx, by = bx, by, cx, cy
+    poly = object.__new__(Polygon)
+    poly._finish(pts, scale, (x_lo, y_lo, x_hi, y_hi))
+    return poly
+
+
 def split(
     C: Polygon, h: Hyperplane
 ) -> tuple[Optional[Polygon], Optional[Polygon], Optional[Segment]]:
@@ -323,36 +368,35 @@ def split(
 
     A side with empty interior comes back as None; the trace is None unless
     both sides are nonempty.  Raises DegenerateSplit for sliver pieces so the
-    caller can resample the line.
+    caller can resample the line.  Each piece is built by `_piece` from the
+    parent's vertices and the crossing points, in the parent's CCW order:
+    it checks every edge length and turn against the snap tolerances and
+    falls back to the full `Polygon` constructor when one lands within them
+    (a flat turn, as when the line runs nearly along an edge), so a piece is
+    always exactly what `Polygon(points)` would build.
     """
     ux, uy = h.normal
     a = h.a
     vs = C.vertices
-    n = len(vs)
     tol = C.snap_tol
 
     side = [vx * ux + vy * uy - a for vx, vy in vs]
-    if all(s >= -tol for s in side):
+    if min(side) >= -tol:
         return (C, None, None)
-    if all(s <= tol for s in side):
+    if max(side) <= tol:
         return (None, C, None)
 
     plus_pts: list[tuple[float, float]] = []
     minus_pts: list[tuple[float, float]] = []
     cross_pts: list[tuple[float, float]] = []
-    for i in range(n):
-        v = vs[i]
-        s = side[i]
+    for v, s, w, s2 in zip(vs, side, vs[1:] + vs[:1], side[1:] + side[:1]):
         if s >= -tol:
             plus_pts.append(v)
         if s <= tol:
             minus_pts.append(v)
         if -tol < s < tol:
             cross_pts.append(v)
-        j = (i + 1) % n
-        s2 = side[j]
         if (s > tol and s2 < -tol) or (s < -tol and s2 > tol):
-            w = vs[j]
             t = s / (s - s2)
             ip = (v[0] + t * (w[0] - v[0]), v[1] + t * (w[1] - v[1]))
             plus_pts.append(ip)
@@ -360,11 +404,11 @@ def split(
             cross_pts.append(ip)
 
     try:
-        plus = Polygon(plus_pts) if len(plus_pts) >= 3 else None
+        plus = _piece(plus_pts) if len(plus_pts) >= 3 else None
     except InvalidPolygon:
         plus = None
     try:
-        minus = Polygon(minus_pts) if len(minus_pts) >= 3 else None
+        minus = _piece(minus_pts) if len(minus_pts) >= 3 else None
     except InvalidPolygon:
         minus = None
 
@@ -382,7 +426,7 @@ def split(
         )
 
     # Trace endpoints: the two extreme crossing points along the line direction.
-    dx, dy = h.direction
+    dx, dy = -uy, ux  # h.direction
     cross_pts.sort(key=lambda p: p[0] * dx + p[1] * dy)
     p0, p1 = cross_pts[0], cross_pts[-1]
     if math.hypot(p1[0] - p0[0], p1[1] - p0[1]) <= tol:

@@ -1,9 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stitsim import HyperplaneMeasure, Polygon, rectangle, stit_pair
+
+# CI selects "ci" (HYPOTHESIS_PROFILE=ci): the same examples on every run, and
+# a failure prints the blob that reproduces it.  Local runs keep the default.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

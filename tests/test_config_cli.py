@@ -343,6 +343,9 @@ class TestCliBadInput:
             ("simulate", SIMULATE, "out_prefix", "sub/x"),
             ("simulate", SIMULATE, "out_prefix", "a\0b"),
             ("simulate", SIMULATE, "time", True),
+            ("simulate", SIMULATE, "window", [["0", "0"], [1, 0], [True, True], [0, 1]]),
+            ("simulate", SIMULATE, "window", [[0, 0], [1, 0], [True, True], [0, 1]]),
+            ("simulate", SIMULATE, "window", [[0, 0], [1, 0], [1, 1, 1], [0, 1]]),
             (
                 "simulate",
                 SIMULATE,
@@ -358,6 +361,9 @@ class TestCliBadInput:
             ("consistency", CONSISTENCY, "alpha", -1),
             ("consistency", CONSISTENCY, "alpha", 5),
             ("consistency", CONSISTENCY, "probes", 5),
+            ("consistency", CONSISTENCY, "window_inner", [[0, 0], ["1", 0], [1, 1], [0, 1]]),
+            ("consistency", CONSISTENCY, "window_outer", [[0, 0], [3, 0], [3, 3], [False, 3]]),
+            ("consistency", CONSISTENCY, "probes", [[[0.1, 0.1], [0.2, 0.1], [True, True], [0.1, 0.2]]]),
             (
                 "consistency",
                 CONSISTENCY,
@@ -377,6 +383,8 @@ class TestCliBadInput:
             ("rate", RATE, "dts", [float("nan")]),
             ("rate", RATE, "n_reps", "abc"),
             ("rate", RATE, "n_reps", 0),
+            ("rate", RATE, "window", [[0, 0], [True, 0], [1, 1], [0, 1]]),
+            ("rate", RATE, "probe", [[0.25, 0.25], [0.75, 0.25], ["0.75", "0.75"], [0.25, 0.75]]),
             # rate(unit square) = 4/pi for the isotropic STIT pair, so dt = 0.1 gives 0.127
             ("rate", RATE, "dts", [0.02, 0.1]),
         ],
@@ -387,6 +395,9 @@ class TestCliBadInput:
             "simulate-out_prefix-path",
             "simulate-out_prefix-nul",
             "simulate-time-bool",
+            "simulate-window-string-and-bool-coordinates",
+            "simulate-window-bool-coordinates",
+            "simulate-window-vertex-not-a-pair",
             "simulate-atom-weight-nan",
             "consistency-times",
             "consistency-n_reps",
@@ -397,6 +408,9 @@ class TestCliBadInput:
             "consistency-alpha-negative",
             "consistency-alpha-above-1",
             "consistency-probes",
+            "consistency-window_inner-string-coordinate",
+            "consistency-window_outer-bool-coordinate",
+            "consistency-probe-bool-coordinates",
             "consistency-intrinsic-volume-index",
             "consistency-intrinsic-volume-index-fractional",
             "verify-n_cases",
@@ -406,6 +420,8 @@ class TestCliBadInput:
             "rate-dts-nan",
             "rate-n_reps",
             "rate-n_reps-zero",
+            "rate-window-bool-coordinate",
+            "rate-probe-string-coordinates",
             "rate-dt-too-large",
         ],
     )

@@ -6,14 +6,24 @@ import pytest
 from stitsim import (
     ContainmentViolation,
     CroppedTessellation,
+    HittingMeasure,
+    HyperplaneMeasure,
+    IntrinsicVolume,
+    PointDriven,
+    Polygon,
     Segment,
     crop,
+    geometry,
     new_process,
     rectangle,
     regular_ngon,
+    stit_pair,
 )
 from stitsim.geometry import scale_about_centroid
 from stitsim.rules import RestrictedMeasure, RulePair, VertexCount
+
+ISO = HyperplaneMeasure(1.0)
+
 
 @pytest.fixture
 def hexagon():
@@ -86,6 +96,23 @@ class TestAdvance:
         # 1e-9; their areas must stay accurate for their splits to pass
         rules = RulePair(VertexCount(), RestrictedMeasure(iso_measure))
         new_process(unit_square, rules, (1, 0, 110)).advance(1.5)
+
+    @pytest.mark.parametrize(
+        "rules, W, seed, t",
+        [
+            (stit_pair(ISO), rectangle(0.0, 0.0, 3.0, 3.0), (1, 0, 0), 10.0),
+            (RulePair(IntrinsicVolume(2), RestrictedMeasure(ISO)), rectangle(0.0, 0.0, 3.0, 3.0), (1, 0, 1), 40.0),
+            (RulePair(VertexCount(), RestrictedMeasure(ISO)), rectangle(0.0, 0.0, 1.0, 1.0), (1, 0, 110), 1.5),
+            (RulePair(HittingMeasure(ISO), PointDriven()), rectangle(0.0, 0.0, 3.0, 3.0), (1, 0, 2), 10.0),
+        ],
+        ids=["stit", "area", "vertex-count", "point-driven"],
+    )
+    def test_split_pieces_equal_full_constructor_pieces(self, monkeypatch, rules, W, seed, t):
+        built = new_process(W, rules, seed).advance(t)
+        monkeypatch.setattr(geometry, "_piece", Polygon)
+        full = new_process(W, rules, seed).advance(t)
+        assert len(built.segments) > 300
+        assert (built.segments, built.births) == (full.segments, full.births)
 
     def test_segments_inside_window(self, window, stit_rules):
         state = new_process(window, stit_rules, 23).advance(4.0)

@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stitsim import DegenerateSplit, InvalidPolygon, Polygon
+from stitsim import DegenerateSplit, InvalidPolygon, Polygon, geometry
 from stitsim.geometry import (
     Hyperplane,
     Segment,
@@ -245,6 +246,106 @@ def test_hitting_predicate_matches_split(seed):
         assert both
     if strictly_outside:
         assert not both
+
+
+def _piece_test_polygon(rng, kind):
+    center = tuple(rng.uniform(-1e3, 1e3, 2))
+    if kind == "random":
+        return random_convex_polygon(rng, n_points=int(rng.integers(3, 12)), scale=10 ** rng.uniform(-2, 2), center=center)
+    if kind == "32-gon":
+        return regular_ngon(center, 10 ** rng.uniform(-2, 2), 32)
+    # a tiny right triangle far from the origin, as vertex-count trajectories reach
+    leg = float(rng.choice([1e-8, 1e-9]))
+    cx, cy = abs(center[0]) + 0.5, abs(center[1]) + 0.5
+    return Polygon([(cx, cy), (cx + leg, cy), (cx, cy + leg)])
+
+
+def _piece_test_line(rng, C, kind):
+    if kind == "random":
+        return _random_hitting_line(C, rng)
+    vs = C.vertices
+    i = int(rng.integers(len(vs)))
+    (vx, vy), (wx, wy) = vs[i], vs[(i + 1) % len(vs)]
+    if kind == "vertex":
+        theta = rng.random() * math.pi
+        return Hyperplane(theta, vx * math.cos(theta) + vy * math.sin(theta))
+    # nearly parallel to the edge v -> w and within a few snap_tol of it: the
+    # crossing point on that edge makes a nearly flat turn in one piece
+    normal = math.atan2(vx - wx, wy - vy)
+    theta = (normal + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-16, -8)) % math.pi
+    t = rng.random()
+    mx, my = vx + t * (wx - vx), vy + t * (wy - vy)
+    return Hyperplane(theta, mx * math.cos(theta) + my * math.sin(theta) + rng.uniform(-4, 4) * C.snap_tol)
+
+
+def _split_checking_pieces(C, h):
+    """split(C, h), checking every piece against Polygon(points); returns the number of fallbacks."""
+    build_piece = geometry._piece
+    fallbacks = 0
+
+    def checked_piece(pts):
+        nonlocal fallbacks
+        try:
+            full = Polygon(pts)
+        except InvalidPolygon:
+            full = None
+        # the piece path calls Polygon.__init__ only when it falls back
+        with mock.patch.object(Polygon, "__init__", autospec=True, side_effect=Polygon.__init__) as init:
+            try:
+                piece = build_piece(pts)
+            except InvalidPolygon:
+                piece = None
+        fallbacks += init.call_count
+        if full is None:
+            assert piece is None
+            raise InvalidPolygon("rejected by both constructors")
+        assert piece is not None
+        assert (piece.vertices, piece.area, piece.perimeter, piece._scale, piece._box) == (
+            full.vertices,
+            full.area,
+            full.perimeter,
+            full._scale,
+            full._box,
+        )
+        return piece
+
+    with mock.patch.object(geometry, "_piece", checked_piece):
+        try:
+            split(C, h)
+        except DegenerateSplit:
+            pass
+    return fallbacks
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "32-gon", "tiny"]),
+    st.sampled_from(["random", "vertex", "near-edge"]),
+)
+def test_split_pieces_match_full_constructor(seed, polygon_kind, line_kind):
+    rng = np.random.default_rng(seed)
+    C = _piece_test_polygon(rng, polygon_kind)
+    _split_checking_pieces(C, _piece_test_line(rng, C, line_kind))
+
+
+def test_split_piece_fallback_is_reached():
+    # random lines almost never make a flat turn; lines along an edge do
+    fallbacks = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        C = _piece_test_polygon(rng, "random")
+        fallbacks += _split_checking_pieces(C, _piece_test_line(rng, C, "near-edge"))
+    assert fallbacks > 0
+
+
+def test_diameter_is_the_largest_vertex_distance():
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 7, 32):
+        C = random_convex_polygon(rng, n_points=n)
+        vs = C.vertices
+        brute = max(math.hypot(p[0] - q[0], p[1] - q[1]) for i, p in enumerate(vs) for q in vs[i + 1:])
+        assert C.diameter() == brute
 
 
 class TestClipSegment:
