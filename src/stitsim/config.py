@@ -14,6 +14,7 @@ import os
 from typing import Any, Optional, Sequence
 
 from .analysis import IDENTITIES, MAX_DIVISIONS_PER_DT, MIN_REPS
+from .engine import MAX_EVENTS
 from .errors import ConfigError, InvalidPolygon
 from .geometry import Polygon
 from .measures import Atoms, HyperplaneMeasure, Isotropic
@@ -24,6 +25,7 @@ from .rules import (
     RestrictedMeasure,
     RulePair,
     VertexCount,
+    min_expected_chords,
     rate,
 )
 
@@ -188,6 +190,16 @@ def parse_times(spec: Any, path: str) -> list[float]:
     return times
 
 
+def _check_event_budget(rules: RulePair, t: float, path: str) -> None:
+    """Reject a run whose selection rule is known to exceed the engine's event cap by time t."""
+    floor = min_expected_chords(rules.selection, t)
+    if floor > MAX_EVENTS:
+        raise ConfigError(
+            f"{path}: the selection rule expects at least {floor:.3g} chords by t = {t},"
+            f" over the event cap of {MAX_EVENTS}; use a smaller time"
+        )
+
+
 def _check_version_and_seed(cfg: dict, path: str = "config"):
     if cfg.get("version") != SCHEMA_VERSION:
         raise ConfigError(f"{path}: 'version' must be {SCHEMA_VERSION}")
@@ -220,10 +232,13 @@ def parse_simulate(cfg: dict) -> dict:
         raise ConfigError(
             f"config.out_prefix: expected a file name (no path separator or NUL byte), got {prefix!r}"
         )
+    window = parse_window(cfg["window"], "config.window")
+    rules = parse_rules(cfg["rules"])
+    _check_event_budget(rules, t, "config.time")
     return {
         "seed": cfg["seed"],
-        "window": parse_window(cfg["window"], "config.window"),
-        "rules": parse_rules(cfg["rules"]),
+        "window": window,
+        "rules": rules,
         "time": t,
         "out_prefix": prefix,
     }
@@ -252,12 +267,15 @@ def parse_consistency(cfg: dict) -> dict:
     alpha = _number(cfg.get("alpha", 0.001), "config.alpha")
     if not 0 < alpha < 1:
         raise ConfigError(f"config.alpha: must lie in (0, 1), got {alpha}")
+    rules = parse_rules(cfg["rules"])
+    times = parse_times(cfg["times"], "config.times")
+    _check_event_budget(rules, times[-1], "config.times")
     return {
         "seed": cfg["seed"],
         "V": V,
         "W": W,
-        "rules": parse_rules(cfg["rules"]),
-        "times": parse_times(cfg["times"], "config.times"),
+        "rules": rules,
+        "times": times,
         "n_reps": n_reps,
         "alpha": alpha,
         "probes": probes,

@@ -58,7 +58,7 @@ class Segment:
 class Polygon:
     """Strictly convex polygon, CCW vertex tuple, canonicalized and validated once."""
 
-    __slots__ = ("vertices", "area", "perimeter", "_diameter", "_scale", "_box", "_reach")
+    __slots__ = ("vertices", "area", "perimeter", "_diameter", "_scale", "_box", "_reach", "_circles")
 
     def __init__(self, vertices: Iterable[Sequence[float]]):
         pts = [(float(x), float(y)) for x, y in vertices]
@@ -147,6 +147,7 @@ class Polygon:
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_reach", None)
+        object.__setattr__(self, "_circles", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -205,6 +206,37 @@ class Polygon:
             r = (2.0 * self.snap_tol * self._scale * a, 40.0 * sys.float_info.epsilon * b)
             object.__setattr__(self, "_reach", r)
         return r
+
+    def _circle_terms(self) -> tuple[float, float, float, float, float, float]:
+        """(cx, cy, far, far_rate, deep, deep_rate): a segment at distance d from
+        (cx, cy), with s the sum of |x - cx| and |y - cy| over its endpoints,
+        misses when d > far + far_rate*s and hits when d < deep - deep_rate*s;
+        see `segment_hits_polygon`."""
+        t = self._circles
+        if t is None:
+            cx, cy = self.centroid()
+            vs = self.vertices
+            hypot = math.hypot
+            outer = max(hypot(x - cx, y - cy) for x, y in vs)
+            inner = min(
+                _orient(x0, y0, x1, y1, cx, cy) / hypot(x1 - x0, y1 - y0)
+                for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])
+            )
+            x_lo, y_lo, x_hi, y_hi = self._box
+            k = max(x_hi, cx) - min(x_lo, cx) + max(y_hi, cy) - min(y_lo, cy)
+            a, b = self._reach_terms()
+            eps = sys.float_info.epsilon
+            far_slope = b + 16.0 * eps
+            t = (
+                cx,
+                cy,
+                outer + a + far_slope * k,
+                2.0 * far_slope,
+                inner - self.snap_tol - 64.0 * eps * (k + max(abs(cx), abs(cy))),
+                192.0 * eps,
+            )
+            object.__setattr__(self, "_circles", t)
+        return t
 
     def translate(self, dx: float, dy: float) -> "Polygon":
         return Polygon([(x + dx, y + dy) for x, y in self.vertices])
@@ -550,8 +582,69 @@ def _orient(ax, ay, bx, by, cx, cy) -> float:
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
+# Early decision by the inner and outer circles, exact with respect to the
+# full tests.
+#
+# Let c = C.centroid() as computed, R the largest vertex distance from c and r
+# the smallest signed distance from c to an edge line, so C lies in the disk
+# B(c, R) and, when r > 0, holds B(c, r).  For a segment p -> q let s be the sum
+# of |p_x - c_x|, |p_y - c_y|, |q_x - c_x| and |q_y - c_y|, k the x span plus
+# the y span of C's box and c together, and S = k + 2s.  S bounds L of
+# `_box_misses` (an axis span of the union of the two boxes is at most the
+# box's plus twice the larger endpoint offset from c), and with it |p - c|,
+# |q - c|, |q - p| and R; M = max(|c_x|, |c_y|) + s bounds every coordinate on
+# the segment.  d, the distance from c to the segment, is computed within
+# 20u*S (u = eps/2 as above): each branch below rounds by at most 10u*S, and a
+# branch taken wrongly (t near 0 or near |q - p|^2, computed within
+# 8u*S*|q - p|) has the foot of the perpendicular within 8u*S of the endpoint.
+# The computed R and r are within 3u*S and 8u*S.
+#
+# Far.  The wedge argument of `_box_misses` holds for the vertex furthest along
+# any direction, not only an axis, so every accepted point lies within
+# rho = a + b*L of C, (a, b) = `_reach_terms()`, and within R + rho of c.  d > R + a + (b + 16eps)*S thus
+# leaves no accepted point on the segment: 16eps*S = 32u*S covers the rounding
+# of d and R, and the doubling in `_reach_terms` the rounding of the sum.
+#
+# Deep.  Let delta = r - d > 0 and x the point of the segment nearest c; then
+# B(x, delta) lies in C, and a point y with B(y, h) in C has cross_e(y) >=
+# h*|e| for every edge.  If an endpoint lies within delta/2 of x it is delta/2
+# deep, and contains_point accepts it once delta/2 > 20u*L.  Otherwise
+# x -/+ (delta/2)(q - p)/|q - p| lie on the segment, at t- < t+, both delta/2
+# deep.  In clip_segment the computed function num + t*den of an edge is within
+# 20u*|e|*L of cross_e on [0, 1], so for den > 0 it is positive at t- and its
+# root lies below t-; the quotient adds u, so t0 <= t- + u.  Likewise
+# t1 >= t+ - u, no parallel edge rejects, and the box test passes (x lies in
+# both boxes).  Snapping only widens [t0, t1] and the ends are computed within
+# 3u*M of the exact points, so the clip is longer than snap_tol once
+# delta > snap_tol + 40u*(L + M).  d < r - snap_tol - 64eps*(S + M) keeps
+# delta above that after the rounding of d, r and the sum.
+
+
 def segment_hits_polygon(seg: Segment, C: Polygon) -> bool:
-    """Nonempty intersection of a closed segment with a closed convex polygon."""
+    """Nonempty intersection of a closed segment with a closed convex polygon.
+
+    Decided from C's inner and outer circles when the segment passes well
+    inside the one or well outside the other, by the exact tests otherwise.
+    """
+    cx, cy, far, far_rate, deep, deep_rate = C._circle_terms()
+    px, py = seg.p
+    qx, qy = seg.q
+    ax, ay = px - cx, py - cy
+    bx, by = qx - cx, qy - cy
+    vx, vy = qx - px, qy - py
+    t = -(ax * vx + ay * vy)
+    vv = vx * vx + vy * vy
+    if t <= 0.0:
+        d = math.hypot(ax, ay)
+    elif t >= vv:
+        d = math.hypot(bx, by)
+    else:
+        d = abs(ax * vy - ay * vx) / math.sqrt(vv)
+    s = abs(ax) + abs(ay) + abs(bx) + abs(by)
+    if d > far + far_rate * s:
+        return False
+    if d < deep - deep_rate * s:
+        return True
     if _box_misses(seg, C):
         return False
     if C.contains_point(seg.p) or C.contains_point(seg.q):

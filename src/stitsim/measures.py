@@ -124,13 +124,14 @@ def sample_hitting(L: HyperplaneMeasure, C: Polygon, rng) -> Hyperplane:
     d = L.directions
     if isinstance(d, Atoms):
         theta = sample_atom(d.thetas, [w * width(C, t) for t, w in zip(d.thetas, d.weights)], rng)
+        lo, hi = offset_interval(C, theta)
     else:
         envelope = C.diameter()
         while True:
             theta = rng.random() * math.pi
-            if rng.random() * envelope <= width(C, theta):
+            lo, hi = offset_interval(C, theta)
+            if rng.random() * envelope <= hi - lo:  # hi - lo is width(C, theta)
                 break
-    lo, hi = offset_interval(C, theta)
     a = lo + rng.random() * (hi - lo)
     return Hyperplane(theta, a)
 

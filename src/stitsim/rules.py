@@ -95,6 +95,23 @@ def rate(r: SelectionRule, C: Polygon) -> float:
     return hitting_mass(r.measure, C)
 
 
+def min_expected_chords(r: SelectionRule, t: float) -> float:
+    """A lower bound on the expected number of chords by time t, or 0 where none is cheap.
+
+    Under `VertexCount` every cell divides at rate >= 3, and under
+    `IntrinsicVolume(0)` at rate exactly 1, so the cell count dominates a Yule
+    process of that rate, whose mean is e^{rate*t}: E[chords] >= e^{rate*t} - 1.
+    The exponent is capped below float overflow.
+    """
+    if isinstance(r, VertexCount):
+        growth = 3.0
+    elif isinstance(r, IntrinsicVolume) and r.index == 0:
+        growth = 1.0
+    else:
+        return 0.0
+    return math.expm1(min(growth * t, 700.0))
+
+
 def divide(r: DivisionRule, C: Polygon, rng) -> Hyperplane:
     if isinstance(r, RestrictedMeasure):
         return sample_hitting(r.measure, C, rng)

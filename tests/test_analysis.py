@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -189,6 +190,25 @@ class TestConsistencyPipeline:
             for column, snap in zip(old_route, snaps):
                 column.append(window_stats(crop(snap, unit_square), probes))
         assert stats == old_route
+
+    # sha256 of repr([[(segment_count, interior_endpoints, probe_hits) per time] per replicate])
+    # for 100 STIT replicates, seed 1, V = [0,1]^2, W = [0,3]^2; integers and booleans
+    # only, so a change in the last bit of a float cannot move it.
+    PINNED_DIGESTS = {
+        0: "206bf11ed3bbeaf344fe4fef9cf0b0b1f70529b7b13292e5ec50ef6f3f0c81ec",
+        1: "2a3a5f75911001f9bdc4f533d9e2e8683a3b44c2ca4e607c8a98f98bf19f21f0",
+    }
+
+    @pytest.mark.parametrize("arm", [0, 1], ids=["direct", "cropped"])
+    def test_discrete_statistics_are_pinned(self, unit_square, stit_rules, arm):
+        W = rectangle(0, 0, 3, 3)
+        per_time, aborted = _collect_chunk(
+            stit_rules, unit_square, W, [0.75, 1.5], default_probes(unit_square), 1, (arm, 0, 100)
+        )
+        assert aborted == 0
+        rows = [[(s.segment_count, s.interior_endpoints, s.probe_hits) for s in rep] for rep in zip(*per_time)]
+        assert len(rows) == 100
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.PINNED_DIGESTS[arm]
 
     def test_probe_containment_checked_before_replicates(self, unit_square, stit_rules, monkeypatch):
         def no_replicates(*args):

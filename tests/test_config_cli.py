@@ -157,6 +157,32 @@ class TestConfigValidation:
                 }
             )
 
+    # Only the parsers run here: a run this budget rejects would take hours.
+    @pytest.mark.parametrize(
+        "selection, time, accepted",
+        [
+            ({"kind": "vertex_count"}, 6.0, False),
+            ({"kind": "vertex_count"}, 1.5, True),
+            ({"kind": "vertex_count"}, 1e6, False),  # e^{3t} would overflow a float
+            ({"kind": "intrinsic_volume", "index": 0}, 17.0, False),
+            ({"kind": "intrinsic_volume", "index": 0}, 1.5, True),
+            ({"kind": "intrinsic_volume", "index": 2}, 17.0, True),  # no cheap bound: not checked
+        ],
+        ids=["vertex-count-t6", "vertex-count-t1.5", "vertex-count-t1e6", "iv0-t17", "iv0-t1.5", "area-t17"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "consistency"])
+    def test_event_budget_checked_at_parse_time(self, selection, time, accepted, command):
+        rules = {"selection": selection, "division": {"kind": "restricted_measure", "measure": ISO}}
+        if command == "simulate":
+            parse, cfg = parse_simulate, dict(SIMULATE, rules=rules, time=time)
+        else:
+            parse, cfg = parse_consistency, dict(CONSISTENCY, rules=rules, times=[0.5, time])
+        if accepted:
+            parse(cfg)
+        else:
+            with pytest.raises(ConfigError, match="event cap"):
+                parse(cfg)
+
     def test_verify_unknown_identity_rejected(self):
         with pytest.raises(ConfigError):
             parse_verify({"version": 1, "seed": 1, "rules": STIT_RULES, "identities": ["nope"]})

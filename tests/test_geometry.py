@@ -402,7 +402,7 @@ def _reference_clip_segment(seg, C):
 
 
 def _reference_segment_hits_polygon(seg, C):
-    """segment_hits_polygon as it was before the bounding-box rejection."""
+    """segment_hits_polygon as it was before the bounding-box rejection and the circle decision."""
     if C.contains_point(seg.p) or C.contains_point(seg.q):
         return True
     return _reference_clip_segment(seg, C) is not None
@@ -420,6 +420,48 @@ def _test_polygon(rng, kind):
     pts = [(0.0, 0.0), (size, 0.0), (size, thin)] + ([(0.0, thin)] if rng.random() < 0.5 else [])
     c, s = math.cos(rng.uniform(0, 2 * math.pi)), math.sin(rng.uniform(0, 2 * math.pi))
     return Polygon([(center[0] + c * x - s * y, center[1] + s * x + c * y) for x, y in pts])
+
+
+def _band_segment(rng, C, shape):
+    """A segment tangent to, or ending on, C's inscribed or circumscribed circle,
+    moved off it by +-10^k * R for k in -15..-3, or a zero-length or shorter
+    than snap_tol segment placed the same way.  The centre and radii are
+    computed here independently of `Polygon._circle_terms`."""
+    cx, cy = C.centroid()
+    vs = C.vertices
+    edges = list(zip(vs, vs[1:] + vs[:1]))
+    outer = max(math.hypot(x - cx, y - cy) for x, y in vs)
+    inner = min(
+        ((x1 - x0) * (cy - y0) - (y1 - y0) * (cx - x0)) / math.hypot(x1 - x0, y1 - y0)
+        for (x0, y0), (x1, y1) in edges
+    )
+    radius = inner if rng.random() < 0.5 else outer
+    radius += outer * 10.0 ** int(rng.integers(-15, -2)) * rng.choice([-1.0, 1.0])
+    aim = rng.integers(3)
+    if aim == 0:  # toward a vertex, where the outer circle touches C
+        x, y = vs[int(rng.integers(len(vs)))]
+        phi = math.atan2(y - cy, x - cx)
+    elif aim == 1:  # along an edge normal, where the inner circle may touch C
+        (x0, y0), (x1, y1) = edges[int(rng.integers(len(edges)))]
+        phi = math.atan2(x0 - x1, y1 - y0)
+    else:
+        phi = rng.uniform(0, 2 * math.pi)
+    ux, uy = math.cos(phi), math.sin(phi)
+    p = np.array([cx + radius * ux, cy + radius * uy])
+    length = C._scale * 10 ** rng.uniform(-4, 1)
+    if shape == "tangent":
+        along = np.array([-uy, ux]) * length
+        p = p - rng.random() * along
+        q = p + along
+    elif shape == "ending":  # leaves the circle outward, so its nearest point to the centre is p
+        psi = phi + rng.uniform(-0.5, 0.5) * math.pi
+        q = p + length * np.array([math.cos(psi), math.sin(psi)])
+    elif shape == "point":
+        q = p
+    else:  # shorter than snap_tol
+        psi = rng.uniform(0, 2 * math.pi)
+        q = p + C.snap_tol * 10 ** rng.uniform(-3, 0) * np.array([math.cos(psi), math.sin(psi)])
+    return Segment((float(p[0]), float(p[1])), (float(q[0]), float(q[1])))
 
 
 def _test_segment(rng, C, kind):
@@ -442,26 +484,48 @@ def _test_segment(rng, C, kind):
     elif kind == "vertex":
         p = v + length * rng.random() * direction
         q = v - length * rng.random() * direction
-    else:  # collinear with an edge, shifted off its line by eps
+    elif kind == "collinear":  # with an edge, shifted off its line by eps
         p = v + rng.uniform(-1, 2) * edge + eps * outward
         q = v + rng.uniform(-1, 2) * edge + eps * outward
+    else:
+        return _band_segment(rng, C, kind)
     return Segment((float(p[0]), float(p[1])), (float(q[0]), float(q[1])))
 
 
-@settings(max_examples=3000, deadline=None)
+@settings(max_examples=6000, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from(["random", "probe", "thin"]),
-    st.sampled_from(["near", "touching", "vertex", "collinear"]),
+    st.sampled_from(["near", "touching", "vertex", "collinear", "tangent", "ending", "point", "short"]),
 )
 def test_box_rejection_keeps_clip_and_hit_results(seed, polygon_kind, segment_kind):
+    """The bounding-box rejection and the circle decision keep every result of the exact tests."""
     rng = np.random.default_rng(seed)
     try:
         C = _test_polygon(rng, polygon_kind)
     except InvalidPolygon:
         return
     seg = _test_segment(rng, C, segment_kind)
-    if seg.p == seg.q:
-        return
     assert clip_segment(seg, C) == _reference_clip_segment(seg, C)
     assert segment_hits_polygon(seg, C) == _reference_segment_hits_polygon(seg, C)
+
+
+def test_circle_decision_skips_the_exact_tests(monkeypatch):
+    probe = regular_ngon((0.5, 0.5), 0.1, 32)
+    cases = [
+        (Segment((0.0, 0.45), (1.0, 0.55)), True),  # through the centre
+        (Segment((0.5, 0.52), (0.5, 0.52)), True),  # zero length, deep inside
+        (Segment((0.405, 0.405), (0.415, 0.405)), False),  # in the box's corner, outside the circle
+        (Segment((0.0, 0.385), (1.0, 0.385)), False),  # passes below the disk
+    ]
+    for seg, expected in cases:  # the exact tests agree
+        assert _reference_segment_hits_polygon(seg, probe) == expected
+
+    def exact_test(*args, **kwargs):
+        raise AssertionError("the circle decision fell through to an exact test")
+
+    monkeypatch.setattr(geometry, "_box_misses", exact_test)
+    monkeypatch.setattr(geometry, "clip_segment", exact_test)
+    monkeypatch.setattr(Polygon, "contains_point", exact_test)
+    for seg, expected in cases:
+        assert segment_hits_polygon(seg, probe) == expected
