@@ -18,14 +18,16 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .engine import CroppedTessellation, crop, new_process
+from .engine import MIN_CHORD_REL, CroppedTessellation, new_process
 from .errors import ContainmentViolation, InsufficientSamples, ReplicateAborted
 from .geometry import (
     Polygon,
+    clip_segments,
     random_convex_polygon,
     regular_ngon,
     scale_about_centroid,
     segment_hits_polygon,
+    segments_hit_polygon,
     vertex_count,
 )
 from .measures import HyperplaneMeasure, hitting_mass, joint_hitting_mass
@@ -175,24 +177,76 @@ def _collect_chunk(
     """Per-time statistics of one chunk of replicates; returns (stats, aborted count).
 
     The chunk is (arm, rep_start, rep_count).  Arm 0 builds in V, arm 1 builds
-    in W, and both crop each snapshot to V once.  Replicate `rep` runs on seed
-    (seed, arm, rep), so its statistics do not depend on how the replicates
-    are chunked.
+    in W.  Replicate `rep` runs on seed (seed, arm, rep), so its statistics do
+    not depend on how the replicates are chunked.  Each replicate advances once,
+    to the last time; `times` must be ascending.  The statistics at each time
+    are `window_stats(crop(snapshot, V), probes)` of that replicate's snapshot.
     """
     arm, rep_start, rep_count = chunk
     build_window = W if arm else V
-    per_time: list[list[WindowStats]] = [[] for _ in times]
+    chords: list[tuple[float, float, float, float]] = []
+    births: list[float] = []
+    counts: list[int] = []
     aborted = 0
     for rep in range(rep_start, rep_start + rep_count):
         state = new_process(build_window, rules, (seed, arm, rep))
         try:
-            row = [window_stats(crop(state.advance(t), V), probes) for t in times]
+            state.advance(times[-1])
         except ReplicateAborted:
             aborted += 1
             continue
-        for column, stats in zip(per_time, row):
-            column.append(stats)
-    return per_time, aborted
+        chords.extend(s.p + s.q for s in state.segments)
+        births.extend(state.births)
+        counts.append(len(state.segments))
+    owner = np.repeat(np.arange(len(counts)), np.array(counts, dtype=int))
+    xy = np.array(chords, dtype=float).reshape(-1, 4)
+    return _window_columns(xy, np.array(births), owner, len(counts), V, times, probes), aborted
+
+
+def _window_columns(
+    chords: np.ndarray,
+    births: np.ndarray,
+    owner: np.ndarray,
+    n_reps: int,
+    V: Polygon,
+    times: Sequence[float],
+    probes: Sequence[Polygon],
+) -> list[list[WindowStats]]:
+    """`window_stats` of each replicate's crop to V at each time, from its chords.
+
+    Row i of `chords` is the chord (px, py, qx, qy) of replicate owner[i],
+    born at births[i]; a replicate's rows are in its division order.  Each
+    chord is clipped and tested once: a snapshot at time t holds the chords
+    born by t, so each time only selects them.  `np.bincount` adds in input
+    order, so the total lengths are the floats `window_stats` sums.
+    """
+    rows, clipped, lengths = clip_segments(chords, V)
+    keep = [i for i, length in enumerate(lengths) if length > MIN_CHORD_REL * V._scale]  # as `crop`
+    clipped, births, owner = clipped[keep], births[rows[keep]], owner[rows[keep]]
+    lengths = np.array(lengths)[keep]
+    interior = np.zeros(len(clipped))
+    floor = 1e-9 * V._scale  # the arithmetic of strictly_contains_point(tol=1e-9)
+    vs = V.vertices
+    for x, y in (clipped[:, :2].T, clipped[:, 2:].T):
+        inside = np.ones(len(clipped), dtype=bool)
+        for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+            inside &= (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > floor
+        interior += inside
+    m = len(probes)
+    hits = np.zeros((len(clipped), m), dtype=bool)
+    for j, pr in enumerate(probes):
+        hits[:, j] = segments_hit_polygon(clipped, pr)
+    slots = owner[:, None] * m + np.arange(m)
+    columns = []
+    for t in times:
+        sel = births <= t
+        o = owner[sel]
+        total = np.bincount(o, weights=lengths[sel], minlength=n_reps).tolist()
+        count = np.bincount(o, minlength=n_reps).tolist()
+        inner = np.bincount(o, weights=interior[sel], minlength=n_reps).astype(int).tolist()
+        hit = (np.bincount(slots[sel][hits[sel]], minlength=n_reps * m) > 0).reshape(n_reps, m).tolist()
+        columns.append([WindowStats(tl, n, k, tuple(h)) for tl, n, k, h in zip(total, count, inner, hit)])
+    return columns
 
 
 def consistency_test(
@@ -213,6 +267,12 @@ def consistency_test(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
+    if len(times) == 0:
+        raise ValueError("times must not be empty")
+    if not all(math.isfinite(t) and t > 0 for t in times):
+        raise ValueError(f"times must be positive and finite, got {list(times)}")
+    if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
+        raise ValueError(f"times must be ascending, got {list(times)}")
     if not W.contains_polygon(V):
         raise ContainmentViolation("V must be contained in W")
     if probes is None:
@@ -277,6 +337,10 @@ def rate_estimate(
     For a shared-measure pair this converges to the hitting mass of B as
     dt -> 0 (first-order division rate).
     """
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if not V.contains_polygon(B):
         raise ContainmentViolation("B must be contained in V")
     if rate(rules.selection, V) * dt >= MAX_DIVISIONS_PER_DT:

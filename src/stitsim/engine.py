@@ -12,6 +12,7 @@ cell birth: death = birth + Exp(1)/rate(cell).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,6 +79,8 @@ class ProcessState:
         return abs(total - self.window.area) <= TILING_REL_TOL * self.window.area
 
     def advance(self, t: float) -> "ProcessState":
+        if not math.isfinite(t):
+            raise ValueError(f"cannot advance to a non-finite time: {t}")
         if t < self.clock:
             raise ValueError(f"cannot advance backwards: {t} < {self.clock}")
         div = self.rules.division

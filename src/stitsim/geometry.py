@@ -12,6 +12,8 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import DegenerateSplit, InvalidPolygon
 
 # Relative snap tolerance for vertex dedup and near-vertex line hits.
@@ -578,6 +580,55 @@ def clip_segment(seg: Segment, C: Polygon) -> Optional[Segment]:
     return Segment(p, q)
 
 
+def clip_segments(xy: np.ndarray, C: Polygon) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """`clip_segment` of each row (px, py, qx, qy) of xy, operation for operation.
+
+    Returns (rows, clipped, lengths): the indices of the rows that clip to a
+    segment, those segments as rows, and their `Segment.length`s.  The
+    products, the parallel-edge rule and the snap are those of `clip_segment`
+    in the same order, and lengths come from `math.hypot`, so every float is
+    the one `clip_segment` gives.  The `_box_misses` early exit is left out:
+    it rejects only segments the full tests reject (derivation above it).
+    """
+    px, py, qx, qy = xy.T
+    dx = qx - px
+    dy = qy - py
+    alive = np.ones(len(xy), dtype=bool)
+    t0 = np.zeros(len(xy))
+    t1 = np.ones(len(xy))
+    vs = C.vertices
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+        ex, ey = x1 - x0, y1 - y0
+        num = ex * (py - y0) - ey * (px - x0)
+        den = ex * dy - ey * dx
+        parallel = np.abs(den) < 1e-300
+        alive &= ~(parallel & (num < -C.snap_tol * C._scale))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = -num / den
+        t0 = np.where(~parallel & (den > 0) & (t > t0), t, t0)
+        t1 = np.where(~parallel & (den < 0) & (t < t1), t, t1)
+    rows = np.flatnonzero(alive & (t0 <= t1))
+
+    px, py, dx, dy, t0, t1 = px[rows], py[rows], dx[rows], dy[rows], t0[rows], t1[rows]
+    hypot = math.hypot
+    seg_len = np.array([hypot(u, v) for u, v in zip(dx.tolist(), dy.tolist())])
+    with np.errstate(divide="ignore"):
+        snap = np.where(seg_len > 0, np.maximum(1e-12, C.snap_tol / seg_len), 1e-12)
+    t0 = np.where(t0 < snap, 0.0, t0)
+    t1 = np.where(t1 > 1.0 - snap, 1.0, t1)
+    clipped = np.column_stack(
+        (
+            np.where(t0 == 0.0, px, px + t0 * dx),
+            np.where(t0 == 0.0, py, py + t0 * dy),
+            np.where(t1 == 1.0, qx[rows], px + t1 * dx),
+            np.where(t1 == 1.0, qy[rows], py + t1 * dy),
+        )
+    )
+    lengths = [hypot(x1 - x0, y1 - y0) for x0, y0, x1, y1 in clipped.tolist()]
+    long = [i for i, length in enumerate(lengths) if length > C.snap_tol]
+    return rows[long], clipped[long], [lengths[i] for i in long]
+
+
 def _orient(ax, ay, bx, by, cx, cy) -> float:
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
@@ -650,3 +701,32 @@ def segment_hits_polygon(seg: Segment, C: Polygon) -> bool:
     if C.contains_point(seg.p) or C.contains_point(seg.q):
         return True
     return clip_segment(seg, C) is not None
+
+
+def segments_hit_polygon(xy: np.ndarray, C: Polygon) -> np.ndarray:
+    """`segment_hits_polygon` of each row (px, py, qx, qy) of xy, as a bool array.
+
+    The circle decision runs on all rows at once; the rows in the band
+    between the circles go to `segment_hits_polygon` one by one.
+    """
+    cx, cy, far, far_rate, deep, deep_rate = C._circle_terms()
+    px, py, qx, qy = xy.T
+    ax, ay = px - cx, py - cy
+    bx, by = qx - cx, qy - cy
+    vx, vy = qx - px, qy - py
+    t = -(ax * vx + ay * vy)
+    vv = vx * vx + vy * vy
+    # np.hypot may differ from math.hypot by 1 ulp; that is within the 20u*S
+    # allowed for the computed d in the derivation above.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(
+            t <= 0.0,
+            np.hypot(ax, ay),
+            np.where(t >= vv, np.hypot(bx, by), np.abs(ax * vy - ay * vx) / np.sqrt(vv)),
+        )
+    s = np.abs(ax) + np.abs(ay) + np.abs(bx) + np.abs(by)
+    hit = d < deep - deep_rate * s
+    for i in np.flatnonzero(~hit & ~(d > far + far_rate * s)).tolist():
+        px_i, py_i, qx_i, qy_i = xy[i].tolist()
+        hit[i] = segment_hits_polygon(Segment((px_i, py_i), (qx_i, qy_i)), C)
+    return hit

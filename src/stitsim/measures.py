@@ -123,8 +123,9 @@ def sample_hitting(L: HyperplaneMeasure, C: Polygon, rng) -> Hyperplane:
     """
     d = L.directions
     if isinstance(d, Atoms):
-        theta = sample_atom(d.thetas, [w * width(C, t) for t, w in zip(d.thetas, d.weights)], rng)
-        lo, hi = offset_interval(C, theta)
+        intervals = [offset_interval(C, t) for t in d.thetas]
+        theta = sample_atom(d.thetas, [w * (hi - lo) for (lo, hi), w in zip(intervals, d.weights)], rng)
+        lo, hi = intervals[d.thetas.index(theta)]  # hi - lo is width(C, theta)
     else:
         envelope = C.diameter()
         while True:

@@ -9,6 +9,7 @@ from stitsim import (
     HyperplaneMeasure,
     InsufficientSamples,
     Polygon,
+    ReplicateAborted,
     Segment,
     analysis,
     crop,
@@ -29,6 +30,7 @@ from stitsim.analysis import (
     rate_estimate,
     window_stats,
 )
+from stitsim.geometry import scale_about_centroid
 from stitsim.rules import HittingMeasure, IntrinsicVolume, PointDriven, RestrictedMeasure, RulePair, VertexCount
 
 
@@ -210,6 +212,16 @@ class TestConsistencyPipeline:
         assert len(rows) == 100
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.PINNED_DIGESTS[arm]
 
+    @pytest.mark.parametrize(
+        "times",
+        [[], [float("nan")], [float("inf")], [0.0], [-1.0], [1.5, 0.75], [0.5, float("nan")]],
+        ids=["empty", "nan", "inf", "zero", "negative", "descending", "nan-last"],
+    )
+    def test_times_checked_before_replicates(self, unit_square, stit_rules, monkeypatch, times):
+        monkeypatch.setattr(analysis, "new_process", None)  # no replicate may run
+        with pytest.raises(ValueError, match="times"):
+            consistency_test(stit_rules, unit_square, unit_square, times, 100)
+
     def test_probe_containment_checked_before_replicates(self, unit_square, stit_rules, monkeypatch):
         def no_replicates(*args):
             raise AssertionError("a replicate ran before the probes were checked")
@@ -245,7 +257,140 @@ class TestConsistencyPipeline:
         assert "verdict" in report.to_text()
 
 
+def _reference_columns(rules, V, W, times, probes, seed, arm, reps):
+    """window_stats(crop(snapshot, V), probes) of each replicate at each time, one by one."""
+    columns = [[] for _ in times]
+    for rep in reps:
+        snaps = new_process(W if arm else V, rules, (seed, arm, rep)).snapshots(times)
+        for column, snap in zip(columns, snaps):
+            column.append(window_stats(crop(snap, V), probes))
+    return columns
+
+
+class _FixedChords:
+    """Stands in for a ProcessState whose chords and birth times are given."""
+
+    def __init__(self, window, segments, births):
+        self.window = window
+        self._chords = list(zip(segments, births))
+
+    def advance(self, t):
+        born = [(s, b) for s, b in self._chords if b <= t]
+        self.segments = [s for s, _ in born]
+        self.births = [b for _, b in born]
+        return self
+
+
+def _boundary_chords(V):
+    """Chords that end on V's edges or vertices, or run along them."""
+    vs = V.vertices
+    cx, cy = V.centroid()
+    chords = []
+    for i, (x0, y0) in enumerate(vs):
+        x1, y1 = vs[(i + 1) % len(vs)]
+        ex, ey = x1 - x0, y1 - y0
+        mx, my = x0 + 0.5 * ex, y0 + 0.5 * ey
+        chords += [
+            ((x0, y0), (x1, y1)),  # an edge, vertex to vertex
+            ((x0 - 0.5 * ex, y0 - 0.5 * ey), (x1 + 0.5 * ex, y1 + 0.5 * ey)),  # the edge's line, beyond V
+            ((x0 + 0.25 * ex, y0 + 0.25 * ey), (mx, my)),  # part of an edge
+            ((cx, cy), (mx, my)),  # from inside to an edge
+            ((mx, my), (2 * mx - cx, 2 * my - cy)),  # from an edge outward: touches V at a point
+            ((cx, cy), (x0, y0)),  # from inside to a vertex
+            ((x0, y0), (2 * x0 - cx, 2 * y0 - cy)),  # from a vertex outward
+            ((2 * cx - x0, 2 * cy - y0), (2 * x0 - cx, 2 * y0 - cy)),  # through a vertex and the centroid
+        ]
+        chords += [((x0, y0), vs[j]) for j in range(i + 2, len(vs)) if (j + 1) % len(vs) != i]  # diagonals
+    # inside, shorter than crop's floor but longer than clip_segment's snap_tol, and shorter than both
+    chords += [((cx, cy), (cx + 1e-10, cy)), ((cx, cy), (cx, cy + 1e-13))]
+    return [Segment(p, q) for p, q in chords]
+
+
+class TestChunkKernel:
+    """_collect_chunk gives exactly the window_stats of each replicate's crop at each time."""
+
+    @pytest.mark.parametrize("case", ["triangle", "hexagon", "area", "point-driven"])
+    @pytest.mark.parametrize("arm", [0, 1], ids=["direct", "cropped"])
+    def test_equals_window_stats_of_crops(self, unit_square, iso_measure, stit_rules, case, arm):
+        big = rectangle(0, 0, 3, 3)
+        V, W, rules = {
+            "triangle": (Polygon([(0, 0), (1, 0), (0, 1)]), Polygon([(-1, -1), (3, -1), (-1, 3)]), stit_rules),
+            "hexagon": (regular_ngon((0, 0), 1, 6), regular_ngon((0.5, 0), 3, 6), stit_rules),
+            "area": (unit_square, big, RulePair(IntrinsicVolume(2), RestrictedMeasure(iso_measure))),
+            "point-driven": (unit_square, big, RulePair(HittingMeasure(iso_measure), PointDriven())),
+        }[case]
+        probes = default_probes(V)
+        times = [0.75, 1.5]
+        stats, aborted = _collect_chunk(rules, V, W, times, probes, 3, (arm, 0, 15))
+        assert aborted == 0
+        assert stats == _reference_columns(rules, V, W, times, probes, 3, arm, range(15))
+        assert sum(s.segment_count for s in stats[-1]) > 15
+
+    @pytest.mark.parametrize(
+        "V",
+        [rectangle(0, 0, 1, 1), Polygon([(0, 0), (1, 0), (0, 1)]), regular_ngon((0, 0), 1, 6)],
+        ids=["square", "triangle", "hexagon"],
+    )
+    def test_chords_on_the_boundary(self, stit_rules, monkeypatch, V):
+        W = scale_about_centroid(V, 4.0)
+        chords = _boundary_chords(V)
+        born = [0.2, 0.75, 1.0, 1.5, 2.0]  # two are snapshot times: born at t counts at t
+        plans = [
+            (chords, [born[i % len(born)] for i in range(len(chords))]),
+            ([], []),
+            (chords[::-1], [born[i % 3] for i in range(len(chords))]),
+        ]
+        monkeypatch.setattr(analysis, "new_process", lambda window, rules, seed: _FixedChords(window, *plans[seed[2]]))
+        probes = default_probes(V) + [V, scale_about_centroid(V, 0.5)]
+        times = [0.75, 1.5]
+        stats, aborted = _collect_chunk(stit_rules, V, W, times, probes, 0, (1, 0, len(plans)))
+        assert aborted == 0
+        expected = [
+            [
+                window_stats(crop(CroppedTessellation(W, tuple(s for s, b in zip(*plan) if b <= t)), V), probes)
+                for plan in plans
+            ]
+            for t in times
+        ]
+        assert stats == expected
+        assert 0 < expected[-1][0].segment_count < len([b for b in plans[0][1] if b <= 1.5])  # some are dropped
+
+    def test_aborted_replicate_is_left_out_of_every_time(self, unit_square, stit_rules, monkeypatch):
+        W = rectangle(0, 0, 2, 2)
+        probes = default_probes(unit_square)
+        times = [0.5, 1.0, 1.5]
+        real = analysis.new_process
+
+        class AbortsAfterFirstTime:
+            def __init__(self, state):
+                self.state = state
+
+            def advance(self, t):
+                if t > times[0]:
+                    raise ReplicateAborted("spy: aborted between the first and the last time")
+                return self.state.advance(t)
+
+        def new_process_spy(window, rules, seed):
+            state = real(window, rules, seed)
+            return AbortsAfterFirstTime(state) if seed[2] == 2 else state
+
+        monkeypatch.setattr(analysis, "new_process", new_process_spy)
+        stats, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 7, (1, 0, 5))
+        assert aborted == 1
+        assert stats == _reference_columns(stit_rules, unit_square, W, times, probes, 7, 1, [0, 1, 3, 4])
+
+
 class TestRateEstimate:
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.01])
+    def test_dt_must_be_positive_and_finite(self, unit_square, stit_rules, dt):
+        with pytest.raises(ValueError, match="dt"):
+            rate_estimate(stit_rules, unit_square, rectangle(0.25, 0.25, 0.75, 0.75), dt, 100)
+
+    @pytest.mark.parametrize("n_reps", [0, -1])
+    def test_needs_a_replicate(self, unit_square, stit_rules, n_reps):
+        with pytest.raises(ValueError, match="n_reps"):
+            rate_estimate(stit_rules, unit_square, rectangle(0.25, 0.25, 0.75, 0.75), 0.01, n_reps)
+
     def test_dt_precondition(self, unit_square, stit_rules):
         B = rectangle(0.25, 0.25, 0.75, 0.75)
         with pytest.raises(ValueError):

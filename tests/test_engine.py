@@ -82,6 +82,13 @@ class TestAdvance:
         with pytest.raises(ValueError):
             state.advance(0.5)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("-inf")])
+    def test_non_finite_time_raises(self, unit_square, stit_rules, t):
+        state = new_process(unit_square, stit_rules, 1).advance(0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            state.advance(t)
+        assert state.clock == 0.5
+
     def test_cells_equal_segments_plus_one(self, unit_square, stit_rules):
         state = new_process(unit_square, stit_rules, 17).advance(2.0)
         assert len(state.live_cells) == len(state.segments) + 1

@@ -11,6 +11,7 @@ from stitsim.geometry import (
     Hyperplane,
     Segment,
     clip_segment,
+    clip_segments,
     intrinsic_volumes,
     offset_interval,
     random_convex_polygon,
@@ -18,6 +19,7 @@ from stitsim.geometry import (
     regular_ngon,
     sample_uniform_point,
     segment_hits_polygon,
+    segments_hit_polygon,
     split,
     vertex_count,
     width,
@@ -508,6 +510,34 @@ def test_box_rejection_keeps_clip_and_hit_results(seed, polygon_kind, segment_ki
     seg = _test_segment(rng, C, segment_kind)
     assert clip_segment(seg, C) == _reference_clip_segment(seg, C)
     assert segment_hits_polygon(seg, C) == _reference_segment_hits_polygon(seg, C)
+
+
+@pytest.mark.parametrize("polygon_kind", ["random", "probe", "thin"])
+def test_batched_clip_and_hit_equal_the_scalar_ones(polygon_kind):
+    """clip_segments and segments_hit_polygon give every float and flag of
+    clip_segment and segment_hits_polygon, over all the segment kinds above."""
+    kinds = ["near", "touching", "vertex", "collinear", "tangent", "ending", "point", "short"]
+    decided = 0
+    for seed in range(150):
+        rng = np.random.default_rng((seed, 7))
+        try:
+            C = _test_polygon(rng, polygon_kind)
+        except InvalidPolygon:
+            continue
+        segs = [_test_segment(rng, C, kind) for kind in kinds for _ in range(8)]
+        xy = np.array([s.p + s.q for s in segs])
+        expected = [clip_segment(s, C) for s in segs]
+        rows, clipped, lengths = clip_segments(xy, C)
+        assert rows.tolist() == [i for i, c in enumerate(expected) if c is not None]
+        got = [Segment(tuple(r[:2]), tuple(r[2:])) for r in clipped.tolist()]
+        assert got == [c for c in expected if c is not None]
+        assert lengths == [c.length for c in got]
+        assert segments_hit_polygon(xy, C).tolist() == [segment_hits_polygon(s, C) for s in segs]
+        decided += len(rows)
+    assert decided > 1000  # the comparison saw many clipped segments, not only misses
+    rows, clipped, lengths = clip_segments(np.zeros((0, 4)), C)
+    assert (len(rows), clipped.shape, lengths) == (0, (0, 4), [])
+    assert segments_hit_polygon(np.zeros((0, 4)), C).shape == (0,)
 
 
 def test_circle_decision_skips_the_exact_tests(monkeypatch):

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 
 import pytest
 
-from stitsim import Atoms, HyperplaneMeasure, rectangle
+from stitsim import Atoms, HyperplaneMeasure, geometry, measures, rectangle
+from stitsim.cli import main
 from stitsim.geometry import offset_interval, random_convex_polygon, scale_about_centroid
 from stitsim.measures import (
     axis_aligned,
@@ -99,6 +102,33 @@ class TestSampleHitting:
         p = 2.0 / 3.0
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(k / n - p) < 3 * sigma
+
+    def test_atoms_project_once_per_atom(self, rng, monkeypatch):
+        thetas = (0.0, 0.4, math.pi / 2)
+        L = HyperplaneMeasure(1.0, Atoms(thetas, (0.2, 0.3, 0.5)))
+        poly = random_convex_polygon(rng, n_points=7)
+        calls = []
+
+        def counting(C, theta):
+            calls.append(theta)
+            return offset_interval(C, theta)
+
+        # width() reaches offset_interval through geometry, sample_hitting through measures
+        monkeypatch.setattr(geometry, "offset_interval", counting)
+        monkeypatch.setattr(measures, "offset_interval", counting)
+        for _ in range(50):
+            sample_hitting(L, poly, rng)
+        assert calls == list(thetas) * 50
+
+    def test_axis_aligned_stit_dump_is_unchanged(self, tmp_path):
+        # sha256 of the dump at t = 20, seed 1, recorded before the atom intervals were kept
+        cfg = tmp_path / "axis.json"
+        measure = {"intensity": 1.0, "directions": [[0.0, 0.5], [math.pi / 2, 0.5]]}
+        square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        cfg.write_text(json.dumps({"version": 1, "seed": 1, "window": square, "rules": {"stit": {"measure": measure}}, "time": 20.0}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        digest = hashlib.sha256((tmp_path / "o" / "tessellation.txt").read_bytes()).hexdigest()
+        assert digest == "a72fd0081781358920ae5fd638c579222082533446477679b07082e4777af967"
 
     def test_empirical_matches_analytic_hitting_prob(self, unit_square, iso_measure, rng):
         B = rectangle(0.2, 0.3, 0.7, 0.8)
