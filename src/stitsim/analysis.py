@@ -18,15 +18,16 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .engine import MIN_CHORD_REL, CroppedTessellation, new_process
+from .engine import CroppedTessellation, crop_rows, new_process
 from .errors import ContainmentViolation, InsufficientSamples, ReplicateAborted
 from .geometry import (
     Polygon,
-    clip_segments,
+    Segment,
+    edge_margins,
     random_convex_polygon,
     regular_ngon,
     scale_about_centroid,
-    segment_hits_polygon,
+    segment_rows,
     segments_hit_polygon,
     vertex_count,
 )
@@ -54,18 +55,28 @@ class WindowStats:
     probe_hits: tuple[bool, ...]
 
 
+def _chord_flags(xy: np.ndarray, V: Polygon, probes: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray]:
+    """(interior, hits) of cropped chords, rows (px, py, qx, qy) of xy.
+
+    interior[i] counts the endpoints of chord i strictly inside V, more than
+    1e-9*V._scale inside every edge; hits[i, j] says whether it meets probe j.
+    """
+    floor = 1e-9 * V._scale
+    interior = (edge_margins(V, xy[:, 0], xy[:, 1]) > floor).astype(int)
+    interior += edge_margins(V, xy[:, 2], xy[:, 3]) > floor
+    hits = np.zeros((len(xy), len(probes)), dtype=bool)
+    for j, pr in enumerate(probes):
+        hits[:, j] = segments_hit_polygon(xy, pr)
+    return interior, hits
+
+
 def window_stats(T: CroppedTessellation, probes: Sequence[Polygon] = ()) -> WindowStats:
     """Statistics of one crop; every probe must lie in `T.window` (not checked here)."""
-    V = T.window
     total = 0.0
-    interior = 0
     for s in T.segments:
         total += s.length
-        for endpoint in (s.p, s.q):
-            if V.strictly_contains_point(endpoint, tol=1e-9):
-                interior += 1
-    hits = tuple(any(segment_hits_polygon(s, pr) for s in T.segments) for pr in probes)
-    return WindowStats(total, len(T.segments), interior, hits)
+    interior, hits = _chord_flags(segment_rows(T.segments), T.window, probes)
+    return WindowStats(total, len(T.segments), int(interior.sum()), tuple(hits.any(axis=0).tolist()))
 
 
 def default_probes(V: Polygon) -> list[Polygon]:
@@ -184,7 +195,7 @@ def _collect_chunk(
     """
     arm, rep_start, rep_count = chunk
     build_window = W if arm else V
-    chords: list[tuple[float, float, float, float]] = []
+    chords: list[Segment] = []
     births: list[float] = []
     counts: list[int] = []
     aborted = 0
@@ -195,12 +206,11 @@ def _collect_chunk(
         except ReplicateAborted:
             aborted += 1
             continue
-        chords.extend(s.p + s.q for s in state.segments)
-        births.extend(state.births)
+        chords += state.segments
+        births += state.births
         counts.append(len(state.segments))
     owner = np.repeat(np.arange(len(counts)), np.array(counts, dtype=int))
-    xy = np.array(chords, dtype=float).reshape(-1, 4)
-    return _window_columns(xy, np.array(births), owner, len(counts), V, times, probes), aborted
+    return _window_columns(segment_rows(chords), np.array(births), owner, len(counts), V, times, probes), aborted
 
 
 def _window_columns(
@@ -216,26 +226,15 @@ def _window_columns(
 
     Row i of `chords` is the chord (px, py, qx, qy) of replicate owner[i],
     born at births[i]; a replicate's rows are in its division order.  Each
-    chord is clipped and tested once: a snapshot at time t holds the chords
-    born by t, so each time only selects them.  `np.bincount` adds in input
-    order, so the total lengths are the floats `window_stats` sums.
+    chord is cropped and flagged once, as in `crop` and `window_stats`: a
+    snapshot at time t holds the chords born by t, so each time only selects
+    them.  `np.bincount` adds in input order, so the total lengths are the
+    floats `window_stats` sums.
     """
-    rows, clipped, lengths = clip_segments(chords, V)
-    keep = [i for i, length in enumerate(lengths) if length > MIN_CHORD_REL * V._scale]  # as `crop`
-    clipped, births, owner = clipped[keep], births[rows[keep]], owner[rows[keep]]
-    lengths = np.array(lengths)[keep]
-    interior = np.zeros(len(clipped))
-    floor = 1e-9 * V._scale  # the arithmetic of strictly_contains_point(tol=1e-9)
-    vs = V.vertices
-    for x, y in (clipped[:, :2].T, clipped[:, 2:].T):
-        inside = np.ones(len(clipped), dtype=bool)
-        for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
-            inside &= (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > floor
-        interior += inside
+    rows, clipped, lengths = crop_rows(chords, V)
+    births, owner, lengths = births[rows], owner[rows], np.array(lengths)
+    interior, hits = _chord_flags(clipped, V, probes)
     m = len(probes)
-    hits = np.zeros((len(clipped), m), dtype=bool)
-    for j, pr in enumerate(probes):
-        hits[:, j] = segments_hit_polygon(clipped, pr)
     slots = owner[:, None] * m + np.arange(m)
     columns = []
     for t in times:
@@ -347,12 +346,15 @@ def rate_estimate(
         raise ValueError(
             f"dt too large: expected divisions in (0, dt) must stay below {MAX_DIVISIONS_PER_DT}"
         )
-    hits = 0
+    chords: list[Segment] = []
+    owner: list[int] = []
     for rep in range(n_reps):
         state = new_process(V, rules, (seed, 2, rep))
         state.advance(dt)
-        if any(segment_hits_polygon(s, B) for s in state.segments):
-            hits += 1
+        chords += state.segments
+        owner += [rep] * len(state.segments)
+    hit = segments_hit_polygon(segment_rows(chords), B)
+    hits = len(np.unique(np.array(owner, dtype=int)[hit]))
     return hits / (n_reps * dt)
 
 

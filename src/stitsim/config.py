@@ -190,12 +190,12 @@ def parse_times(spec: Any, path: str) -> list[float]:
     return times
 
 
-def _check_event_budget(rules: RulePair, t: float, path: str) -> None:
-    """Reject a run whose selection rule is known to exceed the engine's event cap by time t."""
-    floor = min_expected_chords(rules.selection, t)
+def _check_event_budget(rules: RulePair, W: Polygon, t: float, path: str) -> None:
+    """Reject a run in W that is known to exceed the engine's event cap by time t on average."""
+    floor = min_expected_chords(rules, W, t)
     if floor > MAX_EVENTS:
         raise ConfigError(
-            f"{path}: the selection rule expects at least {floor:.3g} chords by t = {t},"
+            f"{path}: the rules expect at least {floor:.3g} chords by t = {t},"
             f" over the event cap of {MAX_EVENTS}; use a smaller time"
         )
 
@@ -234,7 +234,7 @@ def parse_simulate(cfg: dict) -> dict:
         )
     window = parse_window(cfg["window"], "config.window")
     rules = parse_rules(cfg["rules"])
-    _check_event_budget(rules, t, "config.time")
+    _check_event_budget(rules, window, t, "config.time")
     return {
         "seed": cfg["seed"],
         "window": window,
@@ -269,7 +269,7 @@ def parse_consistency(cfg: dict) -> dict:
         raise ConfigError(f"config.alpha: must lie in (0, 1), got {alpha}")
     rules = parse_rules(cfg["rules"])
     times = parse_times(cfg["times"], "config.times")
-    _check_event_budget(rules, times[-1], "config.times")
+    _check_event_budget(rules, W, times[-1], "config.times")
     return {
         "seed": cfg["seed"],
         "V": V,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContainmentViolation, DegenerateSplit, ReplicateAborted
-from .geometry import Polygon, Segment, clip_segment, split
+from .geometry import Polygon, Segment, clip_segments, segment_rows, split
 from .rules import RulePair, divide, rate
 
 MAX_RESAMPLE = 100
@@ -125,18 +125,26 @@ def new_process(W: Polygon, rules: RulePair, seed: int | tuple[int, ...]) -> Pro
     return ProcessState(W, rules, seed)
 
 
+def crop_rows(xy: np.ndarray, V: Polygon) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """`clip_segments(xy, V)` less the pieces not longer than MIN_CHORD_REL times V's extent.
+
+    The floor is relative to V's extent, so it does not depend on where V sits.
+    """
+    rows, clipped, lengths = clip_segments(xy, V)
+    keep = [i for i, length in enumerate(lengths) if length > MIN_CHORD_REL * V._scale]
+    return rows[keep], clipped[keep], [lengths[i] for i in keep]
+
+
 def crop(source: ProcessState | CroppedTessellation, V: Polygon) -> CroppedTessellation:
-    """Clip each of the source's chords to V and keep the pieces longer than a floor.
+    """Clip each of the source's chords to V and keep the pieces longer than a floor (`crop_rows`).
 
     Reads only `source.window` and `source.segments`, and keeps their order.
-    The floor is MIN_CHORD_REL times V's extent, so it does not depend on
-    where V sits.  Every division rule draws the line offset from a continuous
-    law, so with probability 1 no two chords are collinear and no chord lies
-    along an edge of V: each clipped chord is already a maximal segment.
+    Every division rule draws the line offset from a continuous law, so with
+    probability 1 no two chords are collinear and no chord lies along an edge
+    of V: each clipped chord is already a maximal segment.
     """
     if not source.window.contains_polygon(V):
         raise ContainmentViolation("crop window V must be contained in the source window")
 
-    min_length = MIN_CHORD_REL * V._scale
-    clipped = (clip_segment(s, V) for s in source.segments)
-    return CroppedTessellation(V, tuple(c for c in clipped if c is not None and c.length > min_length))
+    _, clipped, _ = crop_rows(segment_rows(source.segments), V)
+    return CroppedTessellation(V, tuple(Segment((px, py), (qx, qy)) for px, py, qx, qy in clipped.tolist()))

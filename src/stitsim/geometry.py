@@ -39,11 +39,6 @@ class Hyperplane:
     def normal(self) -> tuple[float, float]:
         return (math.cos(self.theta), math.sin(self.theta))
 
-    @property
-    def direction(self) -> tuple[float, float]:
-        ux, uy = self.normal
-        return (-uy, ux)
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -60,7 +55,7 @@ class Segment:
 class Polygon:
     """Strictly convex polygon, CCW vertex tuple, canonicalized and validated once."""
 
-    __slots__ = ("vertices", "area", "perimeter", "_diameter", "_scale", "_box", "_reach", "_circles")
+    __slots__ = ("vertices", "area", "perimeter", "_diameter", "_scale", "_box", "_circles")
 
     def __init__(self, vertices: Iterable[Sequence[float]]):
         pts = [(float(x), float(y)) for x, y in vertices]
@@ -148,7 +143,6 @@ class Polygon:
         object.__setattr__(self, "_diameter", None)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_box", box)
-        object.__setattr__(self, "_reach", None)
         object.__setattr__(self, "_circles", None)
 
     def __setattr__(self, name, value):
@@ -186,28 +180,23 @@ class Polygon:
         return d
 
     def _reach_terms(self) -> tuple[float, float]:
-        """(a, b): the containment tests accept no point further than a + b*span
-        outside the bounding box; see `_box_misses`."""
-        r = self._reach
-        if r is None:
-            vs = self.vertices
-            n = len(vs)
-            a = b = 0.0
-            for i in range(n):
-                x0, y0 = vs[i - 1]
-                x1, y1 = vs[i]
-                x2, y2 = vs[(i + 1) % n]
-                l_in = math.hypot(x1 - x0, y1 - y0)
-                l_out = math.hypot(x2 - x1, y2 - y1)
-                sine = _orient(x0, y0, x1, y1, x2, y2) / (l_in * l_out)
-                if sine <= 1e-14:  # too flat for the computed turn to be trusted
-                    a = b = math.inf
-                    break
-                a = max(a, (1.0 / l_in + 1.0 / l_out) / sine)
-                b = max(b, 1.0 / sine)
-            r = (2.0 * self.snap_tol * self._scale * a, 40.0 * sys.float_info.epsilon * b)
-            object.__setattr__(self, "_reach", r)
-        return r
+        """(a, b): the exact tests accept no point further than a + b*L from
+        the polygon; see the derivation above `edge_margins`."""
+        vs = self.vertices
+        n = len(vs)
+        a = b = 0.0
+        for i in range(n):
+            x0, y0 = vs[i - 1]
+            x1, y1 = vs[i]
+            x2, y2 = vs[(i + 1) % n]
+            l_in = math.hypot(x1 - x0, y1 - y0)
+            l_out = math.hypot(x2 - x1, y2 - y1)
+            sine = _orient(x0, y0, x1, y1, x2, y2) / (l_in * l_out)
+            if sine <= 1e-14:  # too flat for the computed turn to be trusted
+                return (math.inf, math.inf)
+            a = max(a, (1.0 / l_in + 1.0 / l_out) / sine)
+            b = max(b, 1.0 / sine)
+        return (2.0 * self.snap_tol * self._scale * a, 40.0 * sys.float_info.epsilon * b)
 
     def _circle_terms(self) -> tuple[float, float, float, float, float, float]:
         """(cx, cy, far, far_rate, deep, deep_rate): a segment at distance d from
@@ -265,18 +254,6 @@ class Polygon:
             x0, y0 = vs[i]
             x1, y1 = vs[(i + 1) % len(vs)]
             if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) < -tol * self._scale:
-                return False
-        return True
-
-    def strictly_contains_point(self, p: Sequence[float], tol: Optional[float] = None) -> bool:
-        if tol is None:
-            tol = self.snap_tol
-        x, y = p
-        vs = self.vertices
-        for i in range(len(vs)):
-            x0, y0 = vs[i]
-            x1, y1 = vs[(i + 1) % len(vs)]
-            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) <= tol * self._scale:
                 return False
         return True
 
@@ -460,7 +437,7 @@ def split(
         )
 
     # Trace endpoints: the two extreme crossing points along the line direction.
-    dx, dy = -uy, ux  # h.direction
+    dx, dy = -uy, ux  # along the line
     cross_pts.sort(key=lambda p: p[0] * dx + p[1] * dy)
     p0, p1 = cross_pts[0], cross_pts[-1]
     if math.hypot(p1[0] - p0[0], p1[1] - p0[1]) <= tol:
@@ -494,121 +471,96 @@ def sample_uniform_point(C: Polygon, rng) -> tuple[float, float]:
     return (px, py)
 
 
-# Early rejection by bounding box, exact with respect to the full tests.
+# How far outside C the exact tests accept a point.
 #
 # Let tau = C.snap_tol * C._scale and, for an edge e from v0, cross_e(x) =
-# cross(e, x - v0).  contains_point and the parallel-edge branch of
-# clip_segment accept x when cross_e(x) >= -tau for every edge, that is up to
-# tau/|e| beyond e's line.  When clip_segment returns a segment, its start
-# p + t0*d, 0 <= t0 <= 1, satisfies cross_e >= 0 for every edge not parallel
-# to it, because t0 lies on the inner side of each edge crossing.  Rounding
-# moves each computed cross product by at most 20u*|e|*L (u = eps/2), where L
-# is the x span plus the y span of the segment's and C's boxes together, since
-# num, den and t0*den are sums of products of an edge component with a
-# distance at most L.  So every point the tests accept satisfies
-# cross_e(x) >= -tau_e, with tau_e = tau + 20u*|e|*L.
+# cross(e, x - v0).  The containment test (`edge_margins`) and the
+# parallel-edge rule of `clip_segments` accept x when cross_e(x) >= -tau for
+# every edge, that is up to tau/|e| beyond e's line.  When `clip_segments`
+# returns a row, its start p + t0*d, 0 <= t0 <= 1, satisfies cross_e >= 0 for
+# every edge not parallel to it, because t0 lies on the inner side of each
+# edge crossing.  Rounding moves each computed cross product by at most
+# 20u*|e|*L (u = eps/2), where L is the x span plus the y span of the
+# segment's and C's boxes together, since num, den and t0*den are sums of
+# products of an edge component with a distance at most L.  So every point the
+# tests accept satisfies cross_e(x) >= -tau_e, with tau_e = tau + 20u*|e|*L.
 #
-# Take a vertex v furthest along an axis direction.  Its neighbours are no
+# Take a vertex v furthest along some direction.  Its neighbours are no
 # further, so -e_in and e_out point back from that direction, and the turn
 # X = cross(e_in, e_out) is positive.  The two relaxed constraints at v alone
 # leave the wedge v + w + cone(-e_in, e_out), w = (tau_out*e_in -
-# tau_in*e_out)/X, which reaches no further along the axis than v + w.  With
-# s = X/(|e_in||e_out|), the sine of the turn,
+# tau_in*e_out)/X, which reaches no further along the direction than v + w.
+# With s = X/(|e_in||e_out|), the sine of the turn,
 #     |w| <= tau*(1/|e_in| + 1/|e_out|)/s + 40u*L/s.
-# The box holds v, so no accepted point lies further outside it than the
-# maximum of that bound over the vertices.  `_reach_terms` doubles the
-# maximum, for the rounding of s and of the comparisons, and gives it up when
-# a turn is too flat to trust (s <= 1e-14; s is computed to within 4u).
+# That holds for every direction, so no accepted point lies further from C
+# than the maximum of that bound over the vertices.  `_reach_terms` doubles
+# the maximum, for the rounding of s and of the comparisons, and gives it up
+# when a turn is too flat to trust (s <= 1e-14; s is computed to within 4u).
 
 
-def _box_misses(seg: Segment, C: Polygon) -> bool:
-    """True when no point of seg can pass C's containment or clip tests."""
-    px, py = seg.p
-    qx, qy = seg.q
-    x_lo, y_lo, x_hi, y_hi = C._box
-    sx_lo, sx_hi = (px, qx) if px <= qx else (qx, px)
-    sy_lo, sy_hi = (py, qy) if py <= qy else (qy, py)
-    if sx_lo <= x_hi and x_lo <= sx_hi and sy_lo <= y_hi and y_lo <= sy_hi:
-        return False
-    a, b = C._reach_terms()
-    span = max(sx_hi, x_hi) - min(sx_lo, x_lo) + max(sy_hi, y_hi) - min(sy_lo, y_lo)
-    return max(sx_lo - x_hi, x_lo - sx_hi, sy_lo - y_hi, y_lo - sy_hi) > a + b * span
+def _edges(C: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x0, y0, ex, ey): the start and the vector of each of C's edges, in CCW
+    order, as (n_edges, 1) arrays that broadcast against a 1-d array of points."""
+    vs = C.vertices
+    v = np.array(vs + vs[:1])
+    e = v[1:] - v[:-1]
+    return v[:-1, 0, None], v[:-1, 1, None], e[:, 0, None], e[:, 1, None]
+
+
+def edge_margins(C: Polygon, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The least of (x1-x0)*(y-y0) - (y1-y0)*(x-x0) over C's edges, per point.
+
+    These are the products of `Polygon.contains_point`: a point is in C,
+    closed and widened by the snap tolerance, when its margin is at least
+    -C.snap_tol*C._scale.
+    """
+    x0, y0, ex, ey = _edges(C)
+    return (ex * (y - y0) - ey * (x - x0)).min(axis=0)
+
+
+def segment_rows(segments: Iterable[Segment]) -> np.ndarray:
+    """The segments as the rows (px, py, qx, qy) of an (n, 4) float array."""
+    return np.array([s.p + s.q for s in segments], dtype=float).reshape(-1, 4)
 
 
 def clip_segment(seg: Segment, C: Polygon) -> Optional[Segment]:
-    """Intersection of a segment with a convex polygon, or None if empty/degenerate."""
-    if _box_misses(seg, C):
+    """Intersection of a segment with a convex polygon, or None if empty/degenerate.
+
+    `clip_segments` of one row.
+    """
+    _, clipped, _ = clip_segments(segment_rows([seg]), C)
+    if not len(clipped):
         return None
-    px, py = seg.p
-    dx = seg.q[0] - px
-    dy = seg.q[1] - py
-    t0, t1 = 0.0, 1.0
-    vs = C.vertices
-    n = len(vs)
-    for i in range(n):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % n]
-        # inside means cross((edge), (point - v0)) >= 0
-        ex, ey = x1 - x0, y1 - y0
-        num = ex * (py - y0) - ey * (px - x0)
-        den = ex * dy - ey * dx
-        if abs(den) < 1e-300:
-            if num < -C.snap_tol * C._scale:
-                return None
-            continue
-        t = -num / den
-        if den > 0:
-            if t > t0:
-                t0 = t
-        else:
-            if t < t1:
-                t1 = t
-        if t0 > t1:
-            return None
-    # snap to the original endpoints so re-clipping is exactly idempotent;
-    # threshold is geometric (absolute movement), not parametric
-    seg_len = math.hypot(dx, dy)
-    snap = max(1e-12, C.snap_tol / seg_len) if seg_len > 0 else 1e-12
-    if t0 < snap:
-        t0 = 0.0
-    if t1 > 1.0 - snap:
-        t1 = 1.0
-    p = seg.p if t0 == 0.0 else (px + t0 * dx, py + t0 * dy)
-    q = seg.q if t1 == 1.0 else (px + t1 * dx, py + t1 * dy)
-    if math.hypot(q[0] - p[0], q[1] - p[1]) <= C.snap_tol:
-        return None
-    return Segment(p, q)
+    px, py, qx, qy = clipped[0].tolist()
+    return Segment((px, py), (qx, qy))
 
 
 def clip_segments(xy: np.ndarray, C: Polygon) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """`clip_segment` of each row (px, py, qx, qy) of xy, operation for operation.
+    """Intersection of each row (px, py, qx, qy) of xy with C (Cyrus-Beck).
 
     Returns (rows, clipped, lengths): the indices of the rows that clip to a
-    segment, those segments as rows, and their `Segment.length`s.  The
-    products, the parallel-edge rule and the snap are those of `clip_segment`
-    in the same order, and lengths come from `math.hypot`, so every float is
-    the one `clip_segment` gives.  The `_box_misses` early exit is left out:
-    it rejects only segments the full tests reject (derivation above it).
+    segment longer than snap_tol, those segments as rows, and their
+    `Segment.length`s (by `math.hypot`).  A row parallel to an edge is cut
+    only when it lies more than the snap tolerance outside that edge.
     """
     px, py, qx, qy = xy.T
     dx = qx - px
     dy = qy - py
-    alive = np.ones(len(xy), dtype=bool)
-    t0 = np.zeros(len(xy))
-    t1 = np.ones(len(xy))
-    vs = C.vertices
-    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
-        ex, ey = x1 - x0, y1 - y0
-        num = ex * (py - y0) - ey * (px - x0)
-        den = ex * dy - ey * dx
-        parallel = np.abs(den) < 1e-300
-        alive &= ~(parallel & (num < -C.snap_tol * C._scale))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t = -num / den
-        t0 = np.where(~parallel & (den > 0) & (t > t0), t, t0)
-        t1 = np.where(~parallel & (den < 0) & (t < t1), t, t1)
+    # one row per edge; inside means cross((edge), (point - v0)) >= 0
+    x0, y0, ex, ey = _edges(C)
+    num = ex * (py - y0) - ey * (px - x0)
+    den = ex * dy - ey * dx
+    parallel = np.abs(den) < 1e-300
+    alive = ~(parallel & (num < -C.snap_tol * C._scale)).any(axis=0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = -num / den
+    # the largest entry and the smallest exit parameter, within [0, 1]
+    t0 = np.where(~parallel & (den > 0) & (t > 0.0), t, 0.0).max(axis=0)
+    t1 = np.where(~parallel & (den < 0) & (t < 1.0), t, 1.0).min(axis=0)
     rows = np.flatnonzero(alive & (t0 <= t1))
 
+    # snap to the original endpoints so re-clipping is exactly idempotent;
+    # the threshold is geometric (absolute movement), not parametric
     px, py, dx, dy, t0, t1 = px[rows], py[rows], dx[rows], dy[rows], t0[rows], t1[rows]
     hypot = math.hypot
     seg_len = np.array([hypot(u, v) for u, v in zip(dx.tolist(), dy.tolist())])
@@ -640,74 +592,53 @@ def _orient(ax, ay, bx, by, cx, cy) -> float:
 # the smallest signed distance from c to an edge line, so C lies in the disk
 # B(c, R) and, when r > 0, holds B(c, r).  For a segment p -> q let s be the sum
 # of |p_x - c_x|, |p_y - c_y|, |q_x - c_x| and |q_y - c_y|, k the x span plus
-# the y span of C's box and c together, and S = k + 2s.  S bounds L of
-# `_box_misses` (an axis span of the union of the two boxes is at most the
-# box's plus twice the larger endpoint offset from c), and with it |p - c|,
-# |q - c|, |q - p| and R; M = max(|c_x|, |c_y|) + s bounds every coordinate on
-# the segment.  d, the distance from c to the segment, is computed within
-# 20u*S (u = eps/2 as above): each branch below rounds by at most 10u*S, and a
-# branch taken wrongly (t near 0 or near |q - p|^2, computed within
-# 8u*S*|q - p|) has the foot of the perpendicular within 8u*S of the endpoint.
-# The computed R and r are within 3u*S and 8u*S.
+# the y span of C's box and c together, and S = k + 2s.  S bounds L above (an
+# axis span of the union of the two boxes is at most the box's plus twice the
+# larger endpoint offset from c), and with it |p - c|, |q - c|, |q - p| and R;
+# M = max(|c_x|, |c_y|) + s bounds every coordinate on the segment.  d, the
+# distance from c to the segment, is computed within 20u*S (u = eps/2 as
+# above): each branch below rounds by at most 10u*S, and a branch taken
+# wrongly (t near 0 or near |q - p|^2, computed within 8u*S*|q - p|) has the
+# foot of the perpendicular within 8u*S of the endpoint.  np.hypot may differ
+# from math.hypot by 1 ulp, which that bound covers.  The computed R and r
+# are within 3u*S and 8u*S.
 #
-# Far.  The wedge argument of `_box_misses` holds for the vertex furthest along
-# any direction, not only an axis, so every accepted point lies within
-# rho = a + b*L of C, (a, b) = `_reach_terms()`, and within R + rho of c.  d > R + a + (b + 16eps)*S thus
-# leaves no accepted point on the segment: 16eps*S = 32u*S covers the rounding
-# of d and R, and the doubling in `_reach_terms` the rounding of the sum.
+# Far.  By the wedge argument above, every accepted point lies within
+# rho = a + b*L of C, (a, b) = `_reach_terms()`, and within R + rho of c.
+# d > R + a + (b + 16eps)*S thus leaves no accepted point on the segment:
+# 16eps*S = 32u*S covers the rounding of d and R, and the doubling in
+# `_reach_terms` the rounding of the sum.
 #
 # Deep.  Let delta = r - d > 0 and x the point of the segment nearest c; then
 # B(x, delta) lies in C, and a point y with B(y, h) in C has cross_e(y) >=
 # h*|e| for every edge.  If an endpoint lies within delta/2 of x it is delta/2
-# deep, and contains_point accepts it once delta/2 > 20u*L.  Otherwise
+# deep, and the containment test accepts it once delta/2 > 20u*L.  Otherwise
 # x -/+ (delta/2)(q - p)/|q - p| lie on the segment, at t- < t+, both delta/2
-# deep.  In clip_segment the computed function num + t*den of an edge is within
-# 20u*|e|*L of cross_e on [0, 1], so for den > 0 it is positive at t- and its
-# root lies below t-; the quotient adds u, so t0 <= t- + u.  Likewise
-# t1 >= t+ - u, no parallel edge rejects, and the box test passes (x lies in
-# both boxes).  Snapping only widens [t0, t1] and the ends are computed within
-# 3u*M of the exact points, so the clip is longer than snap_tol once
-# delta > snap_tol + 40u*(L + M).  d < r - snap_tol - 64eps*(S + M) keeps
-# delta above that after the rounding of d, r and the sum.
+# deep.  In `clip_segments` the computed function num + t*den of an edge is
+# within 20u*|e|*L of cross_e on [0, 1], so for den > 0 it is positive at t-
+# and its root lies below t-; the quotient adds u, so t0 <= t- + u.  Likewise
+# t1 >= t+ - u and no parallel edge rejects.  Snapping only widens [t0, t1]
+# and the ends are computed within 3u*M of the exact points, so the clip is
+# longer than snap_tol once delta > snap_tol + 40u*(L + M).
+# d < r - snap_tol - 64eps*(S + M) keeps delta above that after the rounding
+# of d, r and the sum.
 
 
 def segment_hits_polygon(seg: Segment, C: Polygon) -> bool:
     """Nonempty intersection of a closed segment with a closed convex polygon.
 
-    Decided from C's inner and outer circles when the segment passes well
-    inside the one or well outside the other, by the exact tests otherwise.
+    `segments_hit_polygon` of one row.
     """
-    cx, cy, far, far_rate, deep, deep_rate = C._circle_terms()
-    px, py = seg.p
-    qx, qy = seg.q
-    ax, ay = px - cx, py - cy
-    bx, by = qx - cx, qy - cy
-    vx, vy = qx - px, qy - py
-    t = -(ax * vx + ay * vy)
-    vv = vx * vx + vy * vy
-    if t <= 0.0:
-        d = math.hypot(ax, ay)
-    elif t >= vv:
-        d = math.hypot(bx, by)
-    else:
-        d = abs(ax * vy - ay * vx) / math.sqrt(vv)
-    s = abs(ax) + abs(ay) + abs(bx) + abs(by)
-    if d > far + far_rate * s:
-        return False
-    if d < deep - deep_rate * s:
-        return True
-    if _box_misses(seg, C):
-        return False
-    if C.contains_point(seg.p) or C.contains_point(seg.q):
-        return True
-    return clip_segment(seg, C) is not None
+    return bool(segments_hit_polygon(segment_rows([seg]), C)[0])
 
 
 def segments_hit_polygon(xy: np.ndarray, C: Polygon) -> np.ndarray:
-    """`segment_hits_polygon` of each row (px, py, qx, qy) of xy, as a bool array.
+    """Whether each closed segment, a row (px, py, qx, qy) of xy, meets C, as a bool array.
 
-    The circle decision runs on all rows at once; the rows in the band
-    between the circles go to `segment_hits_polygon` one by one.
+    Decided from C's inner and outer circles when the segment passes well
+    inside the one or well outside the other.  The rows in the band between
+    go to the exact tests: a hit when an endpoint is in C or the segment
+    clips to a piece.
     """
     cx, cy, far, far_rate, deep, deep_rate = C._circle_terms()
     px, py, qx, qy = xy.T
@@ -716,8 +647,6 @@ def segments_hit_polygon(xy: np.ndarray, C: Polygon) -> np.ndarray:
     vx, vy = qx - px, qy - py
     t = -(ax * vx + ay * vy)
     vv = vx * vx + vy * vy
-    # np.hypot may differ from math.hypot by 1 ulp; that is within the 20u*S
-    # allowed for the computed d in the derivation above.
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(
             t <= 0.0,
@@ -726,7 +655,12 @@ def segments_hit_polygon(xy: np.ndarray, C: Polygon) -> np.ndarray:
         )
     s = np.abs(ax) + np.abs(ay) + np.abs(bx) + np.abs(by)
     hit = d < deep - deep_rate * s
-    for i in np.flatnonzero(~hit & ~(d > far + far_rate * s)).tolist():
-        px_i, py_i, qx_i, qy_i = xy[i].tolist()
-        hit[i] = segment_hits_polygon(Segment((px_i, py_i), (qx_i, qy_i)), C)
+    band = np.flatnonzero(~hit & ~(d > far + far_rate * s))
+    if len(band):
+        rows = xy[band]
+        floor = -C.snap_tol * C._scale
+        hit[band] = (edge_margins(C, rows[:, 0], rows[:, 1]) >= floor) | (
+            edge_margins(C, rows[:, 2], rows[:, 3]) >= floor
+        )
+        hit[band[clip_segments(rows, C)[0]]] = True
     return hit

@@ -95,21 +95,30 @@ def rate(r: SelectionRule, C: Polygon) -> float:
     return hitting_mass(r.measure, C)
 
 
-def min_expected_chords(r: SelectionRule, t: float) -> float:
-    """A lower bound on the expected number of chords by time t, or 0 where none is cheap.
+def min_expected_chords(rules: RulePair, W: Polygon, t: float) -> float:
+    """A lower bound on the expected number of chords in W by time t.
 
-    Under `VertexCount` every cell divides at rate >= 3, and under
-    `IntrinsicVolume(0)` at rate exactly 1, so the cell count dominates a Yule
-    process of that rate, whose mean is e^{rate*t}: E[chords] >= e^{rate*t} - 1.
-    The exponent is capped below float overflow.
+    Chords arrive at the rate sum over the live cells C of rate(C).
+    - `VertexCount`: every cell divides at rate >= 3, and under
+      `IntrinsicVolume(0)` at rate exactly 1, so the cell count dominates a
+      Yule process of that rate, whose mean is e^{rate*t}: E[chords] >=
+      e^{rate*t} - 1.  The exponent is capped below float overflow.
+    - Otherwise the rates of the cells sum to at least rate(W): areas add up,
+      perimeters only grow, and a line that hits W hits some cell.  So
+      E[chords] >= t*rate(W), with equality for `IntrinsicVolume(2)`.
+    - For the isotropic STIT pair of intensity I, where the mean total length
+      is I*t*area(W), the mean is exactly I*t*per(W)/pi + I^2*t^2*area(W)/pi.
     """
+    r = rules.selection
     if isinstance(r, VertexCount):
-        growth = 3.0
-    elif isinstance(r, IntrinsicVolume) and r.index == 0:
-        growth = 1.0
-    else:
-        return 0.0
-    return math.expm1(min(growth * t, 700.0))
+        return math.expm1(min(3.0 * t, 700.0))
+    if isinstance(r, IntrinsicVolume) and r.index == 0:
+        return math.expm1(min(t, 700.0))
+    n = t * rate(r, W)
+    if rules.stit_flag and isinstance(r.measure.directions, Isotropic):
+        intensity = r.measure.intensity
+        n += intensity * intensity * t * t * W.area / math.pi
+    return n
 
 
 def divide(r: DivisionRule, C: Polygon, rng) -> Hyperplane:

@@ -1,0 +1,87 @@
+"""Exact scalar references for clipping, hit tests, crop and window statistics.
+
+They work one segment and one edge at a time in plain Python and share no
+code with the array kernels of `stitsim.geometry` (`clip_segments`,
+`segments_hit_polygon`, `edge_margins`), so a test that compares the two
+compares independent arithmetic.
+"""
+
+import math
+
+from stitsim.analysis import WindowStats
+from stitsim.engine import MIN_CHORD_REL
+from stitsim.geometry import Segment
+
+
+def _reference_clip_segment(seg, C):
+    """Cyrus-Beck clip of seg to C, or None, with the snap to the endpoints and the snap_tol floor."""
+    px, py = seg.p
+    dx = seg.q[0] - px
+    dy = seg.q[1] - py
+    t0, t1 = 0.0, 1.0
+    vs = C.vertices
+    n = len(vs)
+    for i in range(n):
+        x0, y0 = vs[i]
+        x1, y1 = vs[(i + 1) % n]
+        ex, ey = x1 - x0, y1 - y0
+        num = ex * (py - y0) - ey * (px - x0)
+        den = ex * dy - ey * dx
+        if abs(den) < 1e-300:
+            if num < -C.snap_tol * C._scale:
+                return None
+            continue
+        t = -num / den
+        if den > 0:
+            if t > t0:
+                t0 = t
+        else:
+            if t < t1:
+                t1 = t
+        if t0 > t1:
+            return None
+    seg_len = math.hypot(dx, dy)
+    snap = max(1e-12, C.snap_tol / seg_len) if seg_len > 0 else 1e-12
+    if t0 < snap:
+        t0 = 0.0
+    if t1 > 1.0 - snap:
+        t1 = 1.0
+    p = seg.p if t0 == 0.0 else (px + t0 * dx, py + t0 * dy)
+    q = seg.q if t1 == 1.0 else (px + t1 * dx, py + t1 * dy)
+    if math.hypot(q[0] - p[0], q[1] - p[1]) <= C.snap_tol:
+        return None
+    return Segment(p, q)
+
+
+def _reference_segment_hits_polygon(seg, C):
+    """An endpoint in C (closed, widened by the snap tolerance), or a nonempty clip."""
+    if C.contains_point(seg.p) or C.contains_point(seg.q):
+        return True
+    return _reference_clip_segment(seg, C) is not None
+
+
+def _reference_crop(segments, V):
+    """Each segment clipped to V, keeping the pieces longer than MIN_CHORD_REL times V's extent."""
+    min_length = MIN_CHORD_REL * V._scale
+    clipped = (_reference_clip_segment(s, V) for s in segments)
+    return [c for c in clipped if c is not None and c.length > min_length]
+
+
+def _reference_window_stats(segments, V, probes):
+    """`window_stats(crop(T, V), probes)` for a tessellation T with these segments.
+
+    An endpoint is interior when it lies more than 1e-9 * V._scale inside
+    every edge of V.
+    """
+    cropped = _reference_crop(segments, V)
+    vs = V.vertices
+    edges = list(zip(vs, vs[1:] + vs[:1]))
+    total = 0.0
+    interior = 0
+    for s in cropped:
+        total += s.length
+        for x, y in (s.p, s.q):
+            if all((x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 1e-9 * V._scale for (x0, y0), (x1, y1) in edges):
+                interior += 1
+    hits = tuple(any(_reference_segment_hits_polygon(s, pr) for s in cropped) for pr in probes)
+    return WindowStats(total, len(cropped), interior, hits)

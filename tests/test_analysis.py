@@ -33,6 +33,8 @@ from stitsim.analysis import (
 from stitsim.geometry import scale_about_centroid
 from stitsim.rules import HittingMeasure, IntrinsicVolume, PointDriven, RestrictedMeasure, RulePair, VertexCount
 
+from reference import _reference_window_stats
+
 
 class TestWindowStats:
     def test_empty_tessellation(self, unit_square):
@@ -258,12 +260,12 @@ class TestConsistencyPipeline:
 
 
 def _reference_columns(rules, V, W, times, probes, seed, arm, reps):
-    """window_stats(crop(snapshot, V), probes) of each replicate at each time, one by one."""
+    """The reference window statistics of each replicate's crop to V at each time, one by one."""
     columns = [[] for _ in times]
     for rep in reps:
-        snaps = new_process(W if arm else V, rules, (seed, arm, rep)).snapshots(times)
-        for column, snap in zip(columns, snaps):
-            column.append(window_stats(crop(snap, V), probes))
+        state = new_process(W if arm else V, rules, (seed, arm, rep))
+        for column, t in zip(columns, times):
+            column.append(_reference_window_stats(state.advance(t).segments, V, probes))
     return columns
 
 
@@ -345,14 +347,10 @@ class TestChunkKernel:
         times = [0.75, 1.5]
         stats, aborted = _collect_chunk(stit_rules, V, W, times, probes, 0, (1, 0, len(plans)))
         assert aborted == 0
-        expected = [
-            [
-                window_stats(crop(CroppedTessellation(W, tuple(s for s, b in zip(*plan) if b <= t)), V), probes)
-                for plan in plans
-            ]
-            for t in times
-        ]
+        snapshots = [[CroppedTessellation(W, tuple(s for s, b in zip(*plan) if b <= t)) for plan in plans] for t in times]
+        expected = [[_reference_window_stats(snap.segments, V, probes) for snap in column] for column in snapshots]
         assert stats == expected
+        assert [[window_stats(crop(snap, V), probes) for snap in column] for column in snapshots] == expected
         assert 0 < expected[-1][0].segment_count < len([b for b in plans[0][1] if b <= 1.5])  # some are dropped
 
     def test_aborted_replicate_is_left_out_of_every_time(self, unit_square, stit_rules, monkeypatch):
@@ -410,6 +408,21 @@ class TestRateEstimate:
         sigma = math.sqrt(p * (1 - p) / n) / dt
         # generous first-order bias allowance on top of 3 sigma
         assert abs(est - target) < 3 * sigma + 1.0 * dt
+
+    def test_estimate_is_pinned(self, unit_square, stit_rules):
+        # recorded before the replicates' chords were tested in one batch
+        B = rectangle(0.25, 0.25, 0.75, 0.75)
+        assert rate_estimate(stit_rules, unit_square, B, 0.02, 3000, seed=5) == 0.6166666666666667
+
+    def test_counts_replicates_not_chords(self, unit_square, stit_rules, monkeypatch):
+        B = rectangle(0.25, 0.25, 0.75, 0.75)
+        across, down = Segment((0.0, 0.5), (1.0, 0.5)), Segment((0.5, 0.0), (0.5, 1.0))
+        corner = Segment((0.0, 0.1), (0.1, 0.0))
+        plans = [[across, down], [], [corner], [down, corner], [across]]
+        monkeypatch.setattr(
+            analysis, "new_process", lambda V, rules, seed: _FixedChords(V, plans[seed[2]], [0.001] * len(plans[seed[2]]))
+        )
+        assert rate_estimate(stit_rules, unit_square, B, 0.01, len(plans)) == 3 / (len(plans) * 0.01)
 
     def test_tiny_probe_rate_vanishes(self, unit_square, stit_rules):
         B = rectangle(0.5, 0.5, 0.5 + 1e-6, 0.5 + 1e-6)

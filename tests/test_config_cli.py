@@ -166,7 +166,7 @@ class TestConfigValidation:
             ({"kind": "vertex_count"}, 1e6, False),  # e^{3t} would overflow a float
             ({"kind": "intrinsic_volume", "index": 0}, 17.0, False),
             ({"kind": "intrinsic_volume", "index": 0}, 1.5, True),
-            ({"kind": "intrinsic_volume", "index": 2}, 17.0, True),  # no cheap bound: not checked
+            ({"kind": "intrinsic_volume", "index": 2}, 17.0, True),  # 17 chords expected in [0,1]², 153 in [0,3]²
         ],
         ids=["vertex-count-t6", "vertex-count-t1.5", "vertex-count-t1e6", "iv0-t17", "iv0-t1.5", "area-t17"],
     )
@@ -177,6 +177,35 @@ class TestConfigValidation:
             parse, cfg = parse_simulate, dict(SIMULATE, rules=rules, time=time)
         else:
             parse, cfg = parse_consistency, dict(CONSISTENCY, rules=rules, times=[0.5, time])
+        if accepted:
+            parse(cfg)
+        else:
+            with pytest.raises(ConfigError, match="event cap"):
+                parse(cfg)
+
+    # Means that grow with the window and with the intensity; parsers only again.
+    @pytest.mark.parametrize(
+        "rules, window, time, accepted",
+        [
+            ({"stit": {"measure": dict(ISO, intensity=1e4)}}, SQUARE, 1.0, False),  # 3.2e7 chords
+            (STIT_RULES, SQUARE, 6000.0, False),  # 1.15e7 chords
+            (STIT_RULES, SQUARE, 5000.0, True),  # 7.96e6 chords
+            (
+                {"selection": {"kind": "intrinsic_volume", "index": 2}, "division": {"kind": "restricted_measure", "measure": ISO}},
+                [[0.0, 0.0], [100.0, 0.0], [100.0, 100.0], [0.0, 100.0]],
+                2000.0,
+                False,
+            ),  # 2e7 chords
+            ({"stit": {"measure": dict(ISO, intensity=1e308)}}, SQUARE, 1.0, False),  # the mean overflows to inf
+        ],
+        ids=["stit-intensity-1e4", "stit-t6000", "stit-t5000", "area-100-square-t2000", "stit-intensity-1e308"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "consistency"])
+    def test_window_dependent_budget_checked_at_parse_time(self, rules, window, time, accepted, command):
+        if command == "simulate":
+            parse, cfg = parse_simulate, dict(SIMULATE, rules=rules, window=window, time=time)
+        else:
+            parse, cfg = parse_consistency, dict(CONSISTENCY, rules=rules, window_outer=window, times=[0.5, time])
         if accepted:
             parse(cfg)
         else:

@@ -25,6 +25,8 @@ from stitsim.geometry import (
     width,
 )
 
+from reference import _reference_clip_segment, _reference_segment_hits_polygon
+
 
 class TestPolygonValidation:
     def test_canonical_start_is_lexicographic_min(self):
@@ -363,53 +365,6 @@ class TestClipSegment:
         assert s.p == (0.2, 0.2) and s.q == (0.8, 0.8)
 
 
-def _reference_clip_segment(seg, C):
-    """clip_segment as it was before the bounding-box rejection."""
-    px, py = seg.p
-    dx = seg.q[0] - px
-    dy = seg.q[1] - py
-    t0, t1 = 0.0, 1.0
-    vs = C.vertices
-    n = len(vs)
-    for i in range(n):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % n]
-        ex, ey = x1 - x0, y1 - y0
-        num = ex * (py - y0) - ey * (px - x0)
-        den = ex * dy - ey * dx
-        if abs(den) < 1e-300:
-            if num < -C.snap_tol * C._scale:
-                return None
-            continue
-        t = -num / den
-        if den > 0:
-            if t > t0:
-                t0 = t
-        else:
-            if t < t1:
-                t1 = t
-        if t0 > t1:
-            return None
-    seg_len = math.hypot(dx, dy)
-    snap = max(1e-12, C.snap_tol / seg_len) if seg_len > 0 else 1e-12
-    if t0 < snap:
-        t0 = 0.0
-    if t1 > 1.0 - snap:
-        t1 = 1.0
-    p = seg.p if t0 == 0.0 else (px + t0 * dx, py + t0 * dy)
-    q = seg.q if t1 == 1.0 else (px + t1 * dx, py + t1 * dy)
-    if math.hypot(q[0] - p[0], q[1] - p[1]) <= C.snap_tol:
-        return None
-    return Segment(p, q)
-
-
-def _reference_segment_hits_polygon(seg, C):
-    """segment_hits_polygon as it was before the bounding-box rejection and the circle decision."""
-    if C.contains_point(seg.p) or C.contains_point(seg.q):
-        return True
-    return _reference_clip_segment(seg, C) is not None
-
-
 def _test_polygon(rng, kind):
     center = tuple(rng.standard_normal(2) * 10 ** rng.uniform(-1, 3))
     size = 10 ** rng.uniform(-3, 3)
@@ -500,8 +455,8 @@ def _test_segment(rng, C, kind):
     st.sampled_from(["random", "probe", "thin"]),
     st.sampled_from(["near", "touching", "vertex", "collinear", "tangent", "ending", "point", "short"]),
 )
-def test_box_rejection_keeps_clip_and_hit_results(seed, polygon_kind, segment_kind):
-    """The bounding-box rejection and the circle decision keep every result of the exact tests."""
+def test_clip_and_hit_equal_the_exact_references(seed, polygon_kind, segment_kind):
+    """clip_segment and segment_hits_polygon, with the circle decision, give every result of the exact tests."""
     rng = np.random.default_rng(seed)
     try:
         C = _test_polygon(rng, polygon_kind)
@@ -514,8 +469,8 @@ def test_box_rejection_keeps_clip_and_hit_results(seed, polygon_kind, segment_ki
 
 @pytest.mark.parametrize("polygon_kind", ["random", "probe", "thin"])
 def test_batched_clip_and_hit_equal_the_scalar_ones(polygon_kind):
-    """clip_segments and segments_hit_polygon give every float and flag of
-    clip_segment and segment_hits_polygon, over all the segment kinds above."""
+    """clip_segments and segments_hit_polygon give every float and flag of the scalar
+    exact references, row by row, over all the segment kinds above."""
     kinds = ["near", "touching", "vertex", "collinear", "tangent", "ending", "point", "short"]
     decided = 0
     for seed in range(150):
@@ -526,13 +481,13 @@ def test_batched_clip_and_hit_equal_the_scalar_ones(polygon_kind):
             continue
         segs = [_test_segment(rng, C, kind) for kind in kinds for _ in range(8)]
         xy = np.array([s.p + s.q for s in segs])
-        expected = [clip_segment(s, C) for s in segs]
+        expected = [_reference_clip_segment(s, C) for s in segs]
         rows, clipped, lengths = clip_segments(xy, C)
         assert rows.tolist() == [i for i, c in enumerate(expected) if c is not None]
         got = [Segment(tuple(r[:2]), tuple(r[2:])) for r in clipped.tolist()]
         assert got == [c for c in expected if c is not None]
         assert lengths == [c.length for c in got]
-        assert segments_hit_polygon(xy, C).tolist() == [segment_hits_polygon(s, C) for s in segs]
+        assert segments_hit_polygon(xy, C).tolist() == [_reference_segment_hits_polygon(s, C) for s in segs]
         decided += len(rows)
     assert decided > 1000  # the comparison saw many clipped segments, not only misses
     rows, clipped, lengths = clip_segments(np.zeros((0, 4)), C)
@@ -554,8 +509,10 @@ def test_circle_decision_skips_the_exact_tests(monkeypatch):
     def exact_test(*args, **kwargs):
         raise AssertionError("the circle decision fell through to an exact test")
 
-    monkeypatch.setattr(geometry, "_box_misses", exact_test)
-    monkeypatch.setattr(geometry, "clip_segment", exact_test)
+    monkeypatch.setattr(geometry, "edge_margins", exact_test)
+    monkeypatch.setattr(geometry, "clip_segments", exact_test)
     monkeypatch.setattr(Polygon, "contains_point", exact_test)
     for seg, expected in cases:
         assert segment_hits_polygon(seg, probe) == expected
+    xy = np.array([seg.p + seg.q for seg, _ in cases])
+    assert segments_hit_polygon(xy, probe).tolist() == [expected for _, expected in cases]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from stitsim import HyperplaneMeasure
-from stitsim.geometry import offset_interval, random_convex_polygon, split
+from stitsim import HyperplaneMeasure, new_process
+from stitsim.geometry import offset_interval, random_convex_polygon, rectangle, split
 from stitsim.measures import axis_aligned
 from stitsim.rules import (
     HittingMeasure,
@@ -16,6 +16,7 @@ from stitsim.rules import (
     VertexCount,
     check_bound,
     divide,
+    min_expected_chords,
     rate,
     stit_pair,
 )
@@ -136,3 +137,37 @@ class TestRulePair:
     def test_intrinsic_volume_index_validated(self):
         with pytest.raises(ValueError):
             IntrinsicVolume(3)
+
+
+class TestMinExpectedChords:
+    def test_area_selection_is_t_times_area(self, iso_measure):
+        rules = RulePair(IntrinsicVolume(2), PointDriven())
+        assert min_expected_chords(rules, rectangle(0, 0, 100, 100), 2000.0) == 2e7
+
+    def test_hitting_selection_is_t_times_window_rate(self, unit_square, iso_measure):
+        rules = RulePair(HittingMeasure(iso_measure), PointDriven())
+        assert min_expected_chords(rules, unit_square, 3.0) == 3.0 * rate(rules.selection, unit_square)
+
+    def test_isotropic_stit_mean(self, unit_square):
+        rules = stit_pair(HyperplaneMeasure(2.0))
+        t = 6000.0
+        expected = 2.0 * t * 4.0 / math.pi + 4.0 * t * t / math.pi
+        assert min_expected_chords(rules, unit_square, t) == pytest.approx(expected, rel=1e-15)
+
+    def test_axis_aligned_stit_gets_only_the_linear_term(self, unit_square):
+        rules = stit_pair(HyperplaneMeasure(1.0, axis_aligned()))
+        assert min_expected_chords(rules, unit_square, 10.0) == pytest.approx(10.0)
+
+    def test_exponential_bounds(self, unit_square, iso_measure):
+        vertex = RulePair(VertexCount(), RestrictedMeasure(iso_measure))
+        assert min_expected_chords(vertex, unit_square, 2.0) == math.expm1(6.0)
+        assert min_expected_chords(vertex, unit_square, 1e6) == math.expm1(700.0)
+        cells = RulePair(IntrinsicVolume(0), RestrictedMeasure(iso_measure))
+        assert min_expected_chords(cells, unit_square, 2.0) == math.expm1(2.0)
+
+    def test_isotropic_stit_mean_matches_simulation(self, unit_square, stit_rules):
+        # 400 trajectories in [0,1]^2 to t = 2; the mean is 8/pi + 4/pi = 3.82 chords
+        t = 2.0
+        counts = [len(new_process(unit_square, stit_rules, (77, rep)).advance(t).segments) for rep in range(400)]
+        stderr = np.std(counts, ddof=1) / math.sqrt(len(counts))
+        assert abs(np.mean(counts) - min_expected_chords(stit_rules, unit_square, t)) < 4.5 * stderr
