@@ -188,19 +188,21 @@ def _collect_chunk(
     """Per-time statistics of one chunk of replicates; returns (stats, aborted count).
 
     The chunk is (arm, rep_start, rep_count).  Arm 0 builds in V, arm 1 builds
-    in W.  Replicate `rep` runs on seed (seed, arm, rep), so its statistics do
-    not depend on how the replicates are chunked.  Each replicate advances once,
+    in W with region V, so it builds only the cells that can meet V (see
+    `ProcessState`); that keeps the law of the crop to V, not the seeded draws.
+    Replicate `rep` runs on seed (seed, arm, rep), so its statistics do not
+    depend on how the replicates are chunked.  Each replicate advances once,
     to the last time; `times` must be ascending.  The statistics at each time
     are `window_stats(crop(snapshot, V), probes)` of that replicate's snapshot.
     """
     arm, rep_start, rep_count = chunk
-    build_window = W if arm else V
+    build_window, region = (W, V) if arm else (V, None)
     chords: list[Segment] = []
     births: list[float] = []
     counts: list[int] = []
     aborted = 0
     for rep in range(rep_start, rep_start + rep_count):
-        state = new_process(build_window, rules, (seed, arm, rep))
+        state = new_process(build_window, rules, (seed, arm, rep), region=region)
         try:
             state.advance(times[-1])
         except ReplicateAborted:
@@ -405,16 +407,6 @@ def fundamental_residual(
     return max(abs(via_v - via_w), abs(via_v - mass_b), abs(via_w - mass_b)) / mass_b
 
 
-def rate_vs_nu_residual(rules: RulePair, measure: HyperplaneMeasure, C: Polygon) -> float:
-    """Relative gap between a selection rule's rate and the reconstructed measure mass.
-
-    Zero (to rounding) exactly when the selection rule is the hitting-mass rule
-    of the given measure; order-one for area or vertex-count selection.
-    """
-    nu_c = hitting_mass(measure, C)
-    return abs(rate(rules.selection, C) - nu_c) / nu_c
-
-
 @dataclass(frozen=True)
 class IdentityResult:
     name: str
@@ -491,11 +483,17 @@ def _nu_limit(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
 
 
 def _rate_matches_nu(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
+    """Relative gap between the selection rate and the division measure's hitting mass.
+
+    Zero (to rounding) exactly when the selection rule is the hitting-mass rule
+    of that measure; order-one for area or vertex-count selection.
+    """
     measure = _division_measure(rules)
     worst = 0.0
     for _ in range(n_cases):
         C = random_convex_polygon(rng, n_points=int(rng.integers(4, 10)), scale=1.0)
-        worst = max(worst, rate_vs_nu_residual(rules, measure, C))
+        nu_c = hitting_mass(measure, C)
+        worst = max(worst, abs(rate(rules.selection, C) - nu_c) / nu_c)
     return worst < EXACT, worst, EXACT
 
 

@@ -229,9 +229,6 @@ class Polygon:
             object.__setattr__(self, "_circles", t)
         return t
 
-    def translate(self, dx: float, dy: float) -> "Polygon":
-        return Polygon([(x + dx, y + dy) for x, y in self.vertices])
-
     def centroid(self) -> tuple[float, float]:
         cx = cy = 0.0
         a2 = 0.0
@@ -245,21 +242,15 @@ class Polygon:
         return (ox + cx / (3.0 * a2), oy + cy / (3.0 * a2))
 
     def contains_point(self, p: Sequence[float], tol: Optional[float] = None) -> bool:
-        """Closed containment test; tol widens the polygon slightly."""
+        """Closed containment test (`edge_margins`); tol widens the polygon slightly."""
         if tol is None:
             tol = self.snap_tol
-        x, y = p
-        vs = self.vertices
-        for i in range(len(vs)):
-            x0, y0 = vs[i]
-            x1, y1 = vs[(i + 1) % len(vs)]
-            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) < -tol * self._scale:
-                return False
-        return True
+        return bool(edge_margins(self, p[0], p[1])[0] >= -tol * self._scale)
 
     def contains_polygon(self, other: "Polygon") -> bool:
-        tol = max(self.snap_tol, other.snap_tol)
-        return all(self.contains_point(v, tol=tol) for v in other.vertices)
+        """Every vertex of other passes `contains_point` at the larger snap tolerance."""
+        x, y = np.array(other.vertices).T
+        return bool(edge_margins(self, x, y).min() >= -max(self.snap_tol, other.snap_tol) * self._scale)
 
 
 def rectangle(x0: float, y0: float, x1: float, y1: float) -> Polygon:
@@ -510,9 +501,9 @@ def _edges(C: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 def edge_margins(C: Polygon, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The least of (x1-x0)*(y-y0) - (y1-y0)*(x-x0) over C's edges, per point.
 
-    These are the products of `Polygon.contains_point`: a point is in C,
-    closed and widened by the snap tolerance, when its margin is at least
-    -C.snap_tol*C._scale.
+    The closed containment test: a point is in C, widened by the snap
+    tolerance, when its margin is at least -C.snap_tol*C._scale
+    (`Polygon.contains_point`).
     """
     x0, y0, ex, ey = _edges(C)
     return (ex * (y - y0) - ey * (x - x0)).min(axis=0)

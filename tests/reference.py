@@ -1,16 +1,43 @@
-"""Exact scalar references for clipping, hit tests, crop and window statistics.
+"""Exact scalar references for containment, clipping, hit tests, crop and
+window statistics, and the helpers only the tests use.
 
-They work one segment and one edge at a time in plain Python and share no
-code with the array kernels of `stitsim.geometry` (`clip_segments`,
-`segments_hit_polygon`, `edge_margins`), so a test that compares the two
-compares independent arithmetic.
+The references work one point, segment and edge at a time in plain Python
+and share no code with the array kernels of `stitsim.geometry`
+(`clip_segments`, `segments_hit_polygon`, `edge_margins`), so a test that
+compares the two compares independent arithmetic.
 """
 
 import math
 
 from stitsim.analysis import WindowStats
 from stitsim.engine import MIN_CHORD_REL
-from stitsim.geometry import Segment
+from stitsim.geometry import Polygon, Segment
+
+TILING_REL_TOL = 1e-9  # check_tiling's bound on |sum of cell areas - window area| / window area
+
+
+def translate(poly, dx, dy):
+    return Polygon([(x + dx, y + dy) for x, y in poly.vertices])
+
+
+def check_tiling(state):
+    """The live cells of a state built without a region cover its window: their areas add up to its area."""
+    total = sum(c.polygon.area for c in state.live_cells)
+    return abs(total - state.window.area) <= TILING_REL_TOL * state.window.area
+
+
+def _reference_contains_point(C, p, tol=None):
+    """Closed containment, widened by tol (default: the snap tolerance): every edge's cross product is at least -tol*_scale."""
+    if tol is None:
+        tol = C.snap_tol
+    x, y = p
+    vs = C.vertices
+    for i in range(len(vs)):
+        x0, y0 = vs[i]
+        x1, y1 = vs[(i + 1) % len(vs)]
+        if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) < -tol * C._scale:
+            return False
+    return True
 
 
 def _reference_clip_segment(seg, C):
@@ -55,7 +82,7 @@ def _reference_clip_segment(seg, C):
 
 def _reference_segment_hits_polygon(seg, C):
     """An endpoint in C (closed, widened by the snap tolerance), or a nonempty clip."""
-    if C.contains_point(seg.p) or C.contains_point(seg.q):
+    if _reference_contains_point(C, seg.p) or _reference_contains_point(C, seg.q):
         return True
     return _reference_clip_segment(seg, C) is not None
 

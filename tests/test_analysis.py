@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from stitsim import (
@@ -190,18 +191,26 @@ class TestConsistencyPipeline:
         assert aborted == 0
         old_route = [[] for _ in times]
         for rep in range(20):
-            snaps = new_process(W, stit_rules, (1, 1, rep)).snapshots(times)
+            snaps = new_process(W, stit_rules, (1, 1, rep), region=unit_square).snapshots(times)
             for column, snap in zip(old_route, snaps):
                 column.append(window_stats(crop(snap, unit_square), probes))
         assert stats == old_route
 
     # sha256 of repr([[(segment_count, interior_endpoints, probe_hits) per time] per replicate])
     # for 100 STIT replicates, seed 1, V = [0,1]^2, W = [0,3]^2; integers and booleans
-    # only, so a change in the last bit of a float cannot move it.
+    # only, so a change in the last bit of a float cannot move it.  Arm 1 builds
+    # only the cells that can meet V; "unpruned" is the same W arm built whole.
     PINNED_DIGESTS = {
         0: "206bf11ed3bbeaf344fe4fef9cf0b0b1f70529b7b13292e5ec50ef6f3f0c81ec",
-        1: "2a3a5f75911001f9bdc4f533d9e2e8683a3b44c2ca4e607c8a98f98bf19f21f0",
+        1: "4ee5d8e84a2850b8baf207985355955d8d42936edfebb618fd98b8ab5e1b1e8b",
+        "unpruned": "2a3a5f75911001f9bdc4f533d9e2e8683a3b44c2ca4e607c8a98f98bf19f21f0",
     }
+
+    @staticmethod
+    def _digest(per_time):
+        rows = [[(s.segment_count, s.interior_endpoints, s.probe_hits) for s in rep] for rep in zip(*per_time)]
+        assert len(rows) == 100
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
 
     @pytest.mark.parametrize("arm", [0, 1], ids=["direct", "cropped"])
     def test_discrete_statistics_are_pinned(self, unit_square, stit_rules, arm):
@@ -210,9 +219,17 @@ class TestConsistencyPipeline:
             stit_rules, unit_square, W, [0.75, 1.5], default_probes(unit_square), 1, (arm, 0, 100)
         )
         assert aborted == 0
-        rows = [[(s.segment_count, s.interior_endpoints, s.probe_hits) for s in rep] for rep in zip(*per_time)]
-        assert len(rows) == 100
-        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.PINNED_DIGESTS[arm]
+        assert self._digest(per_time) == self.PINNED_DIGESTS[arm]
+
+    def test_unpruned_cropped_statistics_are_pinned(self, unit_square, stit_rules):
+        W = rectangle(0, 0, 3, 3)
+        probes = default_probes(unit_square)
+        times = [0.75, 1.5]
+        per_time = [[] for _ in times]
+        for rep in range(100):
+            for column, snap in zip(per_time, new_process(W, stit_rules, (1, 1, rep)).snapshots(times)):
+                column.append(window_stats(crop(snap, unit_square), probes))
+        assert self._digest(per_time) == self.PINNED_DIGESTS["unpruned"]
 
     @pytest.mark.parametrize(
         "times",
@@ -263,7 +280,7 @@ def _reference_columns(rules, V, W, times, probes, seed, arm, reps):
     """The reference window statistics of each replicate's crop to V at each time, one by one."""
     columns = [[] for _ in times]
     for rep in reps:
-        state = new_process(W if arm else V, rules, (seed, arm, rep))
+        state = new_process(W, rules, (seed, arm, rep), region=V) if arm else new_process(V, rules, (seed, arm, rep))
         for column, t in zip(columns, times):
             column.append(_reference_window_stats(state.advance(t).segments, V, probes))
     return columns
@@ -342,7 +359,9 @@ class TestChunkKernel:
             ([], []),
             (chords[::-1], [born[i % 3] for i in range(len(chords))]),
         ]
-        monkeypatch.setattr(analysis, "new_process", lambda window, rules, seed: _FixedChords(window, *plans[seed[2]]))
+        monkeypatch.setattr(
+            analysis, "new_process", lambda window, rules, seed, region=None: _FixedChords(window, *plans[seed[2]])
+        )
         probes = default_probes(V) + [V, scale_about_centroid(V, 0.5)]
         times = [0.75, 1.5]
         stats, aborted = _collect_chunk(stit_rules, V, W, times, probes, 0, (1, 0, len(plans)))
@@ -368,14 +387,27 @@ class TestChunkKernel:
                     raise ReplicateAborted("spy: aborted between the first and the last time")
                 return self.state.advance(t)
 
-        def new_process_spy(window, rules, seed):
-            state = real(window, rules, seed)
+        def new_process_spy(window, rules, seed, region=None):
+            state = real(window, rules, seed, region=region)
             return AbortsAfterFirstTime(state) if seed[2] == 2 else state
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
         stats, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 7, (1, 0, 5))
         assert aborted == 1
         assert stats == _reference_columns(stit_rules, unit_square, W, times, probes, 7, 1, [0, 1, 3, 4])
+
+
+class TestPrunedArm:
+    def test_mean_length_is_intensity_times_time_times_area(self, unit_square, stit_rules):
+        # law (iii): STIT of intensity 1 built in W and cropped to V has mean total
+        # length t*area(V) in V; arm 1 builds only the cells that can meet V
+        W = rectangle(0, 0, 3, 3)
+        t, n = 1.5, 3000
+        (column,), aborted = _collect_chunk(stit_rules, unit_square, W, [t], [], 11, (1, 0, n))
+        assert aborted == 0
+        lengths = np.array([s.total_length for s in column])
+        z = (lengths.mean() - t * unit_square.area) / (lengths.std(ddof=1) / math.sqrt(n))
+        assert abs(z) < 4.0
 
 
 class TestRateEstimate:

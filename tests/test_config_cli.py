@@ -189,7 +189,8 @@ class TestConfigValidation:
         [
             ({"stit": {"measure": dict(ISO, intensity=1e4)}}, SQUARE, 1.0, False),  # 3.2e7 chords
             (STIT_RULES, SQUARE, 6000.0, False),  # 1.15e7 chords
-            (STIT_RULES, SQUARE, 5000.0, True),  # 7.96e6 chords
+            (STIT_RULES, SQUARE, 5000.0, False),  # 7.96e6 chords
+            (STIT_RULES, SQUARE, 2500.0, True),  # 1.99e6 chords, just under the cap of 2e6
             (
                 {"selection": {"kind": "intrinsic_volume", "index": 2}, "division": {"kind": "restricted_measure", "measure": ISO}},
                 [[0.0, 0.0], [100.0, 0.0], [100.0, 100.0], [0.0, 100.0]],
@@ -198,7 +199,14 @@ class TestConfigValidation:
             ),  # 2e7 chords
             ({"stit": {"measure": dict(ISO, intensity=1e308)}}, SQUARE, 1.0, False),  # the mean overflows to inf
         ],
-        ids=["stit-intensity-1e4", "stit-t6000", "stit-t5000", "area-100-square-t2000", "stit-intensity-1e308"],
+        ids=[
+            "stit-intensity-1e4",
+            "stit-t6000",
+            "stit-t5000",
+            "stit-t2500",
+            "area-100-square-t2000",
+            "stit-intensity-1e308",
+        ],
     )
     @pytest.mark.parametrize("command", ["simulate", "consistency"])
     def test_window_dependent_budget_checked_at_parse_time(self, rules, window, time, accepted, command):

@@ -14,14 +14,18 @@ from stitsim import (
     Polygon,
     Segment,
     crop,
+    engine,
     geometry,
     new_process,
     rectangle,
     regular_ngon,
     stit_pair,
 )
-from stitsim.geometry import scale_about_centroid
+from stitsim.geometry import clip_segments, scale_about_centroid, segment_rows
+from stitsim.measures import axis_aligned
 from stitsim.rules import RestrictedMeasure, RulePair, VertexCount
+
+from reference import check_tiling, translate
 
 ISO = HyperplaneMeasure(1.0)
 
@@ -97,7 +101,7 @@ class TestAdvance:
     def test_tiling_invariant(self, window, stit_rules):
         for seed in range(30):
             state = new_process(window, stit_rules, seed).advance(4.0)
-            assert state.check_tiling()
+            assert check_tiling(state)
 
     def test_vertex_count_reaches_sub_resolution_cells_without_aborting(self, unit_square, iso_measure):
         # this replicate cuts cells far from (0, 0) down to diameters near
@@ -195,7 +199,7 @@ class TestCrop:
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_short_chord_kept_wherever_the_window_sits(self, unit_square, offset):
-        V = unit_square.translate(offset, offset)
+        V = translate(unit_square, offset, offset)
         chord = Segment((offset + 0.5, offset + 0.5), (offset + 0.5 + 1e-4, offset + 0.5))
         out = crop(CroppedTessellation(V, (chord,)), V)
         assert out.segments == (chord,)
@@ -237,3 +241,106 @@ class TestCrop:
         ]
         stderr = np.std(lengths, ddof=1) / math.sqrt(len(lengths))
         assert abs(np.mean(lengths) - t * unit_square.area) < 4.5 * stderr
+
+
+# (V, W) pairs of the consistency tests, with V's box inside W
+REGIONS = {
+    "square": (rectangle(0.0, 0.0, 1.0, 1.0), rectangle(0.0, 0.0, 3.0, 3.0)),
+    "triangle": (Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), Polygon([(-1.0, -1.0), (3.0, -1.0), (-1.0, 3.0)])),
+    "hexagon": (regular_ngon((0.0, 0.0), 1.0, 6), regular_ngon((0.5, 0.0), 3.0, 6)),
+}
+RULE_PAIRS = {
+    "stit": stit_pair(ISO),
+    "stit-axis-aligned": stit_pair(HyperplaneMeasure(1.0, axis_aligned())),
+    "area": RulePair(IntrinsicVolume(2), RestrictedMeasure(ISO)),
+    "vertex-count": RulePair(VertexCount(), RestrictedMeasure(ISO)),
+    "point-driven": RulePair(HittingMeasure(ISO), PointDriven()),
+}
+
+
+def _left_out(state, cell):
+    """Whether the state, built with a region, leaves the cell out when it is born."""
+    n = len(state.live_cells)
+    state._spawn(cell, 0.0)
+    return len(state.live_cells) == n
+
+
+class TestRegion:
+    """A state built with a region V leaves out the cells whose box misses V's widened box."""
+
+    @pytest.mark.parametrize("region", list(REGIONS))
+    @pytest.mark.parametrize("pair", list(RULE_PAIRS))
+    def test_left_out_cells_have_no_chord_that_crop_keeps(self, monkeypatch, pair, region):
+        V, W = REGIONS[region]
+        pruned = new_process(W, RULE_PAIRS[pair], 0, region=V)
+        drift = 2.5 * np.finfo(float).eps * max(map(abs, W._box)) * (1 + 1e-8)
+        divisions = []
+
+        def recording_split(C, h):
+            pieces = geometry.split(C, h)
+            if pieces[0] is not None and pieces[1] is not None:
+                divisions.append((C, pieces))
+            return pieces
+
+        monkeypatch.setattr(engine, "split", recording_split)
+        for seed in range(20):
+            new_process(W, RULE_PAIRS[pair], (5, seed)).advance(1.5)  # no region: every cell divides
+        left_out = 0
+        for C, (plus, minus, chord) in divisions:
+            # a piece's box lies within one crossing point's rounding of its parent's box,
+            # so the chords of a cell's descendants are covered by the margin as well
+            x_lo, y_lo, x_hi, y_hi = C._box
+            for piece in (plus, minus):
+                px_lo, py_lo, px_hi, py_hi = piece._box
+                assert px_lo >= x_lo - drift and py_lo >= y_lo - drift
+                assert px_hi <= x_hi + drift and py_hi <= y_hi + drift
+            if _left_out(pruned, C):
+                left_out += 1
+                assert len(clip_segments(segment_rows([chord]), V)[0]) == 0
+        assert left_out > 20
+
+    @pytest.mark.parametrize("region", list(REGIONS))
+    def test_cells_at_the_margin_are_kept(self, stit_rules, region):
+        V, W = REGIONS[region]
+        keep = engine._keep_box(V, W)
+        x_lo, y_lo, x_hi, y_hi = V._box
+        size = x_hi - x_lo  # a cell size, large next to the margin
+        margin = x_lo - keep[0]
+        assert 0 < margin < 1e-7 * V._scale
+        mid_x, mid_y = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
+        kept = [
+            rectangle(x_hi, mid_y, x_hi + size, mid_y + 0.1 * size),  # touches V's box
+            rectangle(keep[2], mid_y, x_hi + size, mid_y + 0.1 * size),  # touches the widened box
+            rectangle(x_hi + 0.5 * margin, mid_y, x_hi + size, mid_y + 0.1 * size),  # within the margin, each side
+            rectangle(x_lo - size, mid_y, x_lo - 0.5 * margin, mid_y + 0.1 * size),
+            rectangle(mid_x, y_hi + 0.5 * margin, mid_x + 0.1 * size, y_hi + size),
+            rectangle(mid_x, y_lo - size, mid_x + 0.1 * size, y_lo - 0.5 * margin),
+            rectangle(x_hi + 0.5 * margin, y_hi + 0.5 * margin, x_hi + size, y_hi + size),  # off a corner
+            Polygon([(x_hi, y_hi), (x_hi - 0.01 * size, y_hi), (x_hi, y_hi - 0.01 * size)]),  # in V's box, in V or not
+        ]
+        left_out = [
+            rectangle(x_hi + 2 * margin, mid_y, x_hi + size, mid_y + 0.1 * size),
+            rectangle(x_lo - size, mid_y, x_lo - 2 * margin, mid_y + 0.1 * size),
+            rectangle(mid_x, y_hi + 2 * margin, mid_x + 0.1 * size, y_hi + size),
+            rectangle(mid_x, y_lo - size, mid_x + 0.1 * size, y_lo - 2 * margin),
+        ]
+        state = new_process(W, stit_rules, 0, region=V)
+        assert not any(_left_out(state, cell) for cell in kept)
+        assert all(_left_out(state, cell) for cell in left_out)
+
+    def test_region_leaves_cells_out(self, stit_rules):
+        V, W = REGIONS["square"]
+        full = new_process(W, stit_rules, (5, 1)).advance(1.5)
+        pruned = new_process(W, stit_rules, (5, 1), region=V).advance(1.5)
+        assert len(pruned.segments) < len(full.segments)
+        assert len(pruned.live_cells) < len(pruned.segments) + 1
+
+    def test_crop_and_snapshots_stay_inside_the_region(self, stit_rules):
+        V, W = REGIONS["square"]
+        state = new_process(W, stit_rules, 3, region=V)
+        snaps = state.snapshots([0.75, 1.5])
+        assert all(snap.window == V for snap in snaps)
+        assert snaps[-1].segments == crop(state, V).segments
+        crop(state, rectangle(0.25, 0.25, 0.75, 0.75))
+        with pytest.raises(ContainmentViolation, match="region"):
+            crop(state, rectangle(0.0, 0.0, 2.0, 2.0))

@@ -15,6 +15,7 @@ from stitsim.measures import (
 )
 
 from conftest import trapezoid_width_integral
+from reference import translate
 
 
 class TestDirectionalDistributions:
@@ -44,7 +45,7 @@ class TestHittingMass:
 
     def test_translation_invariance(self, iso_measure, rng):
         poly = random_convex_polygon(rng, n_points=7)
-        moved = poly.translate(13.7, -4.2)
+        moved = translate(poly, 13.7, -4.2)
         assert hitting_mass(iso_measure, moved) == pytest.approx(
             hitting_mass(iso_measure, poly), rel=1e-12
         )

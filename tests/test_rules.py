@@ -22,6 +22,8 @@ from stitsim.rules import (
 )
 from stitsim.errors import DegenerateSplit
 
+from reference import translate
+
 
 class TestRate:
     def test_area_rule_unit_square(self, unit_square):
@@ -44,7 +46,7 @@ class TestRate:
         sels = [IntrinsicVolume(1), IntrinsicVolume(2), VertexCount(), HittingMeasure(iso_measure)]
         for _ in range(50):
             poly = random_convex_polygon(rng, n_points=6)
-            moved = poly.translate(5.0, -7.0)
+            moved = translate(poly, 5.0, -7.0)
             for s in sels:
                 assert rate(s, moved) == pytest.approx(rate(s, poly), rel=1e-10, abs=1e-10)
 
