@@ -10,6 +10,7 @@ over the whole family.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -55,28 +56,16 @@ class WindowStats:
     probe_hits: tuple[bool, ...]
 
 
-def _chord_flags(xy: np.ndarray, V: Polygon, probes: Sequence[Polygon]) -> tuple[np.ndarray, np.ndarray]:
-    """(interior, hits) of cropped chords, rows (px, py, qx, qy) of xy.
-
-    interior[i] counts the endpoints of chord i strictly inside V, more than
-    1e-9*V._scale inside every edge; hits[i, j] says whether it meets probe j.
-    """
-    floor = 1e-9 * V._scale
-    interior = (edge_margins(V, xy[:, 0], xy[:, 1]) > floor).astype(int)
-    interior += edge_margins(V, xy[:, 2], xy[:, 3]) > floor
-    hits = np.zeros((len(xy), len(probes)), dtype=bool)
-    for j, pr in enumerate(probes):
-        hits[:, j] = segments_hit_polygon(xy, pr)
-    return interior, hits
-
-
 def window_stats(T: CroppedTessellation, probes: Sequence[Polygon] = ()) -> WindowStats:
-    """Statistics of one crop; every probe must lie in `T.window` (not checked here)."""
-    total = 0.0
-    for s in T.segments:
-        total += s.length
-    interior, hits = _chord_flags(segment_rows(T.segments), T.window, probes)
-    return WindowStats(total, len(T.segments), int(interior.sum()), tuple(hits.any(axis=0).tolist()))
+    """Statistics of one crop; every probe must lie in `T.window` (not checked here).
+
+    One replicate at one time of `_window_table`.
+    """
+    segs = T.segments
+    zeros = np.zeros(len(segs), dtype=int)
+    row = _window_table(segment_rows(segs), [s.length for s in segs], zeros, zeros, 1, T.window, [0], probes)[0, 0]
+    total, count, interior, *hits = row.tolist()
+    return WindowStats(total, int(count), int(interior), tuple(h > 0 for h in hits))
 
 
 def default_probes(V: Polygon) -> list[Polygon]:
@@ -184,16 +173,16 @@ def _collect_chunk(
     probes: Sequence[Polygon],
     seed: int,
     chunk: tuple[int, int, int],
-) -> tuple[list[list[WindowStats]], int]:
-    """Per-time statistics of one chunk of replicates; returns (stats, aborted count).
+) -> tuple[np.ndarray, int]:
+    """The `_window_table` of one chunk of replicates; returns (table, aborted count).
 
     The chunk is (arm, rep_start, rep_count).  Arm 0 builds in V, arm 1 builds
     in W with region V, so it builds only the cells that can meet V (see
     `ProcessState`); that keeps the law of the crop to V, not the seeded draws.
     Replicate `rep` runs on seed (seed, arm, rep), so its statistics do not
     depend on how the replicates are chunked.  Each replicate advances once,
-    to the last time; `times` must be ascending.  The statistics at each time
-    are `window_stats(crop(snapshot, V), probes)` of that replicate's snapshot.
+    to the last time; `times` must be ascending.  Each replicate that did not
+    abort has a row per time: `window_stats(crop(snapshot, V), probes)`.
     """
     arm, rep_start, rep_count = chunk
     build_window, region = (W, V) if arm else (V, None)
@@ -212,42 +201,41 @@ def _collect_chunk(
         births += state.births
         counts.append(len(state.segments))
     owner = np.repeat(np.arange(len(counts)), np.array(counts, dtype=int))
-    return _window_columns(segment_rows(chords), np.array(births), owner, len(counts), V, times, probes), aborted
+    rows, clipped, lengths = crop_rows(segment_rows(chords), V)
+    return _window_table(clipped, lengths, np.array(births)[rows], owner[rows], len(counts), V, times, probes), aborted
 
 
-def _window_columns(
+def _window_table(
     chords: np.ndarray,
+    lengths: Sequence[float],
     births: np.ndarray,
     owner: np.ndarray,
     n_reps: int,
     V: Polygon,
     times: Sequence[float],
     probes: Sequence[Polygon],
-) -> list[list[WindowStats]]:
-    """`window_stats` of each replicate's crop to V at each time, from its chords.
+) -> np.ndarray:
+    """The statistics of each replicate's crop to V at each time, shape (len(times), n_reps, 3 + len(probes)).
 
-    Row i of `chords` is the chord (px, py, qx, qy) of replicate owner[i],
-    born at births[i]; a replicate's rows are in its division order.  Each
-    chord is cropped and flagged once, as in `crop` and `window_stats`: a
-    snapshot at time t holds the chords born by t, so each time only selects
-    them.  `np.bincount` adds in input order, so the total lengths are the
-    floats `window_stats` sums.
+    Row i of `chords` is a cropped chord (px, py, qx, qy) of replicate
+    owner[i], of length lengths[i], born at births[i]; a replicate's rows are
+    in its division order.  The columns are the total length, the chord
+    count, the endpoints more than 1e-9*V._scale inside every edge of V, and
+    a 0/1 hit flag per probe.  A snapshot at time t holds the chords born by
+    t.  `np.bincount` adds in input order, so a total length is the sum of
+    its chords' lengths in order.
     """
-    rows, clipped, lengths = crop_rows(chords, V)
-    births, owner, lengths = births[rows], owner[rows], np.array(lengths)
-    interior, hits = _chord_flags(clipped, V, probes)
-    m = len(probes)
-    slots = owner[:, None] * m + np.arange(m)
-    columns = []
-    for t in times:
+    floor = 1e-9 * V._scale
+    inside = [edge_margins(V, chords[:, i], chords[:, i + 1]) > floor for i in (0, 2)]
+    hits = [segments_hit_polygon(chords, pr) for pr in probes]
+    weights = np.column_stack([lengths, np.ones(len(chords)), np.add(*inside, dtype=float)] + hits)
+    table = np.empty((len(times), n_reps, weights.shape[1]))
+    for k, t in enumerate(times):
         sel = births <= t
-        o = owner[sel]
-        total = np.bincount(o, weights=lengths[sel], minlength=n_reps).tolist()
-        count = np.bincount(o, minlength=n_reps).tolist()
-        inner = np.bincount(o, weights=interior[sel], minlength=n_reps).astype(int).tolist()
-        hit = (np.bincount(slots[sel][hits[sel]], minlength=n_reps * m) > 0).reshape(n_reps, m).tolist()
-        columns.append([WindowStats(tl, n, k, tuple(h)) for tl, n, k, h in zip(total, count, inner, hit)])
-    return columns
+        for c, w in enumerate(weights[sel].T):
+            table[k, :, c] = np.bincount(owner[sel], weights=w, minlength=n_reps)
+    table[:, :, 3:] = table[:, :, 3:] > 0
+    return table
 
 
 def consistency_test(
@@ -261,7 +249,7 @@ def consistency_test(
     alpha: float = 0.001,
     n_jobs: int = 1,
 ) -> ConsistencyReport:
-    """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V."""
+    """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V, on at most os.cpu_count() workers."""
     if n_reps < MIN_REPS:
         raise ValueError(f"n_reps must be >= {MIN_REPS}")
     if not 0 < alpha < 1:
@@ -281,6 +269,7 @@ def consistency_test(
     if not all(V.contains_polygon(pr) for pr in probes):
         raise ContainmentViolation("probe polygon outside the window")
 
+    n_jobs = min(n_jobs, os.cpu_count() or 1)
     size = -(-n_reps // (4 * n_jobs))
     chunks = [
         (arm, start, min(size, n_reps - start)) for arm in (0, 1) for start in range(0, n_reps, size)
@@ -291,36 +280,27 @@ def consistency_test(
             results = list(pool.map(work, chunks))
     else:
         results = list(map(work, chunks))
-    per_arm: list[list[list[WindowStats]]] = [[[] for _ in times] for _ in (0, 1)]
+    tables: list[list[np.ndarray]] = [[], []]
     aborted = [0, 0]
-    for (arm, _, _), (stats, ab) in zip(chunks, results):
+    for (arm, _, _), (table, ab) in zip(chunks, results):
+        tables[arm].append(table)
         aborted[arm] += ab
-        for column, part in zip(per_arm[arm], stats):
-            column.extend(part)
-    direct, cropped = per_arm
     ab_d, ab_c = aborted
     if ab_d > MAX_ABORT_FRAC * n_reps or ab_c > MAX_ABORT_FRAC * n_reps:
         raise ReplicateAborted(
             f"too many aborted replicates: {ab_d}/{ab_c} of {n_reps} per arm"
         )
 
-    raw: list[TestResult] = []
+    direct, cropped = (np.concatenate(arm_tables, axis=1) for arm_tables in tables)
+    names = ("total_length", "segment_count", "interior_endpoints") + tuple(f"probe_{j}" for j in range(len(probes)))
+    raw = []
     for k, t in enumerate(times):
-        sa, sb = direct[k], cropped[k]
-        for name in ("total_length", "segment_count", "interior_endpoints"):
-            a = [getattr(s, name) for s in sa]
-            b = [getattr(s, name) for s in sb]
-            stat, p = ks_two_sample(a, b)
-            raw.append(TestResult(t, name, "ks", stat, p))
-        for j in range(len(probes)):
-            stat, p = chi_square_2x2([s.probe_hits[j] for s in sa], [s.probe_hits[j] for s in sb])
-            raw.append(TestResult(t, f"probe_{j}", "chi2", stat, p))
-
-    adjusted = holm_adjust([r.p_raw for r in raw])
-    results = tuple(
-        TestResult(r.time, r.statistic, r.kind, r.value, r.p_raw, ph)
-        for r, ph in zip(raw, adjusted)
-    )
+        for c, name in enumerate(names):
+            ks = c < 3
+            value, p = (ks_two_sample if ks else chi_square_2x2)(direct[k, :, c], cropped[k, :, c])
+            raw.append((t, name, "ks" if ks else "chi2", value, p))
+    adjusted = holm_adjust([p for *_, p in raw])
+    results = tuple(TestResult(*r, ph) for r, ph in zip(raw, adjusted))
     verdict = INCONSISTENT if min(adjusted) < alpha else CONSISTENT
     return ConsistencyReport(results, n_reps, (ab_d, ab_c), alpha, verdict)
 

@@ -55,7 +55,7 @@ class Segment:
 class Polygon:
     """Strictly convex polygon, CCW vertex tuple, canonicalized and validated once."""
 
-    __slots__ = ("vertices", "area", "perimeter", "_diameter", "_scale", "_box", "_circles")
+    __slots__ = ("vertices", "area", "perimeter", "_diameter", "_scale", "_box", "_circles", "_edge_arrays")
 
     def __init__(self, vertices: Iterable[Sequence[float]]):
         pts = [(float(x), float(y)) for x, y in vertices]
@@ -144,6 +144,7 @@ class Polygon:
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_circles", None)
+        object.__setattr__(self, "_edge_arrays", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -491,11 +492,18 @@ def sample_uniform_point(C: Polygon, rng) -> tuple[float, float]:
 
 def _edges(C: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(x0, y0, ex, ey): the start and the vector of each of C's edges, in CCW
-    order, as (n_edges, 1) arrays that broadcast against a 1-d array of points."""
-    vs = C.vertices
-    v = np.array(vs + vs[:1])
-    e = v[1:] - v[:-1]
-    return v[:-1, 0, None], v[:-1, 1, None], e[:, 0, None], e[:, 1, None]
+    order, as (n_edges, 1) arrays that broadcast against a 1-d array of points.
+    Built on first use and kept read-only on C."""
+    edges = C._edge_arrays
+    if edges is None:
+        vs = C.vertices
+        v = np.array(vs + vs[:1])
+        e = v[1:] - v[:-1]
+        edges = (v[:-1, 0, None], v[:-1, 1, None], e[:, 0, None], e[:, 1, None])
+        for a in edges:
+            a.flags.writeable = False
+        object.__setattr__(C, "_edge_arrays", edges)
+    return edges
 
 
 def edge_margins(C: Polygon, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from stitsim import (
 )
 from stitsim.analysis import (
     CONSISTENT,
+    WindowStats,
     _collect_chunk,
     chi_square_2x2,
     consistency_test,
@@ -35,6 +37,36 @@ from stitsim.geometry import scale_about_centroid
 from stitsim.rules import HittingMeasure, IntrinsicVolume, PointDriven, RestrictedMeasure, RulePair, VertexCount
 
 from reference import _reference_window_stats
+
+
+def _stats(table):
+    """The rows of a `_collect_chunk` table as WindowStats, a list of replicates per time."""
+    return [
+        [WindowStats(total, int(n), int(inner), tuple(h > 0 for h in hits)) for total, n, inner, *hits in rows]
+        for rows in table.tolist()
+    ]
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replaces the worker pool by one that maps in this process; returns the max_workers it is asked for."""
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
+    return asked
 
 
 class TestWindowStats:
@@ -179,22 +211,32 @@ class TestConsistencyPipeline:
         for arm in (0, 1):
             whole, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 7, (arm, 0, 6))
             assert aborted == 0
+            assert whole.shape == (len(times), 6, 3 + len(probes))
             for rep in (0, 3, 5):
                 alone, _ = _collect_chunk(stit_rules, unit_square, W, times, probes, 7, (arm, rep, 1))
-                assert [column[0] for column in alone] == [column[rep] for column in whole]
+                assert np.array_equal(alone[:, 0], whole[:, rep])
+
+    @pytest.mark.parametrize("cores, pool", [(2, [2]), (None, [])], ids=["two-cores", "unknown-cores"])
+    def test_workers_bounded_by_cores(self, unit_square, stit_rules, monkeypatch, in_process_pool, cores, pool):
+        # 100000 real workers would fork 100000 processes; the fake pool starts none
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        W = rectangle(0, 0, 2, 2)
+        bounded = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=100_000)
+        assert in_process_pool == pool
+        assert bounded.to_dict() == consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3).to_dict()
 
     def test_crop_once_matches_crop_of_full_window_snapshots(self, unit_square, stit_rules):
         W = rectangle(0, 0, 3, 3)
         probes = default_probes(unit_square)
         times = [0.75, 1.5]
-        stats, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 1, (1, 0, 20))
+        table, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 1, (1, 0, 20))
         assert aborted == 0
         old_route = [[] for _ in times]
         for rep in range(20):
             snaps = new_process(W, stit_rules, (1, 1, rep), region=unit_square).snapshots(times)
             for column, snap in zip(old_route, snaps):
                 column.append(window_stats(crop(snap, unit_square), probes))
-        assert stats == old_route
+        assert _stats(table) == old_route
 
     # sha256 of repr([[(segment_count, interior_endpoints, probe_hits) per time] per replicate])
     # for 100 STIT replicates, seed 1, V = [0,1]^2, W = [0,3]^2; integers and booleans
@@ -215,11 +257,11 @@ class TestConsistencyPipeline:
     @pytest.mark.parametrize("arm", [0, 1], ids=["direct", "cropped"])
     def test_discrete_statistics_are_pinned(self, unit_square, stit_rules, arm):
         W = rectangle(0, 0, 3, 3)
-        per_time, aborted = _collect_chunk(
+        table, aborted = _collect_chunk(
             stit_rules, unit_square, W, [0.75, 1.5], default_probes(unit_square), 1, (arm, 0, 100)
         )
         assert aborted == 0
-        assert self._digest(per_time) == self.PINNED_DIGESTS[arm]
+        assert self._digest(_stats(table)) == self.PINNED_DIGESTS[arm]
 
     def test_unpruned_cropped_statistics_are_pinned(self, unit_square, stit_rules):
         W = rectangle(0, 0, 3, 3)
@@ -340,10 +382,10 @@ class TestChunkKernel:
         }[case]
         probes = default_probes(V)
         times = [0.75, 1.5]
-        stats, aborted = _collect_chunk(rules, V, W, times, probes, 3, (arm, 0, 15))
+        table, aborted = _collect_chunk(rules, V, W, times, probes, 3, (arm, 0, 15))
         assert aborted == 0
-        assert stats == _reference_columns(rules, V, W, times, probes, 3, arm, range(15))
-        assert sum(s.segment_count for s in stats[-1]) > 15
+        assert _stats(table) == _reference_columns(rules, V, W, times, probes, 3, arm, range(15))
+        assert table[-1, :, 1].sum() > 15
 
     @pytest.mark.parametrize(
         "V",
@@ -364,11 +406,11 @@ class TestChunkKernel:
         )
         probes = default_probes(V) + [V, scale_about_centroid(V, 0.5)]
         times = [0.75, 1.5]
-        stats, aborted = _collect_chunk(stit_rules, V, W, times, probes, 0, (1, 0, len(plans)))
+        table, aborted = _collect_chunk(stit_rules, V, W, times, probes, 0, (1, 0, len(plans)))
         assert aborted == 0
         snapshots = [[CroppedTessellation(W, tuple(s for s, b in zip(*plan) if b <= t)) for plan in plans] for t in times]
         expected = [[_reference_window_stats(snap.segments, V, probes) for snap in column] for column in snapshots]
-        assert stats == expected
+        assert _stats(table) == expected
         assert [[window_stats(crop(snap, V), probes) for snap in column] for column in snapshots] == expected
         assert 0 < expected[-1][0].segment_count < len([b for b in plans[0][1] if b <= 1.5])  # some are dropped
 
@@ -392,9 +434,32 @@ class TestChunkKernel:
             return AbortsAfterFirstTime(state) if seed[2] == 2 else state
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
-        stats, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 7, (1, 0, 5))
+        table, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 7, (1, 0, 5))
         assert aborted == 1
-        assert stats == _reference_columns(stit_rules, unit_square, W, times, probes, 7, 1, [0, 1, 3, 4])
+        assert _stats(table) == _reference_columns(stit_rules, unit_square, W, times, probes, 7, 1, [0, 1, 3, 4])
+
+    def test_chunk_of_aborted_replicates(self, unit_square, stit_rules, monkeypatch, in_process_pool):
+        W = rectangle(0, 0, 2, 2)
+        probes = default_probes(unit_square)
+        real = analysis.new_process
+
+        class Aborts:
+            def advance(self, t):
+                raise ReplicateAborted("spy: always aborts")
+
+        def new_process_spy(window, rules, seed, region=None):
+            return Aborts() if seed[1:] == (1, 0) else real(window, rules, seed, region=region)
+
+        monkeypatch.setattr(analysis, "new_process", new_process_spy)
+        table, aborted = _collect_chunk(stit_rules, unit_square, W, [0.5, 1.0], probes, 7, (1, 0, 1))
+        assert aborted == 1
+        assert table.shape == (2, 0, 3 + len(probes))
+        # 25 workers give chunks of one replicate; one abort of 100 is within the limit
+        monkeypatch.setattr(os, "cpu_count", lambda: 25)
+        report = consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 100, probes=probes, seed=7, n_jobs=25)
+        assert in_process_pool == [25]
+        assert report.aborted == (0, 1)
+        assert len(report.results) == 2 * (3 + len(probes))
 
 
 class TestPrunedArm:
@@ -403,9 +468,9 @@ class TestPrunedArm:
         # length t*area(V) in V; arm 1 builds only the cells that can meet V
         W = rectangle(0, 0, 3, 3)
         t, n = 1.5, 3000
-        (column,), aborted = _collect_chunk(stit_rules, unit_square, W, [t], [], 11, (1, 0, n))
+        table, aborted = _collect_chunk(stit_rules, unit_square, W, [t], [], 11, (1, 0, n))
         assert aborted == 0
-        lengths = np.array([s.total_length for s in column])
+        lengths = table[0, :, 0]
         z = (lengths.mean() - t * unit_square.area) / (lengths.std(ddof=1) / math.sqrt(n))
         assert abs(z) < 4.0
 

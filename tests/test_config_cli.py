@@ -502,6 +502,15 @@ class TestCliBadInput:
         assert main(["simulate", "--config", cfg, "--out", str(taken)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "content", [b'\xff\xfe{"version": 1}', b"[" * 100_000], ids=["not-utf-8", "nested-too-deeply"]
+    )
+    def test_undecodable_config_exits_1(self, tmp_path, capsys, content):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(content)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
+
     def test_threads_below_1_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CONSISTENCY)
         assert main(["consistency", "--config", cfg, "--threads", "0", "--out", str(tmp_path / "o")]) == 1
