@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .engine import CroppedTessellation, crop_rows, new_process
+from .engine import CroppedTessellation, crop_rows, new_process, replicate_seeds
 from .errors import ContainmentViolation, InsufficientSamples, ReplicateAborted
 from .geometry import (
     Polygon,
@@ -179,10 +179,11 @@ def _collect_chunk(
     The chunk is (arm, rep_start, rep_count).  Arm 0 builds in V, arm 1 builds
     in W with region V, so it builds only the cells that can meet V (see
     `ProcessState`); that keeps the law of the crop to V, not the seeded draws.
-    Replicate `rep` runs on seed (seed, arm, rep), so its statistics do not
-    depend on how the replicates are chunked.  Each replicate advances once,
-    to the last time; `times` must be ascending.  Each replicate that did not
-    abort has a row per time: `window_stats(crop(snapshot, V), probes)`.
+    Replicate `rep` runs on the generator of seed (seed, arm, rep), from
+    `replicate_seeds`, so its statistics do not depend on how the replicates
+    are chunked.  Each replicate advances once, to the last time; `times`
+    must be ascending.  Each replicate that did not abort has a row per time:
+    `window_stats(crop(snapshot, V), probes)`.
     """
     arm, rep_start, rep_count = chunk
     build_window, region = (W, V) if arm else (V, None)
@@ -190,8 +191,8 @@ def _collect_chunk(
     births: list[float] = []
     counts: list[int] = []
     aborted = 0
-    for rep in range(rep_start, rep_start + rep_count):
-        state = new_process(build_window, rules, (seed, arm, rep), region=region)
+    for rep_seed in replicate_seeds(seed, arm, rep_start, rep_count):
+        state = new_process(build_window, rules, rep_seed, region=region)
         try:
             state.advance(times[-1])
         except ReplicateAborted:
@@ -330,8 +331,8 @@ def rate_estimate(
         )
     chords: list[Segment] = []
     owner: list[int] = []
-    for rep in range(n_reps):
-        state = new_process(V, rules, (seed, 2, rep))
+    for rep, rep_seed in enumerate(replicate_seeds(seed, 2, 0, n_reps)):
+        state = new_process(V, rules, rep_seed)
         state.advance(dt)
         chords += state.segments
         owner += [rep] * len(state.segments)

@@ -1,7 +1,9 @@
 """Event-driven cell-division process in a convex window.
 
 A trajectory draws from one generator, `np.random.default_rng(seed)`, where
-the seed is an int or a tuple such as (seed, arm, replicate).  Events pop
+the seed is an int or a tuple such as (seed, arm, replicate).  Loops over
+replicates take their seeds from `replicate_seeds`, which precomputes them in
+blocks; each still gives the generator `default_rng((seed, arm, rep))`.  Events pop
 from the heap in a fixed order, (death time, cell index), and each draws the
 dividing line or lines of the popped cell, then the life times of its plus
 and minus children.  So a trajectory is a pure function of its seed (and its
@@ -11,13 +13,16 @@ times are fixed at cell birth: death = birth + Exp(1)/rate(cell).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ContainmentViolation, DegenerateSplit, ReplicateAborted
 from .geometry import Polygon, Segment, clip_segments, segment_rows, split
@@ -183,6 +188,7 @@ def new_process(
 # a = inf and no cell is left out.
 
 
+@functools.lru_cache(maxsize=64)
 def _keep_box(V: Polygon, W: Polygon) -> tuple[float, float, float, float]:
     """V's box widened by the margin m derived above: (x_lo, y_lo, x_hi, y_hi)."""
     a, b = V._reach_terms()
@@ -191,6 +197,103 @@ def _keep_box(V: Polygon, W: Polygon) -> tuple[float, float, float, float]:
     m = 2.0 * (a + b * (x_hi - x_lo + y_hi - y_lo) + drift)
     x_lo, y_lo, x_hi, y_hi = V._box
     return (x_lo - m, y_lo - m, x_hi + m, y_hi + m)
+
+
+# Replicate seeds.  `np.random.default_rng((seed, stream, rep))` spends most of
+# its 20 us building `SeedSequence((seed, stream, rep))`, whose only use is the
+# four uint64 words that seed PCG64.  `replicate_seeds` computes those words
+# for a block of replicates at once, with numpy's SeedSequence arithmetic on
+# uint32 arrays: hash the entropy words into a pool of four, mix every pool
+# word into every other, mix in the entropy words past the fourth, then hash
+# the pool out into eight uint32 words.  A `ReplicateSeed` hands them to PCG64
+# through numpy's `ISeedSequence` hook, so default_rng(rep_seed) is the
+# generator default_rng((seed, stream, rep)).
+SEED_BLOCK = 1024
+_MASK32 = 0xFFFF_FFFF
+
+
+class ReplicateSeed(tuple, ISeedSequence):
+    """The tuple (seed, stream, rep) with its SeedSequence words; pickles as the plain tuple.
+
+    Built only by `replicate_seeds`, which sets `_words`.
+    """
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words == 4 and dtype is np.uint64:  # PCG64's call; the words are read-only
+            return self._words
+        return np.random.SeedSequence(tuple(self)).generate_state(n_words, dtype)
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n as SeedSequence reads an int: little-endian 32-bit words, [0] for 0."""
+    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hash of a uint32 array with a running constant h: xor h, step h, multiply, fold."""
+
+    def hash_(v: np.ndarray) -> np.ndarray:
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * mult & _MASK32
+        v = v * np.uint32(h)
+        return v ^ (v >> 16)
+
+    return hash_
+
+
+def _seed_words(prefix: list[int], reps: range) -> np.ndarray:
+    """SeedSequence's generate_state(4, np.uint64) for the entropy words prefix + [rep], per rep (< 2**32)."""
+    n = len(reps)
+    entropy = [np.full(n, w, np.uint32) for w in prefix] + [np.arange(reps.start, reps.stop, dtype=np.uint32)]
+    entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return r ^ (r >> 16)
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = np.column_stack([out(pool[i % 4]) for i in range(8)])
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def replicate_seeds(seed: int, stream: int, start: int, count: int) -> Iterator[tuple[int, int, int]]:
+    """Seeds of replicates start .. start + count - 1; default_rng of each is default_rng((seed, stream, rep)).
+
+    Yields a `ReplicateSeed` per replicate, computed SEED_BLOCK at a time.  It
+    yields the plain tuples instead for a block with a rep of 2**32 or more
+    (such a rep takes two entropy words), for a seed or stream that is not an
+    int, and for the whole call when the first seed's words differ from
+    numpy's own SeedSequence.  Seeds that default_rng rejects raise as it does.
+    """
+    expected = np.random.SeedSequence((seed, stream, start)).generate_state(4, np.uint64)
+    fast = isinstance(seed, (int, np.integer)) and isinstance(stream, (int, np.integer))
+    prefix = _uint32_words(int(seed)) + _uint32_words(int(stream)) if fast else []
+    for lo in range(start, start + count, SEED_BLOCK):
+        reps = range(lo, min(lo + SEED_BLOCK, start + count))
+        words = _seed_words(prefix, reps) if fast and reps[-1] < 2**32 else None
+        if words is not None and lo == start and not np.array_equal(words[0], expected):
+            fast, words = False, None
+        if words is None:
+            yield from ((seed, stream, rep) for rep in reps)
+            continue
+        words.flags.writeable = False
+        for rep, row in zip(reps, words):
+            rep_seed = tuple.__new__(ReplicateSeed, (seed, stream, rep))
+            rep_seed._words = row
+            yield rep_seed
 
 
 def crop_rows(xy: np.ndarray, V: Polygon) -> tuple[np.ndarray, np.ndarray, list[float]]:

@@ -39,26 +39,29 @@ def dump_geometry(state: ProcessState, path: str) -> None:
 
 
 def load_geometry(path: str) -> tuple[dict, list[tuple[Segment, float]]]:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("# "):
-            raise ConfigError(f"{path}: missing metadata header")
-        try:
-            meta = json.loads(header[2:])
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:1: bad metadata header: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise ConfigError(f"{path}:1: metadata header must be a JSON object")
-        records = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if len(parts) != 5:
-                raise ConfigError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header.startswith("# "):
+                raise ConfigError(f"{path}: missing metadata header")
             try:
-                px, py, qx, qy, birth = (float(p) for p in parts)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            records.append((Segment((px, py), (qx, qy)), birth))
+                meta = json.loads(header[2:])
+            except (RecursionError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"{path}:1: bad metadata header: {exc}") from exc
+            if not isinstance(meta, dict):
+                raise ConfigError(f"{path}:1: metadata header must be a JSON object")
+            records = []
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.split()
+                if len(parts) != 5:
+                    raise ConfigError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+                try:
+                    px, py, qx, qy, birth = (float(p) for p in parts)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                records.append((Segment((px, py), (qx, qy)), birth))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if meta.get("n_segments") != len(records):
         raise ConfigError(f"{path}: header says {meta.get('n_segments')} segments, found {len(records)}")
     return meta, records

@@ -310,6 +310,17 @@ class TestLoadGeometry:
         with pytest.raises(ConfigError, match=re.escape(f"{path}{where}")):
             load_geometry(str(path))
 
+    @pytest.mark.parametrize(
+        "content, where",
+        [(b"# \xff\n", ": not UTF-8 text: "), (b"# " + b"[" * 100_000 + b"\n", ":1: bad metadata header: ")],
+        ids=["not-utf-8", "nested-too-deeply"],
+    )
+    def test_undecodable_dump_raises_config_error(self, tmp_path, content, where):
+        path = tmp_path / "dump.txt"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}{where}")):
+            load_geometry(str(path))
+
 
 class TestCliVerify:
     def test_shared_measure_identities_pass(self, tmp_path):

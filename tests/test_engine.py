@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -344,3 +345,64 @@ class TestRegion:
         crop(state, rectangle(0.25, 0.25, 0.75, 0.75))
         with pytest.raises(ContainmentViolation, match="region"):
             crop(state, rectangle(0.0, 0.0, 2.0, 2.0))
+
+
+def test_keep_box_is_computed_once_per_window_pair():
+    V, W = REGIONS["square"]
+    box = engine._keep_box(V, W)
+    assert engine._keep_box(Polygon(V.vertices), Polygon(W.vertices)) is box
+    assert engine._keep_box.__wrapped__(V, W) == box
+
+
+def _draws(seed):
+    rng = np.random.default_rng(seed)
+    return rng.random(4).tolist() + rng.standard_exponential(4).tolist()
+
+
+# Seeds of one to four entropy words; with the stream and rep words, the last
+# two make more than the four words of SeedSequence's pool.
+SEEDS = [0, 1, 5, 2**31 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**100 + 1, 12 * 10**28]
+
+
+class TestReplicateSeeds:
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_generators_equal_default_rng_of_the_tuple(self, seed, stream):
+        start, count = 5, engine.SEED_BLOCK + 6  # two blocks
+        seeds = list(engine.replicate_seeds(seed, stream, start, count))
+        assert seeds == [(seed, stream, rep) for rep in range(start, start + count)]
+        assert all(type(s) is engine.ReplicateSeed for s in seeds)
+        boundary = engine.SEED_BLOCK
+        for s in seeds[:2] + seeds[boundary - 2 : boundary + 2] + seeds[-2:]:
+            assert _draws(s) == _draws(tuple(s))
+
+    def test_reps_from_2_to_the_32_are_plain_tuples(self):
+        for start in (2**32 - 2, 2**32 + 5):
+            seeds = list(engine.replicate_seeds(3, 1, start, 4))
+            assert seeds == [(3, 1, rep) for rep in range(start, start + 4)]
+            assert all(type(s) is tuple for s in seeds)
+
+    def test_words_that_differ_from_numpy_give_plain_tuples(self, monkeypatch):
+        monkeypatch.setattr(engine, "_seed_words", lambda prefix, reps: np.zeros((len(reps), 4), np.uint64))
+        seeds = list(engine.replicate_seeds(3, 1, 0, engine.SEED_BLOCK + 1))
+        assert all(type(s) is tuple for s in seeds)
+        assert seeds == [(3, 1, rep) for rep in range(engine.SEED_BLOCK + 1)]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0)])
+    def test_bad_seed_raises_as_default_rng_does(self, seed):
+        with pytest.raises(Exception) as expected:
+            np.random.default_rng((seed, 0, 0))
+        with pytest.raises(expected.type):
+            list(engine.replicate_seeds(seed, 0, 0, 3))
+
+    def test_pickles_as_the_plain_tuple(self):
+        (s,) = engine.replicate_seeds(7, 2, 11, 1)
+        back = pickle.loads(pickle.dumps(s))
+        assert type(back) is tuple and back == (7, 2, 11)
+        assert _draws(back) == _draws(s)
+
+    def test_other_states_come_from_numpy(self):
+        (s,) = engine.replicate_seeds(7, 2, 11, 1)
+        expected = np.random.SeedSequence((7, 2, 11))
+        assert np.array_equal(s.generate_state(4, np.uint64), expected.generate_state(4, np.uint64))
+        assert np.array_equal(s.generate_state(3), expected.generate_state(3))
