@@ -17,7 +17,6 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .engine import CroppedTessellation, crop_rows, new_process, replicate_seeds
 from .errors import ContainmentViolation, InsufficientSamples, ReplicateAborted
@@ -89,6 +88,8 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     """Two-sided two-sample Kolmogorov-Smirnov with asymptotic p-value."""
     if len(a) < 20 or len(b) < 20:
         raise InsufficientSamples(f"need >= 20 samples per side, got {len(a)}/{len(b)}")
+    from scipy import stats as scipy_stats  # about 1 s to import, paid on the first test only
+
     res = scipy_stats.ks_2samp(np.asarray(a, float), np.asarray(b, float), method="asymp")
     return float(res.statistic), float(res.pvalue)
 
@@ -100,6 +101,8 @@ def chi_square_2x2(hits_a: Sequence[bool], hits_b: Sequence[bool]) -> tuple[floa
     table = np.array([[ha, len(hits_a) - ha], [hb, len(hits_b) - hb]], dtype=float)
     if (table.sum(axis=0) == 0).any() or (table.sum(axis=1) == 0).any():
         return 0.0, 1.0
+    from scipy import stats as scipy_stats
+
     chi2, p, _, _ = scipy_stats.chi2_contingency(table, correction=True)
     return float(chi2), float(p)
 

@@ -12,11 +12,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence, Union
-
-from scipy.integrate import IntegrationWarning, quad
+from typing import Iterable, Sequence, Union
 
 from .geometry import Hyperplane, Polygon, offset_interval, width
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum from left to right, one rounding per term.
+
+    From CPython 3.12 on, sum() of floats is compensated and can differ in the
+    last bit; a hitting mass is a rate, so that bit would move death times and
+    dumps between Python versions.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)
@@ -40,7 +51,7 @@ class Atoms:
             raise ValueError("atom angles must lie in [0, pi)")
         if any(not (w > 0 and math.isfinite(w)) for w in self.weights):
             raise ValueError("atom weights must be positive and finite")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if abs(ordered_sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("atom weights must sum to 1")
 
 
@@ -66,7 +77,7 @@ def hitting_mass(L: HyperplaneMeasure, C: Polygon) -> float:
     d = L.directions
     if isinstance(d, Isotropic):
         return L.intensity * C.perimeter / math.pi
-    return L.intensity * sum(w * width(C, t) for t, w in zip(d.thetas, d.weights))
+    return L.intensity * ordered_sum(w * width(C, t) for t, w in zip(d.thetas, d.weights))
 
 
 def joint_hitting_mass(L: HyperplaneMeasure, A: Polygon, B: Polygon) -> float:
@@ -79,7 +90,9 @@ def joint_hitting_mass(L: HyperplaneMeasure, A: Polygon, B: Polygon) -> float:
 
     d = L.directions
     if isinstance(d, Atoms):
-        return L.intensity * sum(w * overlap(t) for t, w in zip(d.thetas, d.weights))
+        return L.intensity * ordered_sum(w * overlap(t) for t, w in zip(d.thetas, d.weights))
+    from scipy.integrate import IntegrationWarning, quad  # only the isotropic case needs scipy
+
     # Isotropic: the integrand is piecewise smooth with kinks at edge-normal
     # angles of either polygon; hand those to the quadrature as breakpoints.
     kinks = sorted(
@@ -106,7 +119,7 @@ def _edge_normal_angles(C: Polygon) -> list[float]:
 
 def sample_atom(thetas: Sequence[float], weights: Sequence[float], rng) -> float:
     """Draw one of the angles with probability proportional to its weight."""
-    u = rng.random() * sum(weights)
+    u = rng.random() * ordered_sum(weights)
     acc = 0.0
     for t, w in zip(thetas, weights):
         acc += w

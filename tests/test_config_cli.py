@@ -1,13 +1,17 @@
+import copy
 import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stitsim.cli import main
 from stitsim.config import (
     ConfigError,
     parse_consistency,
+    parse_rate,
     parse_rules,
     parse_simulate,
     parse_verify,
@@ -552,3 +556,81 @@ class TestCliRate:
         report = json.loads((tmp_path / "rate_report.json").read_text())
         assert report["target"] == pytest.approx(2.0 / math.pi)
         assert abs(report["rows"][0]["estimate"] - 2.0 / math.pi) < 0.2
+
+
+# Valid rule blocks beside STIT_RULES, so that every branch of parse_rules has
+# leaves to replace.
+GENERAL_RULES = [
+    STIT_RULES,
+    {
+        "shared_measure": {"intensity": 2.0, "directions": [[0.0, 0.5], [1.5, 0.5]]},
+        "selection": {"kind": "hitting_measure", "measure": "shared"},
+        "division": {"kind": "restricted_measure", "measure": "shared"},
+    },
+    {
+        "selection": {"kind": "intrinsic_volume", "index": 1},
+        "division": {"kind": "point_driven", "directions": [[0.0, 0.3], [1.0, 0.7]]},
+    },
+    {"selection": {"kind": "vertex_count"}, "division": {"kind": "restricted_measure", "measure": ISO}},
+]
+CONFIG_KEYS = sorted(
+    {k for base in (SIMULATE, CONSISTENCY, VERIFY, RATE) for k in base}
+    | {"out_prefix", "alpha", "probes", "n_cases", "stit", "measure", "intensity", "directions"}
+    | {"shared_measure", "selection", "division", "kind", "index"}
+)
+# Any JSON value, with the keys and names the schema knows among the strings.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["isotropic", "shared", "default", "corollary", "vertex_count", "point_driven"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=6), inner, max_size=5),
+    max_leaves=16,
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON tree, the root excluded."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw, base):
+    cfg = copy.deepcopy(dict(base, rules=draw(st.sampled_from(GENERAL_RULES))))
+    *parents, last = draw(st.sampled_from(list(_paths(cfg))))
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = draw(JSON_VALUES)
+    return cfg
+
+
+class TestParsersRejectOnlyWithConfigError:
+    """Bad input is a ConfigError, never a Python traceback.  Parsers only: nothing is simulated."""
+
+    @pytest.mark.parametrize(
+        "parse, base",
+        [(parse_simulate, SIMULATE), (parse_consistency, CONSISTENCY), (parse_verify, VERIFY), (parse_rate, RATE)],
+        ids=["simulate", "consistency", "verify", "rate"],
+    )
+    def test_one_replaced_value(self, parse, base):
+        @settings(max_examples=250, deadline=None)
+        @given(mutated_configs(base))
+        def check(cfg):
+            try:
+                parse(cfg)
+            except ConfigError:
+                pass
+
+        check()

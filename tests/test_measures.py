@@ -11,6 +11,7 @@ from stitsim.measures import (
     axis_aligned,
     hitting_mass,
     joint_hitting_mass,
+    ordered_sum,
     sample_hitting,
 )
 
@@ -55,6 +56,22 @@ class TestHittingMass:
             poly = random_convex_polygon(rng, n_points=8)
             inner = scale_about_centroid(poly, 0.3 + 0.6 * rng.random())
             assert hitting_mass(iso_measure, inner) <= hitting_mass(iso_measure, poly) + 1e-12
+
+    def test_ordered_sum_is_not_compensated(self):
+        # a compensated sum (sum() from CPython 3.12, math.fsum) gives 1.0
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_atoms_sum_left_to_right(self, rng):
+        # on 21 of these 200 polygons a compensated sum of the three terms
+        # differs in the last bit, which would move death times and dumps
+        atoms = Atoms((0.1, 1.0, 2.0), (0.2, 0.3, 0.5))
+        L = HyperplaneMeasure(1.7, atoms)
+        for _ in range(200):
+            poly = random_convex_polygon(rng, n_points=6)
+            total = 0.0
+            for t, w in zip(atoms.thetas, atoms.weights):
+                total += w * geometry.width(poly, t)
+            assert hitting_mass(L, poly) == 1.7 * total
 
 
 class TestJointHittingMass:
