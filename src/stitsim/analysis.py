@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import CroppedTessellation, crop_rows, new_process, replicate_seeds
+from .engine import SEED_BLOCK, CroppedTessellation, crop_rows, new_process, replicate_seeds
 from .errors import ContainmentViolation, InsufficientSamples, ReplicateAborted
 from .geometry import (
     Polygon,
@@ -84,27 +83,68 @@ def default_probes(V: Polygon) -> list[Polygon]:
     return probes
 
 
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
-    """Two-sided two-sample Kolmogorov-Smirnov with asymptotic p-value."""
-    if len(a) < 20 or len(b) < 20:
-        raise InsufficientSamples(f"need >= 20 samples per side, got {len(a)}/{len(b)}")
+def _column_pair(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as (samples, columns) arrays with the same columns; a 1-D sample is one column."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != b.ndim or a.ndim not in (1, 2) or a.shape[1:] != b.shape[1:]:
+        raise ValueError(f"need two 1-D samples or two 2-D arrays with as many columns, got shapes {a.shape}/{b.shape}")
+    return (a[:, None], b[:, None]) if a.ndim == 1 else (a, b)
+
+
+def ks_two_sample(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> tuple:
+    """Two-sided two-sample Kolmogorov-Smirnov test of each column of `a` against the same column of `b`.
+
+    `a` is (m,) or (m, columns) and `b` is (n,) or (n, columns).  Each column
+    gets scipy's `ks_2samp(method="asymp")` arithmetic: D is the largest gap
+    between the empirical CDFs at the pooled points, and its p-value is
+    `kstwo.sf(D, round(m*n/(m+n)))`, the exact law of the one-sample KS
+    statistic at the effective sample size, clipped to [0, 1].  All columns
+    share one `kstwo.sf` call.  A 1-D pair gives (D, p) as floats; 2-D arrays
+    give an array of D and one of p, a value per column.
+    """
+    xs, ys = (x.astype(float) for x in _column_pair(a, b))
+    m, n = len(xs), len(ys)
+    if m < 20 or n < 20:
+        raise InsufficientSamples(f"need >= 20 samples per side, got {m}/{n}")
     from scipy import stats as scipy_stats  # about 1 s to import, paid on the first test only
 
-    res = scipy_stats.ks_2samp(np.asarray(a, float), np.asarray(b, float), method="asymp")
-    return float(res.statistic), float(res.pvalue)
+    gaps = np.empty((xs.shape[1], m + n))  # empirical CDF of a minus that of b, at the pooled points
+    for c, (x, y) in enumerate(zip(np.sort(xs.T, axis=1), np.sort(ys.T, axis=1))):
+        pooled = np.concatenate([x, y])
+        gaps[c] = np.searchsorted(x, pooled, side="right") / m - np.searchsorted(y, pooled, side="right") / n
+    below = np.clip(-gaps.min(axis=1), 0, 1)
+    above = gaps.max(axis=1)
+    d = np.where(below > above, below, above)
+    p = np.clip(scipy_stats.kstwo.sf(d, np.round(m * n / (m + n))), 0, 1)
+    return (float(d[0]), float(p[0])) if np.ndim(a) == 1 else (d, p)
 
 
-def chi_square_2x2(hits_a: Sequence[bool], hits_b: Sequence[bool]) -> tuple[float, float]:
-    """Chi-square test for equal hit frequency; degenerate tables give p = 1."""
-    ha = int(np.count_nonzero(hits_a))
-    hb = int(np.count_nonzero(hits_b))
-    table = np.array([[ha, len(hits_a) - ha], [hb, len(hits_b) - hb]], dtype=float)
-    if (table.sum(axis=0) == 0).any() or (table.sum(axis=1) == 0).any():
-        return 0.0, 1.0
-    from scipy import stats as scipy_stats
+def chi_square_2x2(hits_a: Sequence[bool] | np.ndarray, hits_b: Sequence[bool] | np.ndarray) -> tuple:
+    """Chi-square test for equal hit frequency in each column of `hits_a` and the same column of `hits_b`.
 
-    chi2, p, _, _ = scipy_stats.chi2_contingency(table, correction=True)
-    return float(chi2), float(p)
+    Shapes as in `ks_two_sample`; a nonzero entry is a hit.  Each column's
+    2x2 table of hits and misses per side gets scipy's
+    `chi2_contingency(correction=True)` arithmetic: expected counts from the
+    margins, Yates' continuity step, and the four Pearson terms summed in
+    table order; p = `chdtrc(1, statistic)`, one call for all columns.  A
+    table with an empty row or column gives (0.0, 1.0).
+    """
+    ha, hb = _column_pair(hits_a, hits_b)
+    hit_a, hit_b = np.count_nonzero(ha, axis=0), np.count_nonzero(hb, axis=0)
+    table = np.moveaxis(np.array([[hit_a, len(ha) - hit_a], [hit_b, len(hb) - hit_b]], dtype=float), -1, 0)
+    rows, cols = table.sum(axis=2, keepdims=True), table.sum(axis=1, keepdims=True)
+    proper = (rows > 0).all(axis=(1, 2)) & (cols > 0).all(axis=(1, 2))
+    stat, p = np.zeros(len(table)), np.ones(len(table))
+    if proper.any():
+        from scipy import special
+
+        observed = table[proper]
+        expected = rows[proper] * cols[proper] / observed.sum(axis=(1, 2), keepdims=True)
+        gap = expected - observed
+        observed = observed + np.minimum(0.5, np.abs(gap)) * np.sign(gap)
+        stat[proper] = ((observed - expected) ** 2 / expected).reshape(-1, 4).sum(axis=1)
+        p[proper] = special.chdtrc(1, stat[proper])
+    return (float(stat[0]), float(p[0])) if np.ndim(hits_a) == 1 else (stat, p)
 
 
 def holm_adjust(pvalues: Sequence[float]) -> list[float]:
@@ -166,6 +206,13 @@ class ConsistencyReport:
                 f"{r.value:>10.4g} {r.p_raw:>10.3e} {r.p_holm:>10.3e}"
             )
         return "\n".join(lines)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS reports one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _collect_chunk(
@@ -253,7 +300,12 @@ def consistency_test(
     alpha: float = 0.001,
     n_jobs: int = 1,
 ) -> ConsistencyReport:
-    """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V, on at most os.cpu_count() workers."""
+    """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V, on at most `usable_cpus()` workers.
+
+    At each time the three KS statistics are one `ks_two_sample` call and the
+    probe hits one `chi_square_2x2` call; Holm's correction runs over the
+    whole family.
+    """
     if n_reps < MIN_REPS:
         raise ValueError(f"n_reps must be >= {MIN_REPS}")
     if not 0 < alpha < 1:
@@ -273,13 +325,18 @@ def consistency_test(
     if not all(V.contains_polygon(pr) for pr in probes):
         raise ContainmentViolation("probe polygon outside the window")
 
-    n_jobs = min(n_jobs, os.cpu_count() or 1)
-    size = -(-n_reps // (4 * n_jobs))
+    # In process there is no pool to balance, so an arm is collected in chunks of
+    # up to SEED_BLOCK replicates (one seeder block; it bounds a chunk's chord
+    # arrays); a pool gets four chunks per worker and arm.
+    n_jobs = min(n_jobs, usable_cpus())
+    size = SEED_BLOCK if n_jobs == 1 else -(-n_reps // (4 * n_jobs))
     chunks = [
         (arm, start, min(size, n_reps - start)) for arm in (0, 1) for start in range(0, n_reps, size)
     ]
     work = partial(_collect_chunk, rules, V, W, times, probes, seed)
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only a pool needs it
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(work, chunks))
     else:
@@ -297,12 +354,14 @@ def consistency_test(
 
     direct, cropped = (np.concatenate(arm_tables, axis=1) for arm_tables in tables)
     names = ("total_length", "segment_count", "interior_endpoints") + tuple(f"probe_{j}" for j in range(len(probes)))
+    kinds = ("ks",) * 3 + ("chi2",) * len(probes)
     raw = []
     for k, t in enumerate(times):
-        for c, name in enumerate(names):
-            ks = c < 3
-            value, p = (ks_two_sample if ks else chi_square_2x2)(direct[k, :, c], cropped[k, :, c])
-            raw.append((t, name, "ks" if ks else "chi2", value, p))
+        ks_values, ks_p = ks_two_sample(direct[k, :, :3], cropped[k, :, :3])
+        chi2_values, chi2_p = chi_square_2x2(direct[k, :, 3:], cropped[k, :, 3:])
+        values = np.concatenate([ks_values, chi2_values]).tolist()
+        pvalues = np.concatenate([ks_p, chi2_p]).tolist()
+        raw += zip([t] * len(names), names, kinds, values, pvalues)
     adjusted = holm_adjust([p for *_, p in raw])
     results = tuple(TestResult(*r, ph) for r, ph in zip(raw, adjusted))
     verdict = INCONSISTENT if min(adjusted) < alpha else CONSISTENT

@@ -19,6 +19,7 @@ from .analysis import (
     consistency_test,
     identity_suite,
     rate_estimate,
+    usable_cpus,
 )
 from .engine import new_process
 from .errors import ConfigError, StitsimError
@@ -121,7 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         if name == "consistency":
             p.add_argument(
-                "--threads", type=int, default=os.cpu_count() or 1, help="worker processes (default: cores)"
+                "--threads",
+                type=int,
+                default=usable_cpus(),
+                help="worker processes (default: the CPUs this process may run on)",
             )
     return parser
 

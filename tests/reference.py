@@ -1,13 +1,16 @@
-"""Exact scalar references for containment, clipping, hit tests, crop and
-window statistics, and the helpers only the tests use.
+"""Exact scalar references for containment, clipping, hit tests, crop,
+window statistics and the two-sample tests, and the helpers only the tests use.
 
-The references work one point, segment and edge at a time in plain Python
-and share no code with the array kernels of `stitsim.geometry`
+The geometric references work one point, segment and edge at a time in
+plain Python and share no code with the array kernels of `stitsim.geometry`
 (`clip_segments`, `segments_hit_polygon`, `edge_margins`), so a test that
-compares the two compares independent arithmetic.
+compares the two compares independent arithmetic.  The two-sample
+references are scipy's own tests, one pair of samples per call.
 """
 
 import math
+
+import numpy as np
 
 from stitsim.analysis import WindowStats
 from stitsim.engine import MIN_CHORD_REL
@@ -112,3 +115,24 @@ def _reference_window_stats(segments, V, probes):
                 interior += 1
     hits = tuple(any(_reference_segment_hits_polygon(s, pr) for s in cropped) for pr in probes)
     return WindowStats(total, len(cropped), interior, hits)
+
+
+def _reference_ks_two_sample(a, b):
+    """scipy's two-sided two-sample KS test of one pair of samples, with its asymptotic method."""
+    from scipy import stats
+
+    res = stats.ks_2samp(np.asarray(a, float), np.asarray(b, float), method="asymp")
+    return float(res.statistic), float(res.pvalue)
+
+
+def _reference_chi_square_2x2(hits_a, hits_b):
+    """scipy's Yates-corrected chi-square test of one 2x2 table of hits; (0.0, 1.0) for an empty row or column."""
+    from scipy import stats
+
+    ha = int(np.count_nonzero(hits_a))
+    hb = int(np.count_nonzero(hits_b))
+    table = np.array([[ha, len(hits_a) - ha], [hb, len(hits_b) - hb]], dtype=float)
+    if (table.sum(axis=0) == 0).any() or (table.sum(axis=1) == 0).any():
+        return 0.0, 1.0
+    chi2, p, _, _ = stats.chi2_contingency(table, correction=True)
+    return float(chi2), float(p)

@@ -36,7 +36,7 @@ from stitsim.analysis import (
 from stitsim.geometry import scale_about_centroid
 from stitsim.rules import HittingMeasure, IntrinsicVolume, PointDriven, RestrictedMeasure, RulePair, VertexCount
 
-from reference import _reference_window_stats
+from reference import _reference_chi_square_2x2, _reference_ks_two_sample, _reference_window_stats
 
 
 def _stats(table):
@@ -65,7 +65,7 @@ def in_process_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     return asked
 
 
@@ -163,6 +163,85 @@ class TestHolmAndChi2:
         assert p < 1e-10
 
 
+def _tied(rng, size, columns):
+    """Integer samples with many ties."""
+    return rng.integers(0, 8, size=(size, columns)).astype(float)
+
+
+class TestBatchedTestsMatchScipy:
+    """Each column of the batched tests gives scipy's scalar result, bit for bit."""
+
+    @pytest.mark.parametrize("m, n", [(20, 20), (20, 2000), (137, 61), (500, 501), (2000, 2000)])
+    def test_ks_columns_equal_ks_2samp(self, rng, m, n):
+        a = np.column_stack([rng.random((m, 3)), _tied(rng, m, 3), rng.random((m, 1)) + 0.3])
+        b = np.column_stack([rng.random((n, 3)), _tied(rng, n, 3), rng.random((n, 1))])
+        b[:, 2] = a[: min(m, n), 2].repeat(-(-n // m))[:n]  # values shared with the other side
+        d, p = ks_two_sample(a, b)
+        expected = [_reference_ks_two_sample(a[:, c], b[:, c]) for c in range(a.shape[1])]
+        assert list(zip(d.tolist(), p.tolist())) == expected
+
+    def test_ks_one_dimensional_pair_gives_floats(self, rng):
+        a, b = rng.random(50), rng.random(70)
+        result = ks_two_sample(list(a), list(b))
+        assert result == _reference_ks_two_sample(a, b)
+        assert all(type(x) is float for x in result)
+
+    def test_ks_needs_twenty_samples_in_every_column(self, rng):
+        with pytest.raises(InsufficientSamples):
+            ks_two_sample(rng.random((19, 3)), rng.random((100, 3)))
+
+    @staticmethod
+    def _hit_columns(size, counts):
+        """A (size, len(counts)) array whose column j has counts[j] hits."""
+        return np.arange(size)[:, None] < np.array(counts)[None, :]
+
+    def test_chi2_every_small_table(self):
+        for m in range(1, 9):
+            for n in range(1, 9):
+                pairs = [(i, j) for i in range(m + 1) for j in range(n + 1)]
+                a = self._hit_columns(m, [i for i, _ in pairs])
+                b = self._hit_columns(n, [j for _, j in pairs])
+                stat, p = chi_square_2x2(a, b)
+                expected = [_reference_chi_square_2x2(a[:, c], b[:, c]) for c in range(len(pairs))]
+                assert list(zip(stat.tolist(), p.tolist())) == expected, (m, n)
+
+    def test_chi2_random_tables(self, rng):
+        for _ in range(20):
+            m, n = rng.integers(20, 6001, size=2)
+            a = self._hit_columns(m, rng.integers(0, m + 1, size=25))
+            b = self._hit_columns(n, rng.integers(0, n + 1, size=25))
+            stat, p = chi_square_2x2(a, b)
+            expected = [_reference_chi_square_2x2(a[:, c], b[:, c]) for c in range(25)]
+            assert list(zip(stat.tolist(), p.tolist())) == expected, (m, n)
+
+    def test_chi2_degenerate_margins(self):
+        # all hits, no hits, and an empty side, next to a proper table
+        a = self._hit_columns(40, [40, 0, 7, 40, 0])
+        b = self._hit_columns(30, [30, 0, 20, 0, 30])
+        stat, p = chi_square_2x2(a, b)
+        expected = [_reference_chi_square_2x2(a[:, c], b[:, c]) for c in range(5)]
+        assert list(zip(stat.tolist(), p.tolist())) == expected
+        assert expected[:2] == [(0.0, 1.0)] * 2
+        assert chi_square_2x2([], [True, False]) == (0.0, 1.0) == _reference_chi_square_2x2([], [True, False])
+        stat, p = chi_square_2x2(np.zeros((0, 3)), np.ones((10, 3)))
+        assert stat.tolist() == [0.0] * 3 and p.tolist() == [1.0] * 3
+
+    @pytest.mark.parametrize("test", [ks_two_sample, chi_square_2x2])
+    def test_sides_need_the_same_columns(self, rng, test):
+        mismatched = [
+            (rng.random((30, 3)), rng.random((30, 2))),
+            (rng.random(30), rng.random((30, 1))),
+            (rng.random((30, 2, 2)),) * 2,
+        ]
+        for a, b in mismatched:
+            with pytest.raises(ValueError, match="columns"):
+                test(a, b)
+
+    def test_chi2_without_columns(self):
+        stat, p = chi_square_2x2(np.zeros((100, 0)), np.zeros((90, 0)))
+        assert stat.shape == p.shape == (0,)
+
+
 class TestConsistencyPipeline:
     def test_null_same_window_not_rejected(self, unit_square, stit_rules):
         report = consistency_test(
@@ -218,12 +297,39 @@ class TestConsistencyPipeline:
 
     @pytest.mark.parametrize("cores, pool", [(2, [2]), (None, [])], ids=["two-cores", "unknown-cores"])
     def test_workers_bounded_by_cores(self, unit_square, stit_rules, monkeypatch, in_process_pool, cores, pool):
-        # 100000 real workers would fork 100000 processes; the fake pool starts none
+        # 100000 real workers would fork 100000 processes; the fake pool starts none.
+        # Where the OS reports no affinity set, the bound is os.cpu_count(), or 1.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         W = rectangle(0, 0, 2, 2)
         bounded = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=100_000)
         assert in_process_pool == pool
         assert bounded.to_dict() == consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3).to_dict()
+
+    def test_workers_bounded_by_affinity(self, unit_square, stit_rules, monkeypatch, in_process_pool):
+        # pinned to 3 of 64 CPUs: 3 workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert analysis.usable_cpus() == 3
+        consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5], 100, seed=3, n_jobs=100_000)
+        assert in_process_pool == [3]
+
+    def test_in_process_arm_is_chunked_by_seed_block(self, unit_square, stit_rules, monkeypatch):
+        W = rectangle(0, 0, 2, 2)
+        whole = consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 130, seed=3)
+        chunks = []
+
+        def spy(*args):
+            chunks.append(args[-1])
+            return _collect_chunk(*args)
+
+        monkeypatch.setattr(analysis, "_collect_chunk", spy)
+        assert consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 130, seed=3).to_dict() == whole.to_dict()
+        assert chunks == [(0, 0, 130), (1, 0, 130)]
+        chunks.clear()
+        monkeypatch.setattr(analysis, "SEED_BLOCK", 50)
+        assert consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 130, seed=3).to_dict() == whole.to_dict()
+        assert chunks == [(arm, start, count) for arm in (0, 1) for start, count in ((0, 50), (50, 50), (100, 30))]
 
     def test_crop_once_matches_crop_of_full_window_snapshots(self, unit_square, stit_rules):
         W = rectangle(0, 0, 3, 3)
@@ -455,7 +561,7 @@ class TestChunkKernel:
         assert aborted == 1
         assert table.shape == (2, 0, 3 + len(probes))
         # 25 workers give chunks of one replicate; one abort of 100 is within the limit
-        monkeypatch.setattr(os, "cpu_count", lambda: 25)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(25)), raising=False)
         report = consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 100, probes=probes, seed=7, n_jobs=25)
         assert in_process_pool == [25]
         assert report.aborted == (0, 1)

@@ -1,13 +1,15 @@
 import copy
+import hashlib
 import json
 import math
+import os
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stitsim.cli import main
+from stitsim.cli import build_parser, main
 from stitsim.config import (
     ConfigError,
     parse_consistency,
@@ -240,6 +242,19 @@ class TestCliSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "tessellation.txt").read_bytes() == (out2 / "tessellation.txt").read_bytes()
         assert (out1 / "tessellation.svg").read_bytes() == (out2 / "tessellation.svg").read_bytes()
+
+    # sha256 of the dump and the SVG of STIT in [0,1]^2 to t = 20, seed 1 (137 chords)
+    PINNED_OUTPUTS = {
+        "tessellation.txt": "57c72e7f27a6cc9acfde4ccdc8d67d252938be371f784cba148fda2f6e2dff11",
+        "tessellation.svg": "25db609c084ed3167ba71e4a89b6c346f55af9f2a8938911e093c73f941daf5e",
+    }
+
+    def test_isotropic_outputs_are_pinned(self, tmp_path):
+        cfg = write_config(tmp_path, {**SIMULATE, "time": 20.0})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.PINNED_OUTPUTS}
+        assert digests == self.PINNED_OUTPUTS
 
     def test_different_seeds_differ(self, tmp_path):
         cfg = write_config(
@@ -530,6 +545,12 @@ class TestCliBadInput:
         cfg = write_config(tmp_path, CONSISTENCY)
         assert main(["consistency", "--config", cfg, "--threads", "0", "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+
+    def test_threads_default_is_the_affinity_set(self, monkeypatch):
+        # a process pinned to 3 of 64 CPUs gets 3 workers, not 64
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert build_parser().parse_args(["consistency", "--config", "unread.json"]).threads == 3
 
     @pytest.mark.parametrize("command", ["simulate", "verify", "rate"])
     def test_threads_only_on_consistency(self, command):

@@ -1,9 +1,11 @@
-"""Which scipy modules each entry point loads, each checked in a fresh interpreter.
+"""Which scipy and worker-pool modules each entry point loads, each checked in a fresh interpreter.
 
 Importing scipy.stats costs about a second and 60 MB, so only the functions
 that compute with scipy import it: the consistency tests load scipy.stats,
 the isotropic joint hitting mass loads scipy.integrate, and `import stitsim`,
-`simulate` and `rate` load neither.
+`simulate` and `rate` load neither.  Likewise only a consistency run on
+more than one worker imports the process pool, which brings in
+multiprocessing, socket and logging.
 """
 
 import json
@@ -17,38 +19,48 @@ from test_config_cli import RATE, SIMULATE, VERIFY, write_config
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
-_REPORT_SCIPY = """
+_REPORT_MODULES = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
+POOL_MODULES = {"concurrent.futures", "multiprocessing"}
 
-def scipy_modules_after(code: str) -> set[str]:
-    """The scipy modules loaded once `code` has run in a new interpreter."""
+
+def modules_after(code: str) -> set[str]:
+    """The modules loaded once `code` has run in a new interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", code + _REPORT_SCIPY], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code + _REPORT_MODULES], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def scipy_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
 @pytest.mark.parametrize("module", ["stitsim", "stitsim.cli"])
 def test_import_loads_no_scipy(module):
-    assert scipy_modules_after(f"import {module}") == set()
+    loaded = modules_after(f"import {module}")
+    assert scipy_modules(loaded) == set()
+    assert POOL_MODULES.isdisjoint(loaded)
 
 
 @pytest.mark.parametrize("command, config", [("simulate", SIMULATE), ("rate", RATE)], ids=["simulate", "rate"])
 def test_simulate_and_rate_load_no_scipy(tmp_path, command, config):
     cfg = write_config(tmp_path, config)
     run = f"from stitsim.cli import main\nassert main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0"
-    assert scipy_modules_after(run) == set()
+    loaded = modules_after(run)
+    assert scipy_modules(loaded) == set()
+    assert POOL_MODULES.isdisjoint(loaded)
 
 
 def test_verify_loads_integrate_but_not_stats(tmp_path):
     # the corollary integrates the isotropic joint hitting mass with scipy's quad
     cfg = write_config(tmp_path, {**VERIFY, "n_cases": 5})
-    loaded = scipy_modules_after(
+    loaded = modules_after(
         f"from stitsim.cli import main\nassert main(['verify', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0"
     )
     assert "scipy.integrate" in loaded
@@ -62,7 +74,7 @@ CONSISTENCY_TEXT_DIGEST = "a16b9d61f16e9cee383512fe99eca85abd88a727cf17639161016
 
 
 def test_consistency_loads_stats_on_first_test_and_keeps_its_report():
-    loaded = scipy_modules_after(f"""
+    loaded = modules_after(f"""
 import hashlib, sys
 from stitsim import HyperplaneMeasure, rectangle, stit_pair
 from stitsim.analysis import consistency_test
