@@ -9,15 +9,20 @@ over the whole family.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
+import pickle
+import threading
+import time
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import SEED_BLOCK, CroppedTessellation, crop_rows, new_process, replicate_seeds
+from .engine import EVENT_BYTES, MAX_EVENTS, SEED_BLOCK, CroppedTessellation, crop_rows, new_process, replicate_seeds
 from .errors import ContainmentViolation, InsufficientSamples, ReplicateAborted
 from .geometry import (
     Polygon,
@@ -36,6 +41,7 @@ from .rules import (
     RulePair,
     VertexCount,
     check_bound,
+    min_expected_chords,
     rate,
 )
 
@@ -215,6 +221,113 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def available_memory() -> Optional[int]:
+    """Bytes of memory available: MemAvailable of /proc/meminfo, else os.sysconf's free pages, else None."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def max_workers(rules: RulePair, W: Polygon, t: float) -> int:
+    """The workers a consistency test of `rules` in W up to time t may use.
+
+    At most `usable_cpus()`, and at most `available_memory()` over one
+    trajectory's size: `min_expected_chords(rules, W, t)` events, capped at
+    MAX_EVENTS, at EVENT_BYTES each.  The chord count is a lower bound on
+    the mean, so this is an estimate, not a hard bound: a trajectory may
+    keep more, and a chunk also keeps the chords of its finished replicates.
+    Where the memory cannot be read only the CPUs bound it; it is always at least 1.
+    """
+    free = available_memory()
+    if free is None:
+        return usable_cpus()
+    trajectory = max(1.0, min(min_expected_chords(rules, W, t), MAX_EVENTS)) * EVENT_BYTES
+    return max(1, min(usable_cpus(), int(free // trajectory)))
+
+
+# The process-wide worker pool as (executor, workers, pid of the process that made it), or None.
+# _pool_lock runs one pooled call at a time, so no thread shuts down a pool another is using.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+@atexit.register
+def _forget_pool() -> None:
+    """Drops the pool at exit, after its workers have exited and while the modules its clean-up uses are loaded."""
+    global _pool
+    _pool = None
+
+
+def _worker_pool(n_jobs: int):
+    """The pool of n_jobs workers, made on first use and reused while n_jobs and the pid stay the same.
+
+    A pool of another size is shut down before the new one forks, so the
+    fork happens while no pool thread runs.  A forked child only forgets
+    its parent's pool: the workers are the parent's.
+    """
+    global _pool
+    if _pool is not None:
+        pool, workers, pid = _pool
+        if (workers, pid) == (n_jobs, os.getpid()):
+            return pool
+        _pool = None
+        if pid == os.getpid():
+            pool.shutdown(wait=True)
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only a pool needs it
+
+    pool = ProcessPoolExecutor(max_workers=n_jobs, initializer=_watch_parent, initargs=(os.getpid(),))
+    _pool = (pool, n_jobs, os.getpid())
+    return pool
+
+
+def _watch_parent(parent: int) -> None:
+    """Ends this pool worker once `parent` is gone.
+
+    An idle worker waits on a pipe that a parent killed by SIGKILL does not
+    close, so a daemon thread checks twice a second whether the worker has
+    been handed to another parent.
+    """
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pool_map(n_jobs: int, work: partial, chunks: list[tuple[int, int, int]]) -> list:
+    """[work(chunk) for chunk in chunks] on the pool; `work` is pickled once and each task carries its bytes."""
+    global _pool
+    from concurrent.futures.process import BrokenProcessPool
+
+    with _pool_lock:
+        pool = _worker_pool(n_jobs)
+        try:
+            return list(pool.map(_run_chunk, repeat(pickle.dumps(work)), chunks))
+        except BrokenProcessPool:
+            _pool = None
+            pool.shutdown(wait=True)
+            raise
+
+
+@lru_cache(maxsize=1)
+def _unpickled(blob: bytes) -> partial:
+    """A call's chunk function, unpickled once per worker and call, so the probes' caches stay warm."""
+    return pickle.loads(blob)
+
+
+def _run_chunk(blob: bytes, chunk: tuple[int, int, int]) -> tuple[np.ndarray, int]:
+    return _unpickled(blob)(chunk)
+
+
 def _collect_chunk(
     rules: RulePair,
     V: Polygon,
@@ -300,11 +413,15 @@ def consistency_test(
     alpha: float = 0.001,
     n_jobs: int = 1,
 ) -> ConsistencyReport:
-    """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V, on at most `usable_cpus()` workers.
+    """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V, on at most `max_workers()` workers.
 
-    At each time the three KS statistics are one `ks_two_sample` call and the
-    probe hits one `chi_square_2x2` call; Holm's correction runs over the
-    whole family.
+    With more than one worker the replicates run on one process-wide pool,
+    forked on the first pooled call and reused by later calls with as many
+    workers; its workers see the library as it was when they forked, and
+    idle ones live until the interpreter exits.  The report does not depend
+    on the worker count.  At each time the three KS statistics are one
+    `ks_two_sample` call and the probe hits one `chi_square_2x2` call;
+    Holm's correction runs over the whole family.
     """
     if n_reps < MIN_REPS:
         raise ValueError(f"n_reps must be >= {MIN_REPS}")
@@ -328,19 +445,13 @@ def consistency_test(
     # In process there is no pool to balance, so an arm is collected in chunks of
     # up to SEED_BLOCK replicates (one seeder block; it bounds a chunk's chord
     # arrays); a pool gets four chunks per worker and arm.
-    n_jobs = min(n_jobs, usable_cpus())
+    n_jobs = min(n_jobs, max_workers(rules, W, times[-1]))
     size = SEED_BLOCK if n_jobs == 1 else -(-n_reps // (4 * n_jobs))
     chunks = [
         (arm, start, min(size, n_reps - start)) for arm in (0, 1) for start in range(0, n_reps, size)
     ]
     work = partial(_collect_chunk, rules, V, W, times, probes, seed)
-    if n_jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only a pool needs it
-
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = list(map(work, chunks))
+    results = _pool_map(n_jobs, work, chunks) if n_jobs > 1 else list(map(work, chunks))
     tables: list[list[np.ndarray]] = [[], []]
     aborted = [0, 0]
     for (arm, _, _), (table, ab) in zip(chunks, results):
@@ -379,7 +490,8 @@ def rate_estimate(
     """(1/dt) * P-hat(the tessellation in V hits B by time dt).
 
     For a shared-measure pair this converges to the hitting mass of B as
-    dt -> 0 (first-order division rate).
+    dt -> 0 (first-order division rate).  Unlike `consistency_test`, which
+    tolerates a few, any aborted replicate raises `ReplicateAborted`.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")

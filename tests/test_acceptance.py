@@ -25,6 +25,7 @@ from stitsim.analysis import (
     consistency_test,
     identity_suite,
     rate_estimate,
+    usable_cpus,
 )
 from stitsim.engine import crop, new_process
 from stitsim.geometry import (
@@ -132,7 +133,7 @@ def test_criterion_4_stit_consistency_positive():
     passed_runs = 0
     for k in range(runs):
         rep = consistency_test(
-            STIT, V_SQUARE, W_SQUARE, [0.75, 1.5], 2000, seed=40_000 + k, alpha=0.01
+            STIT, V_SQUARE, W_SQUARE, [0.75, 1.5], 2000, seed=40_000 + k, alpha=0.01, n_jobs=usable_cpus()
         )
         if rep.verdict == CONSISTENT:
             passed_runs += 1
@@ -155,7 +156,7 @@ def test_criterion_5_only_shared_measure_pair_is_consistent():
     ok = True
     details = []
     for name, pair, times, n_reps in cases:
-        rep = consistency_test(pair, V_SQUARE, W_SQUARE, times, n_reps, seed=50_000, alpha=0.001)
+        rep = consistency_test(pair, V_SQUARE, W_SQUARE, times, n_reps, seed=50_000, alpha=0.001, n_jobs=usable_cpus())
         detected = rep.verdict == INCONSISTENT
         ok = ok and detected
         details.append(f"{name}: min p_holm {rep.min_p_holm:.1e}")

@@ -1,6 +1,12 @@
 import hashlib
+import io
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from stitsim import (
     new_process,
     rectangle,
     regular_ngon,
+    stit_pair,
 )
 from stitsim.analysis import (
     CONSISTENT,
@@ -34,7 +41,15 @@ from stitsim.analysis import (
     window_stats,
 )
 from stitsim.geometry import scale_about_centroid
-from stitsim.rules import HittingMeasure, IntrinsicVolume, PointDriven, RestrictedMeasure, RulePair, VertexCount
+from stitsim.rules import (
+    HittingMeasure,
+    IntrinsicVolume,
+    PointDriven,
+    RestrictedMeasure,
+    RulePair,
+    VertexCount,
+    min_expected_chords,
+)
 
 from reference import _reference_chi_square_2x2, _reference_ks_two_sample, _reference_window_stats
 
@@ -49,23 +64,25 @@ def _stats(table):
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Replaces the worker pool by one that maps in this process; returns the max_workers it is asked for."""
+    """Replaces the worker pool by one that maps in this process; returns the max_workers it is asked for.
+
+    The process-wide pool is set aside for the test, so none made before it
+    is reused, and put back after it.
+    """
     asked = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+        def shutdown(self, wait=True):
+            pass
+
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(analysis, "_pool", None)
     return asked
 
 
@@ -432,6 +449,244 @@ def _reference_columns(rules, V, W, times, probes, seed, arm, reps):
         for column, t in zip(columns, times):
             column.append(_reference_window_stats(state.advance(t).segments, V, probes))
     return columns
+
+
+class TestWorkerPool:
+    """The process-wide pool: made once, reused, replaced only when it must be.
+
+    `log` swaps in a fake pool that records what is done with it; only
+    `test_back_to_back_calls_equal_serial` starts real workers.
+    """
+
+    class Log(list):
+        """The fake pool's events; `pool_class` is the fake."""
+
+    @pytest.fixture
+    def log(self, monkeypatch, in_process_pool):
+        events = self.Log()
+
+        class LoggingPool:
+            broken = False
+
+            def __init__(self, max_workers, **kwargs):
+                self.workers = max_workers
+                events.append(("new", max_workers))
+
+            def map(self, fn, *iterables):
+                events.append(("map", self.workers))
+                if LoggingPool.broken:
+                    LoggingPool.broken = False
+                    raise BrokenProcessPool("spy: a worker died")
+                return map(fn, *iterables)
+
+            def shutdown(self, wait=True):
+                events.append(("shutdown", self.workers, wait))
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", LoggingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(analysis, "available_memory", lambda: None)
+        events.pool_class = LoggingPool
+        return events
+
+    @staticmethod
+    def _call(rules, n_jobs, seed=3):
+        return consistency_test(rules, rectangle(0, 0, 1, 1), rectangle(0, 0, 2, 2), [0.5], 100, seed=seed, n_jobs=n_jobs)
+
+    def test_pooled_calls_reuse_one_pool(self, stit_rules, log):
+        self._call(stit_rules, 2)
+        pool = analysis._pool[0]
+        self._call(stit_rules, 2, seed=4)
+        assert analysis._pool[0] is pool
+        assert log == [("new", 2), ("map", 2), ("map", 2)]
+
+    def test_in_process_call_leaves_the_pool(self, stit_rules, log):
+        self._call(stit_rules, 2)
+        self._call(stit_rules, 1)
+        self._call(stit_rules, 2)
+        assert log == [("new", 2), ("map", 2), ("map", 2)]
+
+    def test_new_worker_count_shuts_the_old_pool_first(self, stit_rules, log):
+        self._call(stit_rules, 2)
+        self._call(stit_rules, 3)
+        assert log == [("new", 2), ("map", 2), ("shutdown", 2, True), ("new", 3), ("map", 3)]
+        assert analysis._pool[0].workers == 3
+
+    def test_forked_child_makes_its_own_pool(self, stit_rules, log, monkeypatch):
+        self._call(stit_rules, 2)
+        parent = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: parent + 1)
+        self._call(stit_rules, 2)
+        # the parent's workers are not the child's to shut down
+        assert log == [("new", 2), ("map", 2), ("new", 2), ("map", 2)]
+        assert analysis._pool[2] == parent + 1
+
+    def test_broken_pool_is_dropped(self, stit_rules, log):
+        log.pool_class.broken = True
+        with pytest.raises(BrokenProcessPool):
+            self._call(stit_rules, 2)
+        assert analysis._pool is None
+        serial = self._call(stit_rules, 1)
+        assert self._call(stit_rules, 2).to_dict() == serial.to_dict()
+        assert log == [("new", 2), ("map", 2), ("shutdown", 2, True), ("new", 2), ("map", 2)]
+
+    def test_inputs_unpickled_once_per_call(self, stit_rules, log, monkeypatch):
+        loads = []
+        real = analysis.pickle.loads
+
+        def spy(blob):
+            loads.append(len(blob))
+            return real(blob)
+
+        monkeypatch.setattr(analysis.pickle, "loads", spy)
+        analysis._unpickled.cache_clear()
+        self._call(stit_rules, 2)  # eight chunks
+        assert len(loads) == 1
+        self._call(stit_rules, 2, seed=4)
+        assert len(loads) == 2
+
+    def test_back_to_back_calls_equal_serial(self, unit_square):
+        # real workers: a worker must not answer the second call with the first call's inputs
+        W = rectangle(0, 0, 2, 2)
+        calls = [
+            (stit_pair(HyperplaneMeasure(1.0)), 3),
+            (RulePair(IntrinsicVolume(2), RestrictedMeasure(HyperplaneMeasure(1.0))), 5),
+        ]
+        pooled = [consistency_test(r, unit_square, W, [0.5, 1.0], 100, seed=k, n_jobs=2).to_dict() for r, k in calls]
+        serial = [consistency_test(r, unit_square, W, [0.5, 1.0], 100, seed=k, n_jobs=1).to_dict() for r, k in calls]
+        assert pooled == serial
+        assert serial[0] != serial[1]
+
+    @pytest.mark.skipif(analysis.usable_cpus() < 2, reason="one usable CPU: no pool")
+    def test_workers_end_when_the_parent_is_killed(self):
+        # An idle worker blocks on a pipe that SIGKILL leaves open; it must not wait there forever.
+        code = (
+            "import time\n"
+            "from stitsim import HyperplaneMeasure, analysis, rectangle, stit_pair\n"
+            "analysis.consistency_test(stit_pair(HyperplaneMeasure(1.0)), rectangle(0, 0, 1, 1), "
+            "rectangle(0, 0, 2, 2), [0.5], 100, n_jobs=2)\n"
+            "print(*analysis._pool[0]._processes, flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with subprocess.Popen(
+            [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True, start_new_session=True
+        ) as proc:
+            try:
+                workers = [int(pid) for pid in proc.stdout.readline().split()]
+                assert len(workers) == 2
+                proc.kill()
+                proc.wait()
+                deadline = time.monotonic() + 10.0
+                while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+                    time.sleep(0.1)
+                assert not any(_running(pid) for pid in workers)
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+
+def _running(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestMemoryBound:
+    MEMINFO = "MemTotal:        8211568 kB\nMemFree:         6587304 kB\nMemAvailable:    7711812 kB\n"
+
+    @pytest.fixture
+    def meminfo(self, monkeypatch):
+        """Serves /proc/meminfo from `content`; None makes it unreadable."""
+        content = {"text": self.MEMINFO}
+
+        def fake_open(path, *args, **kwargs):
+            assert path == "/proc/meminfo"
+            if content["text"] is None:
+                raise FileNotFoundError(path)
+            return io.StringIO(content["text"])
+
+        monkeypatch.setattr(analysis, "open", fake_open, raising=False)
+        return content
+
+    @staticmethod
+    def _sysconf(values):
+        def sysconf(name):
+            if name not in values:
+                raise ValueError(f"unrecognized configuration name {name}")
+            return values[name]
+
+        return sysconf
+
+    def test_reads_mem_available(self, meminfo, monkeypatch):
+        monkeypatch.setattr(os, "sysconf", self._sysconf({}))
+        assert analysis.available_memory() == 7711812 * 1024
+
+    @pytest.mark.parametrize("text", [None, "MemTotal: 8211568 kB\n"], ids=["unreadable", "no-MemAvailable"])
+    def test_falls_back_to_sysconf(self, meminfo, monkeypatch, text):
+        meminfo["text"] = text
+        monkeypatch.setattr(os, "sysconf", self._sysconf({"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}))
+        assert analysis.available_memory() == 4096 * 1000
+
+    def test_unknown_without_meminfo_or_sysconf(self, meminfo, monkeypatch):
+        meminfo["text"] = None
+        monkeypatch.setattr(os, "sysconf", self._sysconf({}))
+        assert analysis.available_memory() is None
+        monkeypatch.delattr(os, "sysconf")
+        assert analysis.available_memory() is None
+
+    @pytest.fixture
+    def host(self, monkeypatch):
+        """Sets the host's CPUs and available bytes."""
+
+        def set_host(cpus, free):
+            monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(analysis, "available_memory", lambda: free)
+
+        return set_host
+
+    def test_trajectories_at_the_event_cap(self, host):
+        # e^30 - 1 expected chords are capped at MAX_EVENTS, about 1.56 GB a trajectory
+        rules = RulePair(VertexCount(), RestrictedMeasure(HyperplaneMeasure(1.0)))
+        per_trajectory = analysis.MAX_EVENTS * analysis.EVENT_BYTES
+        for free, workers in [(7.5e9, 4), (4 * per_trajectory, 4), (4 * per_trajectory - 1, 3), (1e6, 1)]:
+            host(64, free)
+            assert analysis.max_workers(rules, rectangle(0, 0, 3, 3), 10.0) == workers
+
+    def test_trajectory_of_expected_chords(self, host, stit_rules):
+        W = rectangle(0, 0, 2, 2)
+        per_trajectory = min_expected_chords(stit_rules, W, 0.5) * analysis.EVENT_BYTES
+        host(64, 3.5 * per_trajectory)
+        assert analysis.max_workers(stit_rules, W, 0.5) == 3
+        host(2, 3.5 * per_trajectory)
+        assert analysis.max_workers(stit_rules, W, 0.5) == 2
+
+    def test_cpus_alone_without_a_reading(self, host, stit_rules):
+        host(5, None)
+        assert analysis.max_workers(stit_rules, rectangle(0, 0, 2, 2), 0.5) == 5
+
+    def test_pointdriven_t3_keeps_two_workers_on_a_two_cpu_host(self, host):
+        # the bench's pooled workload, with 7.5 GB available
+        rules = RulePair(HittingMeasure(HyperplaneMeasure(1.0)), PointDriven())
+        host(2, 7.5e9)
+        assert analysis.max_workers(rules, rectangle(0, 0, 3, 3), 3.0) == 2
+
+    def test_consistency_test_asks_for_the_bounded_pool(self, unit_square, stit_rules, monkeypatch, in_process_pool):
+        W = rectangle(0, 0, 2, 2)
+        per_trajectory = min_expected_chords(stit_rules, W, 0.5) * analysis.EVENT_BYTES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(analysis, "available_memory", lambda: 3.5 * per_trajectory)
+        bounded = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=64)
+        assert in_process_pool == [3]
+        monkeypatch.setattr(analysis, "available_memory", lambda: 0.5 * per_trajectory)
+        in_process = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=64)
+        assert in_process.to_dict() == bounded.to_dict()
+        assert in_process_pool == [3]  # one trajectory's worth or less: in process
 
 
 class _FixedChords:

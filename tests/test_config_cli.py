@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -424,6 +426,21 @@ class TestCliConsistency:
         assert main(["consistency", "--config", cfg, "--threads", "1", "--out", str(tmp_path)]) in (0, 2)
         report = json.loads((tmp_path / "consistency_report.json").read_text())
         assert report["n_reps"] == 100
+
+    def test_pooled_run_leaves_no_process(self, tmp_path):
+        # The pool's workers live until the interpreter exits, and must not outlive it.
+        cfg = write_config(tmp_path, CONSISTENCY)  # 100 replicates, t = 0.5
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "stitsim.cli", "consistency", "--config", cfg, "--threads", "2"]
+        with subprocess.Popen(
+            argv + ["--out", str(tmp_path)], env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode in (0, 2), err
+        assert json.loads((tmp_path / "consistency_report.json").read_text())["n_reps"] == 100
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # the session's process group is empty
 
 
 class TestCliBadInput:
