@@ -13,6 +13,7 @@ import atexit
 import math
 import os
 import pickle
+import sys
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -269,7 +270,9 @@ def _forget_pool() -> None:
 def _worker_pool(n_jobs: int):
     """The pool of n_jobs workers, made on first use and reused while n_jobs and the pid stay the same.
 
-    A pool of another size is shut down before the new one forks, so the
+    On Linux the workers are forked, whatever the default start method (it
+    is forkserver from Python 3.14); elsewhere they start by the default.
+    A pool of another size is shut down before the new one starts, so a
     fork happens while no pool thread runs.  A forked child only forgets
     its parent's pool: the workers are the parent's.
     """
@@ -281,20 +284,27 @@ def _worker_pool(n_jobs: int):
         _pool = None
         if pid == os.getpid():
             pool.shutdown(wait=True)
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only a pool needs it
+    import multiprocessing  # only a pool needs it
+    from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=n_jobs, initializer=_watch_parent, initargs=(os.getpid(),))
+    context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
+    pool = ProcessPoolExecutor(max_workers=n_jobs, mp_context=context, initializer=_watch_parent)
     _pool = (pool, n_jobs, os.getpid())
     return pool
 
 
-def _watch_parent(parent: int) -> None:
-    """Ends this pool worker once `parent` is gone.
+def _watch_parent() -> None:
+    """Ends this pool worker once its parent is gone.
 
     An idle worker waits on a pipe that a parent killed by SIGKILL does not
     close, so a daemon thread checks twice a second whether the worker has
-    been handed to another parent.
+    been handed to another parent.  The worker reads its parent itself: under
+    forkserver that is the server, which lives on while its workers run, so
+    the watcher never ends a worker whose parent lives, but cannot end the
+    workers of a killed maker either.
     """
+    parent = os.getppid()
+
     def watch() -> None:
         while os.getppid() == parent:
             time.sleep(0.5)
@@ -416,9 +426,10 @@ def consistency_test(
     """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V, on at most `max_workers()` workers.
 
     With more than one worker the replicates run on one process-wide pool,
-    forked on the first pooled call and reused by later calls with as many
-    workers; its workers see the library as it was when they forked, and
-    idle ones live until the interpreter exits.  The report does not depend
+    started on the first pooled call and reused by later calls with as many
+    workers.  Its workers are forked on Linux (elsewhere they start by the
+    default method) and see the library as it was when they started; idle
+    ones live until the interpreter exits.  The report does not depend
     on the worker count.  At each time the three KS statistics are one
     `ks_two_sample` call and the probe hits one `chi_square_2x2` call;
     Holm's correction runs over the whole family.
@@ -445,7 +456,8 @@ def consistency_test(
     # In process there is no pool to balance, so an arm is collected in chunks of
     # up to SEED_BLOCK replicates (one seeder block; it bounds a chunk's chord
     # arrays); a pool gets four chunks per worker and arm.
-    n_jobs = min(n_jobs, max_workers(rules, W, times[-1]))
+    if n_jobs > 1:
+        n_jobs = min(n_jobs, max_workers(rules, W, times[-1]))
     size = SEED_BLOCK if n_jobs == 1 else -(-n_reps // (4 * n_jobs))
     chunks = [
         (arm, start, min(size, n_reps - start)) for arm in (0, 1) for start in range(0, n_reps, size)

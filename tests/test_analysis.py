@@ -1,11 +1,13 @@
 import hashlib
 import io
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -470,6 +472,7 @@ class TestWorkerPool:
 
             def __init__(self, max_workers, **kwargs):
                 self.workers = max_workers
+                events.kwargs = kwargs
                 events.append(("new", max_workers))
 
             def map(self, fn, *iterables):
@@ -556,15 +559,42 @@ class TestWorkerPool:
         assert pooled == serial
         assert serial[0] != serial[1]
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers are forked only on Linux")
+    def test_workers_are_forked_on_linux(self, stit_rules, log, monkeypatch):
+        # also where the default start method is not fork (forkserver from Python 3.14)
+        monkeypatch.setattr(multiprocessing.context._default_context, "_actual_context", multiprocessing.get_context("forkserver"))
+        self._call(stit_rules, 2)
+        assert log.kwargs["mp_context"].get_start_method() == "fork"
+        assert log.kwargs["initializer"] is analysis._watch_parent
+
+    @pytest.mark.parametrize(
+        "method", [m for m in ("spawn", "forkserver") if m in multiprocessing.get_all_start_methods()]
+    )
+    def test_watcher_keeps_workers_while_the_parent_lives(self, method):
+        # A forkserver's worker is the server's child, not the pool maker's; it must not end itself.
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(1, mp_context=context, initializer=analysis._watch_parent) as pool:
+            first = pool.submit(os.getpid).result()
+            time.sleep(1.2)  # more than two of the watcher's checks
+            assert pool.submit(os.getpid).result() == first
+
     @pytest.mark.skipif(analysis.usable_cpus() < 2, reason="one usable CPU: no pool")
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc to tell whether a worker still runs")
     def test_workers_end_when_the_parent_is_killed(self):
         # An idle worker blocks on a pipe that SIGKILL leaves open; it must not wait there forever.
+        # Nor may it end while its parent lives: the second call, after more than two of the
+        # watcher's checks, reuses the first call's workers.
         code = (
             "import time\n"
             "from stitsim import HyperplaneMeasure, analysis, rectangle, stit_pair\n"
-            "analysis.consistency_test(stit_pair(HyperplaneMeasure(1.0)), rectangle(0, 0, 1, 1), "
+            "def call():\n"
+            "    analysis.consistency_test(stit_pair(HyperplaneMeasure(1.0)), rectangle(0, 0, 1, 1), "
             "rectangle(0, 0, 2, 2), [0.5], 100, n_jobs=2)\n"
-            "print(*analysis._pool[0]._processes, flush=True)\n"
+            "    return sorted(analysis._pool[0]._processes)\n"
+            "first = call()\n"
+            "time.sleep(1.2)\n"
+            "assert call() == first\n"
+            "print(*first, flush=True)\n"
             "time.sleep(120)\n"
         )
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -687,6 +717,13 @@ class TestMemoryBound:
         in_process = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=64)
         assert in_process.to_dict() == bounded.to_dict()
         assert in_process_pool == [3]  # one trajectory's worth or less: in process
+
+    def test_in_process_call_reads_no_bound(self, unit_square, stit_rules, monkeypatch):
+        def unread():
+            raise AssertionError("one worker needs no bound")
+
+        monkeypatch.setattr(analysis, "max_workers", lambda *args: unread())
+        consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5], 100, seed=3, n_jobs=1)
 
 
 class _FixedChords:
