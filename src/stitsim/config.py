@@ -27,6 +27,7 @@ from .rules import (
     VertexCount,
     min_expected_chords,
     rate,
+    stit_pair,
 )
 
 SCHEMA_VERSION = 1
@@ -99,7 +100,7 @@ def parse_rules(spec: Any, path: str = "rules") -> RulePair:
         block = spec["stit"]
         _require_keys(block, f"{path}.stit", ["measure"])
         measure = parse_measure(block["measure"], f"{path}.stit.measure")
-        return RulePair(HittingMeasure(measure), RestrictedMeasure(measure))
+        return stit_pair(measure)
 
     _require_keys(spec, path, ["selection", "division"], ["shared_measure"])
     shared: Optional[HyperplaneMeasure] = None

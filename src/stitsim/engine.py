@@ -98,10 +98,6 @@ class ProcessState:
         tau = self._rng.standard_exponential()
         heapq.heappush(self._heap, Cell(birth + tau / rate(self.rules.selection, polygon), idx, polygon))
 
-    @property
-    def live_cells(self) -> list[Cell]:
-        return list(self._heap)
-
     def advance(self, t: float) -> "ProcessState":
         if not math.isfinite(t):
             raise ValueError(f"cannot advance to a non-finite time: {t}")

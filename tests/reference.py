@@ -1,5 +1,6 @@
 """Exact scalar references for containment, clipping, hit tests, crop,
-window statistics and the two-sample tests, and the helpers only the tests use.
+window statistics, the two-sample tests and the rate estimate, and the
+helpers only the tests use.
 
 The geometric references work one point, segment and edge at a time in
 plain Python and share no code with the array kernels of `stitsim.geometry`
@@ -13,8 +14,8 @@ import math
 import numpy as np
 
 from stitsim.analysis import WindowStats
-from stitsim.engine import MIN_CHORD_REL
-from stitsim.geometry import Polygon, Segment
+from stitsim.engine import MIN_CHORD_REL, new_process, replicate_seeds
+from stitsim.geometry import Polygon, Segment, segment_rows, segments_hit_polygon
 
 TILING_REL_TOL = 1e-9  # check_tiling's bound on |sum of cell areas - window area| / window area
 
@@ -23,9 +24,14 @@ def translate(poly, dx, dy):
     return Polygon([(x + dx, y + dy) for x, y in poly.vertices])
 
 
+def live_cells(state):
+    """The live cells of a state, in heap order."""
+    return list(state._heap)
+
+
 def check_tiling(state):
     """The live cells of a state built without a region cover its window: their areas add up to its area."""
-    total = sum(c.polygon.area for c in state.live_cells)
+    total = sum(c.polygon.area for c in live_cells(state))
     return abs(total - state.window.area) <= TILING_REL_TOL * state.window.area
 
 
@@ -136,3 +142,19 @@ def _reference_chi_square_2x2(hits_a, hits_b):
         return 0.0, 1.0
     chi2, p, _, _ = stats.chi2_contingency(table, correction=True)
     return float(chi2), float(p)
+
+
+def _reference_rate_estimate(rules, V, B, dt, n_reps, seed=0):
+    """`rate_estimate` as its own loop: each replicate of stream 2 built in V and advanced to dt,
+    all their chords tested against B in one call, and the replicates with a hit counted.
+    """
+    chords = []
+    owner = []
+    for rep, rep_seed in enumerate(replicate_seeds(seed, 2, 0, n_reps)):
+        state = new_process(V, rules, rep_seed)
+        state.advance(dt)
+        chords += state.segments
+        owner += [rep] * len(state.segments)
+    hit = segments_hit_polygon(segment_rows(chords), B)
+    hits = len(np.unique(np.array(owner, dtype=int)[hit]))
+    return hits / (n_reps * dt)

