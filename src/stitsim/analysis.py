@@ -9,17 +9,14 @@ over the whole family.
 
 from __future__ import annotations
 
-import atexit
 import math
 import os
 import pickle
+import signal
 import sys
-import threading
-import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
-from itertools import repeat
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -241,15 +238,19 @@ def available_memory() -> Optional[int]:
 
 
 def max_workers(rules: RulePair, W: Polygon, t: float) -> int:
-    """The workers a consistency test of `rules` in W up to time t may use.
+    """The processes, the caller included, that a consistency test of `rules` in W up to time t may use.
 
     At most `usable_cpus()`, and at most `available_memory()` over one
     trajectory's size: `min_expected_chords(rules, W, t)` events, capped at
     MAX_EVENTS, at EVENT_BYTES each.  The chord count is a lower bound on
     the mean, so this is an estimate, not a hard bound: a trajectory may
     keep more, and a chunk also keeps the chords of its finished replicates.
-    Where the memory cannot be read only the CPUs bound it; it is always at least 1.
+    Where the memory cannot be read only the CPUs bound it; it is always at
+    least 1, and 1 off Linux, the one platform where the extra processes are
+    forked.
     """
+    if not sys.platform.startswith("linux"):
+        return 1
     free = available_memory()
     if free is None:
         return usable_cpus()
@@ -257,88 +258,64 @@ def max_workers(rules: RulePair, W: Polygon, t: float) -> int:
     return max(1, min(usable_cpus(), int(free // trajectory)))
 
 
-# The process-wide worker pool as (executor, workers, pid of the process that made it), or None.
-# _pool_lock runs one pooled call at a time, so no thread shuts down a pool another is using.
-_pool = None
-_pool_lock = threading.Lock()
+def _forked_map(n_jobs: int, work: Callable, chunks: list) -> list:
+    """[work(chunk) for chunk in chunks] on n_jobs processes: this one and n_jobs - 1 forked children.
 
-
-@atexit.register
-def _forget_pool() -> None:
-    """Drops the pool at exit, after its workers have exited and while the modules its clean-up uses are loaded."""
-    global _pool
-    _pool = None
-
-
-def _worker_pool(n_jobs: int):
-    """The pool of n_jobs workers, made on first use and reused while n_jobs and the pid stay the same.
-
-    On Linux the workers are forked, whatever the default start method (it
-    is forkserver from Python 3.14); elsewhere they start by the default.
-    A pool of another size is shut down before the new one starts, so a
-    fork happens while no pool thread runs.  A forked child only forgets
-    its parent's pool: the workers are the parent's.
+    Process i runs share chunks[i::n_jobs]; this process runs share 0, so a
+    child gets the call's inputs, warm caches included, by the fork and
+    pickles only its results (or the exception it raised) back through its
+    own pipe.  A child that ends without writing raises `ChildProcessError`
+    here.  On return or error every child is killed and reaped.  Linux only.
     """
-    global _pool
-    if _pool is not None:
-        pool, workers, pid = _pool
-        if (workers, pid) == (n_jobs, os.getpid()):
-            return pool
-        _pool = None
-        if pid == os.getpid():
-            pool.shutdown(wait=True)
-    import multiprocessing  # only a pool needs it
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
-    pool = ProcessPoolExecutor(max_workers=n_jobs, mp_context=context, initializer=_watch_parent)
-    _pool = (pool, n_jobs, os.getpid())
-    return pool
-
-
-def _watch_parent() -> None:
-    """Ends this pool worker once its parent is gone.
-
-    An idle worker waits on a pipe that a parent killed by SIGKILL does not
-    close, so a daemon thread checks twice a second whether the worker has
-    been handed to another parent.  The worker reads its parent itself: under
-    forkserver that is the server, which lives on while its workers run, so
-    the watcher never ends a worker whose parent lives, but cannot end the
-    workers of a killed maker either.
-    """
-    parent = os.getppid()
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.5)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
+    n_jobs = min(n_jobs, len(chunks))
+    results: list = [None] * len(chunks)
+    pipes: list = []  # read ends as files, child i's at i - 1
+    pids: list[int] = []  # children not yet reaped
+    try:
+        for i in range(1, n_jobs):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    _run_share(work, chunks[i::n_jobs], w, pipes)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        results[::n_jobs] = map(work, chunks[::n_jobs])
+        for i, (pid, pipe) in enumerate(zip(pids, pipes), 1):
+            blob = pipe.read()
+            if not blob:
+                pids.remove(pid)  # reaped here, for its status
+                status = os.waitpid(pid, 0)[1]
+                raise ChildProcessError(f"worker process {pid} ended without a result (wait status {status})")
+            ok, out = pickle.loads(blob)
+            if not ok:
+                raise out
+            results[i::n_jobs] = out
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
-def _pool_map(n_jobs: int, work: partial, chunks: list[tuple[int, int, int]]) -> list:
-    """[work(chunk) for chunk in chunks] on the pool; `work` is pickled once and each task carries its bytes."""
-    global _pool
-    from concurrent.futures.process import BrokenProcessPool
-
-    with _pool_lock:
-        pool = _worker_pool(n_jobs)
+def _run_share(work: Callable, share: list, w: int, pipes: list) -> NoReturn:
+    """A forked child's life: pickles (True, results) or (False, exception) to pipe `w`, then exits (1 if it cannot)."""
+    try:
+        for pipe in pipes:  # the read ends it inherited, its own among them
+            pipe.close()
         try:
-            return list(pool.map(_run_chunk, repeat(pickle.dumps(work)), chunks))
-        except BrokenProcessPool:
-            _pool = None
-            pool.shutdown(wait=True)
-            raise
-
-
-@lru_cache(maxsize=1)
-def _unpickled(blob: bytes) -> partial:
-    """A call's chunk function, unpickled once per worker and call, so the probes' caches stay warm."""
-    return pickle.loads(blob)
-
-
-def _run_chunk(blob: bytes, chunk: tuple[int, int, int]) -> tuple[np.ndarray, int]:
-    return _unpickled(blob)(chunk)
+            out = (True, list(map(work, share)))
+        except Exception as exc:
+            out = (False, exc)
+        blob = pickle.dumps(out)  # whole before the write, so a failure to pickle leaves the pipe empty
+        with open(w, "wb") as pipe:
+            pipe.write(blob)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def _collect_chunk(
@@ -426,16 +403,14 @@ def consistency_test(
     alpha: float = 0.001,
     n_jobs: int = 1,
 ) -> ConsistencyReport:
-    """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V, on at most `max_workers()` workers.
+    """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V, on at most `max_workers()` processes.
 
-    With more than one worker the replicates run on one process-wide pool,
-    started on the first pooled call and reused by later calls with as many
-    workers.  Its workers are forked on Linux (elsewhere they start by the
-    default method) and see the library as it was when they started; idle
-    ones live until the interpreter exits.  The report does not depend
-    on the worker count.  At each time the three KS statistics are one
-    `ks_two_sample` call and the probe hits one `chi_square_2x2` call;
-    Holm's correction runs over the whole family.
+    With n_jobs > 1 the call forks n_jobs - 1 children on Linux, runs a
+    share of the replicates itself, and kills and reaps the children before
+    it returns (see `_forked_map`); elsewhere it runs in process.  The
+    report does not depend on the process count.  At each time the three KS
+    statistics are one `ks_two_sample` call and the probe hits one
+    `chi_square_2x2` call; Holm's correction runs over the whole family.
     """
     if n_reps < MIN_REPS:
         raise ValueError(f"n_reps must be >= {MIN_REPS}")
@@ -456,17 +431,16 @@ def consistency_test(
     if not all(V.contains_polygon(pr) for pr in probes):
         raise ContainmentViolation("probe polygon outside the window")
 
-    # In process there is no pool to balance, so an arm is collected in chunks of
-    # up to SEED_BLOCK replicates (one seeder block; it bounds a chunk's chord
-    # arrays); a pool gets four chunks per worker and arm.
+    # Chunks of up to SEED_BLOCK replicates (one seeder block; it bounds a chunk's
+    # chord arrays), and no more than one process's share of an arm.
     if n_jobs > 1:
         n_jobs = min(n_jobs, max_workers(rules, W, times[-1]))
-    size = SEED_BLOCK if n_jobs == 1 else -(-n_reps // (4 * n_jobs))
+    size = min(SEED_BLOCK, -(-n_reps // n_jobs))
     chunks = [
         (arm, start, min(size, n_reps - start)) for arm in (0, 1) for start in range(0, n_reps, size)
     ]
     work = partial(_collect_chunk, rules, V, W, times, probes, seed)
-    results = _pool_map(n_jobs, work, chunks) if n_jobs > 1 else list(map(work, chunks))
+    results = _forked_map(n_jobs, work, chunks) if n_jobs > 1 else list(map(work, chunks))
     tables: list[list[np.ndarray]] = [[], []]
     aborted = [0, 0]
     for (arm, _, _), (table, ab) in zip(chunks, results):

@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=int,
                 default=usable_cpus(),
-                help="worker processes (default: the CPUs this process may run on)",
+                help="processes, this one included (default: the CPUs this process may run on)",
             )
     return parser
 

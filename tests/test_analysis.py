@@ -1,14 +1,13 @@
 import hashlib
 import io
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import warnings
 
 import numpy as np
 import pytest
@@ -71,25 +70,14 @@ def _stats(table):
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Replaces the worker pool by one that maps in this process; returns the max_workers it is asked for.
-
-    The process-wide pool is set aside for the test, so none made before it
-    is reused, and put back after it.
-    """
+    """Replaces the forked map by one that maps in this process; returns the n_jobs it is asked for."""
     asked = []
 
-    class InProcessPool:
-        def __init__(self, max_workers, **kwargs):
-            asked.append(max_workers)
+    def in_process_map(n_jobs, work, chunks):
+        asked.append(n_jobs)
+        return list(map(work, chunks))
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-        def shutdown(self, wait=True):
-            pass
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(analysis, "_pool", None)
+    monkeypatch.setattr(analysis, "_forked_map", in_process_map)
     return asked
 
 
@@ -321,7 +309,7 @@ class TestConsistencyPipeline:
 
     @pytest.mark.parametrize("cores, pool", [(2, [2]), (None, [])], ids=["two-cores", "unknown-cores"])
     def test_workers_bounded_by_cores(self, unit_square, stit_rules, monkeypatch, in_process_pool, cores, pool):
-        # 100000 real workers would fork 100000 processes; the fake pool starts none.
+        # 100000 real processes would be 99999 forks; the in-process map starts none.
         # Where the OS reports no affinity set, the bound is os.cpu_count(), or 1.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
@@ -354,6 +342,19 @@ class TestConsistencyPipeline:
         monkeypatch.setattr(analysis, "SEED_BLOCK", 50)
         assert consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 130, seed=3).to_dict() == whole.to_dict()
         assert chunks == [(arm, start, count) for arm in (0, 1) for start, count in ((0, 50), (50, 50), (100, 30))]
+
+    def test_each_process_gets_half_of_each_arm(self, unit_square, stit_rules, monkeypatch, in_process_pool):
+        chunks = []
+
+        def spy(*args):
+            chunks.append(args[-1])
+            return _collect_chunk(*args)
+
+        monkeypatch.setattr(analysis, "_collect_chunk", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5, 1.0], 130, seed=3, n_jobs=2)
+        assert in_process_pool == [2]
+        assert chunks == [(arm, start, 65) for arm in (0, 1) for start in (0, 65)]  # share i is chunks[i::2]
 
     def test_crop_once_matches_crop_of_full_window_snapshots(self, unit_square, stit_rules):
         W = rectangle(0, 0, 3, 3)
@@ -459,101 +460,83 @@ def _reference_columns(rules, V, W, times, probes, seed, arm, reps):
 
 
 class TestWorkerPool:
-    """The process-wide pool: made once, reused, replaced only when it must be.
+    """The processes of a pooled call: forked for the call, killed and reaped before it returns.
 
-    `log` swaps in a fake pool that records what is done with it; only
-    `test_back_to_back_calls_equal_serial` starts real workers.
+    Each test starts at most two real children; `forks` records their pids.
     """
 
-    class Log(list):
-        """The fake pool's events; `pool_class` is the fake."""
-
     @pytest.fixture
-    def log(self, monkeypatch, in_process_pool):
-        events = self.Log()
+    def forks(self, monkeypatch):
+        pids = []
+        real = os.fork
 
-        class LoggingPool:
-            broken = False
+        def fork():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
 
-            def __init__(self, max_workers, **kwargs):
-                self.workers = max_workers
-                events.kwargs = kwargs
-                events.append(("new", max_workers))
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
 
-            def map(self, fn, *iterables):
-                events.append(("map", self.workers))
-                if LoggingPool.broken:
-                    LoggingPool.broken = False
-                    raise BrokenProcessPool("spy: a worker died")
-                return map(fn, *iterables)
-
-            def shutdown(self, wait=True):
-                events.append(("shutdown", self.workers, wait))
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", LoggingPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        monkeypatch.setattr(analysis, "available_memory", lambda: None)
-        events.pool_class = LoggingPool
-        return events
+    @staticmethod
+    def _reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        return True
 
     @staticmethod
     def _call(rules, n_jobs, seed=3):
         return consistency_test(rules, rectangle(0, 0, 1, 1), rectangle(0, 0, 2, 2), [0.5], 100, seed=seed, n_jobs=n_jobs)
 
-    def test_pooled_calls_reuse_one_pool(self, stit_rules, log):
-        self._call(stit_rules, 2)
-        pool = analysis._pool[0]
-        self._call(stit_rules, 2, seed=4)
-        assert analysis._pool[0] is pool
-        assert log == [("new", 2), ("map", 2), ("map", 2)]
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    def test_results_in_chunk_order(self, forks, n_jobs):
+        assert analysis._forked_map(n_jobs, lambda c: (c, os.getpid()), list(range(5))) == [
+            (c, os.getpid() if c % n_jobs == 0 else forks[c % n_jobs - 1]) for c in range(5)
+        ]
+        assert len(forks) == n_jobs - 1 and self._reaped(forks)
 
-    def test_in_process_call_leaves_the_pool(self, stit_rules, log):
-        self._call(stit_rules, 2)
-        self._call(stit_rules, 1)
-        self._call(stit_rules, 2)
-        assert log == [("new", 2), ("map", 2), ("map", 2)]
+    def test_exception_in_a_child_is_raised(self, forks):
+        def work(c):
+            if c == 3:
+                raise ReplicateAborted(f"spy: chunk {c}")
+            return c
 
-    def test_new_worker_count_shuts_the_old_pool_first(self, stit_rules, log):
-        self._call(stit_rules, 2)
-        self._call(stit_rules, 3)
-        assert log == [("new", 2), ("map", 2), ("shutdown", 2, True), ("new", 3), ("map", 3)]
-        assert analysis._pool[0].workers == 3
+        with pytest.raises(ReplicateAborted, match="spy: chunk 3"):
+            analysis._forked_map(2, work, list(range(5)))
+        assert len(forks) == 1 and self._reaped(forks)
 
-    def test_forked_child_makes_its_own_pool(self, stit_rules, log, monkeypatch):
-        self._call(stit_rules, 2)
-        parent = os.getpid()
-        monkeypatch.setattr(os, "getpid", lambda: parent + 1)
-        self._call(stit_rules, 2)
-        # the parent's workers are not the child's to shut down
-        assert log == [("new", 2), ("map", 2), ("new", 2), ("map", 2)]
-        assert analysis._pool[2] == parent + 1
+    def test_child_without_a_result(self, forks):
+        with pytest.raises(ChildProcessError) as caught:
+            analysis._forked_map(2, lambda c: os._exit(3) if c % 2 else c, list(range(5)))
+        assert str(caught.value) == f"worker process {forks[0]} ended without a result (wait status {3 << 8})"
+        assert self._reaped(forks)
 
-    def test_broken_pool_is_dropped(self, stit_rules, log):
-        log.pool_class.broken = True
-        with pytest.raises(BrokenProcessPool):
-            self._call(stit_rules, 2)
-        assert analysis._pool is None
+    def test_exception_in_share_0_ends_the_children(self, forks):
+        def work(c):
+            if c % 2:
+                time.sleep(30)
+            raise ValueError(f"spy: chunk {c}")
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="spy: chunk 0"):
+            analysis._forked_map(2, work, list(range(5)))
+        assert time.monotonic() - start < 2.0
+        assert len(forks) == 1 and self._reaped(forks)
+
+    def test_in_process_off_linux(self, stit_rules, monkeypatch):
         serial = self._call(stit_rules, 1)
+
+        def fork():
+            raise AssertionError("forked off Linux")
+
+        monkeypatch.setattr(analysis.sys, "platform", "darwin")
+        monkeypatch.setattr(os, "fork", fork)
         assert self._call(stit_rules, 2).to_dict() == serial.to_dict()
-        assert log == [("new", 2), ("map", 2), ("shutdown", 2, True), ("new", 2), ("map", 2)]
-
-    def test_inputs_unpickled_once_per_call(self, stit_rules, log, monkeypatch):
-        loads = []
-        real = analysis.pickle.loads
-
-        def spy(blob):
-            loads.append(len(blob))
-            return real(blob)
-
-        monkeypatch.setattr(analysis.pickle, "loads", spy)
-        analysis._unpickled.cache_clear()
-        self._call(stit_rules, 2)  # eight chunks
-        assert len(loads) == 1
-        self._call(stit_rules, 2, seed=4)
-        assert len(loads) == 2
 
     def test_back_to_back_calls_equal_serial(self, unit_square):
-        # real workers: a worker must not answer the second call with the first call's inputs
+        # a child must not answer the second call with the first call's inputs
         W = rectangle(0, 0, 2, 2)
         calls = [
             (stit_pair(HyperplaneMeasure(1.0)), 3),
@@ -564,43 +547,34 @@ class TestWorkerPool:
         assert pooled == serial
         assert serial[0] != serial[1]
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers are forked only on Linux")
-    def test_workers_are_forked_on_linux(self, stit_rules, log, monkeypatch):
-        # also where the default start method is not fork (forkserver from Python 3.14)
-        monkeypatch.setattr(multiprocessing.context._default_context, "_actual_context", multiprocessing.get_context("forkserver"))
-        self._call(stit_rules, 2)
-        assert log.kwargs["mp_context"].get_start_method() == "fork"
-        assert log.kwargs["initializer"] is analysis._watch_parent
+    @pytest.mark.skipif(analysis.usable_cpus() < 2, reason="one usable CPU: nothing is forked")
+    def test_pooled_call_leaves_no_thread(self, stit_rules, forks):
+        # The warning is Python 3.12+'s for a fork while threads run; older versions never give it.
+        before = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self._call(stit_rules, 2)
+        assert len(forks) == 1 and self._reaped(forks)
+        assert threading.active_count() == before
+        assert not [w for w in caught if issubclass(w.category, DeprecationWarning) and "fork" in str(w.message)]
 
-    @pytest.mark.parametrize(
-        "method", [m for m in ("spawn", "forkserver") if m in multiprocessing.get_all_start_methods()]
-    )
-    def test_watcher_keeps_workers_while_the_parent_lives(self, method):
-        # A forkserver's worker is the server's child, not the pool maker's; it must not end itself.
-        context = multiprocessing.get_context(method)
-        with ProcessPoolExecutor(1, mp_context=context, initializer=analysis._watch_parent) as pool:
-            first = pool.submit(os.getpid).result()
-            time.sleep(1.2)  # more than two of the watcher's checks
-            assert pool.submit(os.getpid).result() == first
-
-    @pytest.mark.skipif(analysis.usable_cpus() < 2, reason="one usable CPU: no pool")
-    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc to tell whether a worker still runs")
-    def test_workers_end_when_the_parent_is_killed(self):
-        # An idle worker blocks on a pipe that SIGKILL leaves open; it must not wait there forever.
-        # Nor may it end while its parent lives: the second call, after more than two of the
-        # watcher's checks, reuses the first call's workers.
+    @pytest.mark.skipif(analysis.usable_cpus() < 2, reason="one usable CPU: nothing is forked")
+    def test_no_process_outlives_a_killed_caller(self):
+        # The caller loops pooled calls in its own session and prints each child's pid once it is forked;
+        # killed right after its first fork, nothing of the session may live on.
         code = (
-            "import time\n"
+            "import os\n"
             "from stitsim import HyperplaneMeasure, analysis, rectangle, stit_pair\n"
-            "def call():\n"
+            "fork = os.fork\n"
+            "def announced_fork():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "os.fork = announced_fork\n"
+            "while True:\n"
             "    analysis.consistency_test(stit_pair(HyperplaneMeasure(1.0)), rectangle(0, 0, 1, 1), "
             "rectangle(0, 0, 2, 2), [0.5], 100, n_jobs=2)\n"
-            "    return sorted(analysis._pool[0]._processes)\n"
-            "first = call()\n"
-            "time.sleep(1.2)\n"
-            "assert call() == first\n"
-            "print(*first, flush=True)\n"
-            "time.sleep(120)\n"
         )
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -608,14 +582,13 @@ class TestWorkerPool:
             [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True, start_new_session=True
         ) as proc:
             try:
-                workers = [int(pid) for pid in proc.stdout.readline().split()]
-                assert len(workers) == 2
+                assert int(proc.stdout.readline()) > 0
                 proc.kill()
                 proc.wait()
                 deadline = time.monotonic() + 10.0
-                while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+                while _group_lives(proc.pid) and time.monotonic() < deadline:
                     time.sleep(0.1)
-                assert not any(_running(pid) for pid in workers)
+                assert not _group_lives(proc.pid)
             finally:
                 try:
                     os.killpg(proc.pid, signal.SIGKILL)
@@ -623,13 +596,13 @@ class TestWorkerPool:
                     pass
 
 
-def _running(pid: int) -> bool:
-    """Whether process `pid` exists and has not exited (a zombie has exited)."""
+def _group_lives(pgid: int) -> bool:
+    """Whether process group `pgid` has a process in it (a zombie counts)."""
     try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
         return False
+    return True
 
 
 class TestMemoryBound:
@@ -857,10 +830,10 @@ class TestChunkKernel:
         table, aborted = _collect_chunk(stit_rules, unit_square, W, [0.5, 1.0], probes, 7, (1, 0, 1))
         assert aborted == 1
         assert table.shape == (2, 0, 3 + len(probes))
-        # 25 workers give chunks of one replicate; one abort of 100 is within the limit
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(25)), raising=False)
-        report = consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 100, probes=probes, seed=7, n_jobs=25)
-        assert in_process_pool == [25]
+        # 100 processes give chunks of one replicate; one abort of 100 is within the limit
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)), raising=False)
+        report = consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 100, probes=probes, seed=7, n_jobs=100)
+        assert in_process_pool == [100]
         assert report.aborted == (0, 1)
         assert len(report.results) == 2 * (3 + len(probes))
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stitsim import analysis
 from stitsim.cli import build_parser, main
 from stitsim.config import (
     ConfigError,
@@ -428,7 +429,7 @@ class TestCliConsistency:
         assert report["n_reps"] == 100
 
     def test_pooled_run_leaves_no_process(self, tmp_path):
-        # The pool's workers live until the interpreter exits, and must not outlive it.
+        # The children a pooled run forks must not outlive it.
         cfg = write_config(tmp_path, CONSISTENCY)  # 100 replicates, t = 0.5
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -563,8 +564,19 @@ class TestCliBadInput:
         assert main(["consistency", "--config", cfg, "--threads", "0", "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: --threads must be >= 1\n"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked only on Linux")
+    def test_child_without_a_result_exits_1(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+        real = analysis._collect_chunk
+        monkeypatch.setattr(analysis, "_collect_chunk", lambda *a: real(*a) if os.getpid() == parent else os._exit(3))
+        monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
+        cfg = write_config(tmp_path, CONSISTENCY)
+        assert main(["consistency", "--config", cfg, "--threads", "2", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: worker process \d+ ended without a result \(wait status 768\)\n", err)
+
     def test_threads_default_is_the_affinity_set(self, monkeypatch):
-        # a process pinned to 3 of 64 CPUs gets 3 workers, not 64
+        # a process pinned to 3 of 64 CPUs gets 3 processes, not 64
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert build_parser().parse_args(["consistency", "--config", "unread.json"]).threads == 3

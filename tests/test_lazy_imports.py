@@ -1,11 +1,11 @@
-"""Which scipy and worker-pool modules each entry point loads, each checked in a fresh interpreter.
+"""Which scipy and process-pool modules each entry point loads, each checked in a fresh interpreter.
 
 Importing scipy.stats costs about a second and 60 MB, so only the functions
 that compute with scipy import it: the consistency tests load scipy.stats,
 the isotropic joint hitting mass loads scipy.integrate, and `import stitsim`,
-`simulate` and `rate` load neither.  Likewise only a consistency run on
-more than one worker imports the process pool, which brings in
-multiprocessing, socket and logging.
+`simulate` and `rate` load neither.  No entry point loads a process pool: a
+consistency run on more than one process forks its children with `os.fork`,
+without multiprocessing or concurrent.futures.
 """
 
 import json
@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from test_config_cli import RATE, SIMULATE, VERIFY, write_config
+from test_config_cli import CONSISTENCY, RATE, SIMULATE, VERIFY, write_config
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -55,6 +55,18 @@ def test_simulate_and_rate_load_no_scipy(tmp_path, command, config):
     loaded = modules_after(run)
     assert scipy_modules(loaded) == set()
     assert POOL_MODULES.isdisjoint(loaded)
+
+
+def test_pooled_consistency_loads_no_pool(tmp_path):
+    cfg = write_config(tmp_path, CONSISTENCY)
+    loaded = modules_after(
+        "from stitsim.cli import main\n"
+        f"assert main(['consistency', '--config', {cfg!r}, '--threads', '2', '--out', {str(tmp_path)!r}]) in (0, 2)"
+    )
+    # numpy 2's numpy.testing, which scipy.stats imports, loads the concurrent.futures package but no executor
+    assert "scipy.stats" in loaded
+    assert "multiprocessing" not in loaded
+    assert not {m for m in loaded if m.startswith("concurrent.futures.")} - {"concurrent.futures._base"}
 
 
 def test_verify_loads_integrate_but_not_stats(tmp_path):

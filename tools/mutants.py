@@ -28,6 +28,7 @@ from typing import NamedTuple
 REPO = Path(__file__).resolve().parent.parent
 RATE = "tests/test_analysis.py::TestRateEstimate"
 BATCHED = "tests/test_analysis.py::TestBatchedTestsMatchScipy"
+POOL = "tests/test_analysis.py::TestWorkerPool"
 
 
 class Mutant(NamedTuple):
@@ -60,6 +61,28 @@ MUTANTS = [
         "    if aborted:\n        raise ReplicateAborted(f\"{aborted} of {n_reps} replicates aborted\")\n",
         "",
         (f"{RATE}::test_any_aborted_replicate_raises",),
+    ),
+    # the forked map of a pooled consistency test
+    Mutant(
+        "results one share off",
+        "analysis.py",
+        "results[i::n_jobs] = out",
+        "results[i - 1::n_jobs] = out",
+        (f"{POOL}::test_results_in_chunk_order", f"{POOL}::test_back_to_back_calls_equal_serial"),
+    ),
+    Mutant(
+        "child's exception dropped",
+        "analysis.py",
+        "            if not ok:\n                raise out\n",
+        "",
+        (f"{POOL}::test_exception_in_a_child_is_raised",),
+    ),
+    Mutant(
+        "children not reaped",
+        "analysis.py",
+        "            os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
+        "            os.kill(pid, signal.SIGKILL)\n",
+        (f"{POOL}::test_results_in_chunk_order", f"{POOL}::test_exception_in_share_0_ends_the_children"),
     ),
     # the batched KS and chi-square kernels
     Mutant(
