@@ -9,6 +9,7 @@ over the whole family.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
@@ -264,31 +265,35 @@ def _forked_map(n_jobs: int, work: Callable, chunks: list) -> list:
     Process i runs share chunks[i::n_jobs]; this process runs share 0, so a
     child gets the call's inputs, warm caches included, by the fork and
     pickles only its results (or the exception it raised) back through its
-    own pipe.  A child that ends without writing raises `ChildProcessError`
-    here.  On return or error every child is killed and reaped.  Linux only.
+    own pipe.  A child that ends without writing its whole result raises
+    `ChildProcessError` here; a child whose caller is gone exits before its
+    next chunk.  On return or error every child is killed and reaped.
+    Linux only.
     """
     n_jobs = min(n_jobs, len(chunks))
     results: list = [None] * len(chunks)
     pipes: list = []  # read ends as files, child i's at i - 1
     pids: list[int] = []  # children not yet reaped
+    caller = os.getpid()
     try:
         for i in range(1, n_jobs):
             r, w = os.pipe()
             pipes.append(open(r, "rb"))
             try:
                 if (pid := os.fork()) == 0:
-                    _run_share(work, chunks[i::n_jobs], w, pipes)
+                    _run_share(work, chunks[i::n_jobs], w, pipes, caller)
                 pids.append(pid)
             finally:
                 os.close(w)
         results[::n_jobs] = map(work, chunks[::n_jobs])
         for i, (pid, pipe) in enumerate(zip(pids, pipes), 1):
             blob = pipe.read()
-            if not blob:
+            try:
+                ok, out = pickle.loads(blob)
+            except Exception:  # empty or cut short: the child ended before its whole result was written
                 pids.remove(pid)  # reaped here, for its status
                 status = os.waitpid(pid, 0)[1]
-                raise ChildProcessError(f"worker process {pid} ended without a result (wait status {status})")
-            ok, out = pickle.loads(blob)
+                raise ChildProcessError(f"worker process {pid} ended without a result (wait status {status})") from None
             if not ok:
                 raise out
             results[i::n_jobs] = out
@@ -297,17 +302,25 @@ def _forked_map(n_jobs: int, work: Callable, chunks: list) -> list:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            # gone already where something else reaps children (SIGCHLD ignored, a waitpid(-1) elsewhere)
+            with contextlib.suppress(ChildProcessError, ProcessLookupError):
+                if not os.waitpid(pid, os.WNOHANG)[0]:  # still running: kill only a pid that is still ours
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
-def _run_share(work: Callable, share: list, w: int, pipes: list) -> NoReturn:
+def _run_share(work: Callable, share: list, w: int, pipes: list, caller: int) -> NoReturn:
     """A forked child's life: pickles (True, results) or (False, exception) to pipe `w`, then exits (1 if it cannot)."""
     try:
         for pipe in pipes:  # the read ends it inherited, its own among them
             pipe.close()
         try:
-            out = (True, list(map(work, share)))
+            results = []
+            for chunk in share:
+                if os.getppid() != caller:  # the caller was killed: nothing will read the pipe
+                    os._exit(1)
+                results.append(work(chunk))
+            out = (True, results)
         except Exception as exc:
             out = (False, exc)
         blob = pickle.dumps(out)  # whole before the write, so a failure to pickle leaves the pipe empty
@@ -431,14 +444,14 @@ def consistency_test(
     if not all(V.contains_polygon(pr) for pr in probes):
         raise ContainmentViolation("probe polygon outside the window")
 
-    # Chunks of up to SEED_BLOCK replicates (one seeder block; it bounds a chunk's
-    # chord arrays), and no more than one process's share of an arm.
+    # Each arm in near-equal chunks of at most SEED_BLOCK replicates (one seeder
+    # block; it bounds a chunk's chord arrays), as many as a multiple of n_jobs,
+    # so share chunks[i::n_jobs] of every process holds the same work of each arm.
     if n_jobs > 1:
         n_jobs = min(n_jobs, max_workers(rules, W, times[-1]))
-    size = min(SEED_BLOCK, -(-n_reps // n_jobs))
-    chunks = [
-        (arm, start, min(size, n_reps - start)) for arm in (0, 1) for start in range(0, n_reps, size)
-    ]
+    per_arm = min(n_reps, n_jobs * -(-n_reps // (n_jobs * SEED_BLOCK)))
+    bounds = [n_reps * j // per_arm for j in range(per_arm + 1)]
+    chunks = [(arm, lo, hi - lo) for arm in (0, 1) for lo, hi in zip(bounds, bounds[1:])]
     work = partial(_collect_chunk, rules, V, W, times, probes, seed)
     results = _forked_map(n_jobs, work, chunks) if n_jobs > 1 else list(map(work, chunks))
     tables: list[list[np.ndarray]] = [[], []]

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -341,7 +342,7 @@ class TestConsistencyPipeline:
         chunks.clear()
         monkeypatch.setattr(analysis, "SEED_BLOCK", 50)
         assert consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 130, seed=3).to_dict() == whole.to_dict()
-        assert chunks == [(arm, start, count) for arm in (0, 1) for start, count in ((0, 50), (50, 50), (100, 30))]
+        assert chunks == [(arm, start, count) for arm in (0, 1) for start, count in ((0, 43), (43, 43), (86, 44))]
 
     def test_each_process_gets_half_of_each_arm(self, unit_square, stit_rules, monkeypatch, in_process_pool):
         chunks = []
@@ -355,6 +356,31 @@ class TestConsistencyPipeline:
         consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5, 1.0], 130, seed=3, n_jobs=2)
         assert in_process_pool == [2]
         assert chunks == [(arm, start, 65) for arm in (0, 1) for start in (0, 65)]  # share i is chunks[i::2]
+
+    @pytest.mark.parametrize("n_jobs, n_reps", [(2, 6000), (4, 6000), (5, 6000), (4, 4097), (3, 100)])
+    def test_every_share_holds_the_same_work_of_each_arm(self, unit_square, stit_rules, monkeypatch, n_jobs, n_reps):
+        class Stop(Exception):
+            pass
+
+        def record(n, work, chunks):
+            assert n == n_jobs
+            shares.extend(chunks[i::n] for i in range(n))
+            raise Stop
+
+        shares = []
+        monkeypatch.setattr(analysis, "_forked_map", record)
+        monkeypatch.setattr(analysis, "max_workers", lambda *args: n_jobs)
+        with pytest.raises(Stop):
+            consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5], n_reps, n_jobs=n_jobs)
+        chunks = sorted(c for share in shares for c in share)
+        for arm in (0, 1):
+            ends = [start + count for a, start, count in chunks if a == arm]
+            assert [start for a, start, _ in chunks if a == arm] == [0] + ends[:-1] and ends[-1] == n_reps
+        assert max(count for *_, count in chunks) <= analysis.SEED_BLOCK
+        for arm in (0, 1):
+            per_share = [sorted(count for a, _, count in share if a == arm) for share in shares]
+            assert len({len(counts) for counts in per_share}) == 1  # as many chunks of the arm in each share
+            assert max(map(sum, per_share)) - min(map(sum, per_share)) <= len(per_share[0])  # 1 a chunk at most
 
     def test_crop_once_matches_crop_of_full_window_snapshots(self, unit_square, stit_rules):
         W = rectangle(0, 0, 3, 3)
@@ -513,6 +539,35 @@ class TestWorkerPool:
         assert str(caught.value) == f"worker process {forks[0]} ended without a result (wait status {3 << 8})"
         assert self._reaped(forks)
 
+    def test_child_with_half_a_result(self, forks, monkeypatch):
+        # the child writes half its pickled result and exits, as if killed mid-write
+        halved = type(pickle)("halved_pickle")
+        halved.dumps = lambda obj: pickle.dumps(obj)[: len(pickle.dumps(obj)) // 2]
+        halved.loads = pickle.loads
+        monkeypatch.setattr(analysis, "pickle", halved)
+        with pytest.raises(ChildProcessError) as caught:
+            analysis._forked_map(2, lambda c: np.full(1000, c), list(range(5)))
+        assert str(caught.value) == f"worker process {forks[0]} ended without a result (wait status 0)"
+        assert self._reaped(forks)
+
+    def test_children_reaped_elsewhere(self, forks):
+        # with SIGCHLD ignored the kernel reaps each child: a result or an exception must still come through
+        def work(c):
+            if c == 1:
+                time.sleep(30)
+            raise ValueError(f"spy: chunk {c}")
+
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert analysis._forked_map(2, lambda c: c, list(range(5))) == list(range(5))
+            start = time.monotonic()
+            with pytest.raises(ValueError, match="spy: chunk 0"):
+                analysis._forked_map(2, work, list(range(5)))
+            assert time.monotonic() - start < 2.0
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        assert len(forks) == 2 and self._reaped(forks)
+
     def test_exception_in_share_0_ends_the_children(self, forks):
         def work(c):
             if c % 2:
@@ -558,12 +613,14 @@ class TestWorkerPool:
         assert threading.active_count() == before
         assert not [w for w in caught if issubclass(w.category, DeprecationWarning) and "fork" in str(w.message)]
 
-    @pytest.mark.skipif(analysis.usable_cpus() < 2, reason="one usable CPU: nothing is forked")
-    def test_no_process_outlives_a_killed_caller(self):
-        # The caller loops pooled calls in its own session and prints each child's pid once it is forked;
-        # killed right after its first fork, nothing of the session may live on.
+    @staticmethod
+    def _group_life_after_kill(loop: str) -> float:
+        """Seconds the session of a caller running `loop` lives on once it is killed right after its first fork.
+
+        The caller runs in its own session and prints each child's pid once it is forked.  Gives up at 10 s.
+        """
         code = (
-            "import os\n"
+            "import os, time\n"
             "from stitsim import HyperplaneMeasure, analysis, rectangle, stit_pair\n"
             "fork = os.fork\n"
             "def announced_fork():\n"
@@ -572,11 +629,8 @@ class TestWorkerPool:
             "        print(pid, flush=True)\n"
             "    return pid\n"
             "os.fork = announced_fork\n"
-            "while True:\n"
-            "    analysis.consistency_test(stit_pair(HyperplaneMeasure(1.0)), rectangle(0, 0, 1, 1), "
-            "rectangle(0, 0, 2, 2), [0.5], 100, n_jobs=2)\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        ) + loop
+        src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))  # the stitsim under test
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         with subprocess.Popen(
             [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True, start_new_session=True
@@ -585,15 +639,30 @@ class TestWorkerPool:
                 assert int(proc.stdout.readline()) > 0
                 proc.kill()
                 proc.wait()
-                deadline = time.monotonic() + 10.0
-                while _group_lives(proc.pid) and time.monotonic() < deadline:
+                start = time.monotonic()
+                while _group_lives(proc.pid) and time.monotonic() - start < 10.0:
                     time.sleep(0.1)
-                assert not _group_lives(proc.pid)
+                return time.monotonic() - start
             finally:
                 try:
                     os.killpg(proc.pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+
+    @pytest.mark.skipif(analysis.usable_cpus() < 2, reason="one usable CPU: nothing is forked")
+    def test_no_process_outlives_a_killed_caller(self):
+        loop = (
+            "while True:\n"
+            "    analysis.consistency_test(stit_pair(HyperplaneMeasure(1.0)), rectangle(0, 0, 1, 1), "
+            "rectangle(0, 0, 2, 2), [0.5], 100, n_jobs=2)\n"
+        )
+        assert self._group_life_after_kill(loop) < 10.0
+
+    def test_orphan_ends_before_its_next_chunk(self):
+        # Share 1 is 16 chunks of 0.5 s: an orphan that ran it out would live 8 s, one that stops before its
+        # next chunk 0.5 s, plus the time the session's new parent takes to reap it.
+        loop = "analysis._forked_map(2, lambda c: time.sleep(0.5), list(range(32)))\n"
+        assert self._group_life_after_kill(loop) < 5.0
 
 
 def _group_lives(pgid: int) -> bool:

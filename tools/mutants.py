@@ -80,9 +80,23 @@ MUTANTS = [
     Mutant(
         "children not reaped",
         "analysis.py",
-        "            os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
-        "            os.kill(pid, signal.SIGKILL)\n",
-        (f"{POOL}::test_results_in_chunk_order", f"{POOL}::test_exception_in_share_0_ends_the_children"),
+        "os.kill(pid, signal.SIGKILL)\n                    os.waitpid(pid, 0)\n",
+        "os.kill(pid, signal.SIGKILL)\n",
+        (f"{POOL}::test_exception_in_share_0_ends_the_children",),
+    ),
+    Mutant(
+        "orphans run out their share",
+        "analysis.py",
+        "if os.getppid() != caller:",
+        "if False:",
+        (f"{POOL}::test_orphan_ends_before_its_next_chunk",),
+    ),
+    Mutant(
+        "chunks of SEED_BLOCK, shares uneven",
+        "analysis.py",
+        "per_arm = min(n_reps, n_jobs * -(-n_reps // (n_jobs * SEED_BLOCK)))",
+        "per_arm = min(n_reps, -(-n_reps // SEED_BLOCK))",
+        ("tests/test_analysis.py::TestConsistencyPipeline::test_every_share_holds_the_same_work_of_each_arm",),
     ),
     # the batched KS and chi-square kernels
     Mutant(
