@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 import os
 import pickle
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from stitsim.analysis import (
     window_stats,
 )
 from stitsim.geometry import scale_about_centroid
+from stitsim.measures import axis_aligned
 from stitsim.rules import (
     HittingMeasure,
     IntrinsicVolume,
@@ -1035,7 +1038,36 @@ class TestNuLimit:
         assert est.values[-1] == pytest.approx(hitting_mass(iso_measure, probe), rel=1e-10)
 
 
+IDENTITY_PAIRS = {
+    "stit-isotropic": stit_pair(HyperplaneMeasure(1.0)),
+    "stit-axis-aligned": stit_pair(HyperplaneMeasure(0.8, axis_aligned())),
+    "vertex-count": RulePair(VertexCount(), RestrictedMeasure(HyperplaneMeasure(1.0))),
+    "intrinsic-volume-2": RulePair(IntrinsicVolume(2), RestrictedMeasure(HyperplaneMeasure(1.0))),
+    "point-driven": RulePair(HittingMeasure(HyperplaneMeasure(1.0)), PointDriven()),
+}
+
+
 class TestIdentitySuite:
+    # sha256 of json.dumps of the asdict() results of all five identities, per
+    # seed 0-2 and n_cases 1, 7 and 20, recorded (CPython 3.11, numpy 2.4,
+    # scipy 1.17) while each identity still ran its own loop over its cases
+    PINNED_SUITES = {
+        "stit-isotropic": "1a8c7be799c34e7031273f63d8ce75e81ce562762ecfcf92211dea47e866546c",
+        "stit-axis-aligned": "ccae7c27ec6c9213e01a01a3628ae8fe0fceb63ff8bf817e64a32142d2004d7d",
+        "vertex-count": "a500d1a5af414ce0b93e1c35dec282dfaa9f2bd9f39084650c29e97dc1f23952",
+        "intrinsic-volume-2": "3092fa82878a04090487a9495d03aa49d24385c7ce6050cf7e842e760335aa03",
+        "point-driven": "71bb311248524e7e9d0a013e71ebab91eba20f4110dc687609a40ebf8fe0a199",
+    }
+
+    @pytest.mark.parametrize("pair", list(IDENTITY_PAIRS))
+    def test_results_are_pinned(self, pair):
+        runs = [
+            [asdict(r) for r in identity_suite(IDENTITY_PAIRS[pair], list(analysis.IDENTITIES), n_cases=n, seed=seed)]
+            for seed in (0, 1, 2)
+            for n in (1, 7, 20)
+        ]
+        assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == self.PINNED_SUITES[pair]
+
     def test_shared_measure_pair_passes_everything(self, stit_rules):
         results = identity_suite(
             stit_rules,

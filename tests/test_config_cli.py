@@ -376,6 +376,28 @@ class TestCliVerify:
         )
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    # sha256 of verify_report.json for every identity of the vertex-count pair,
+    # 7 cases, seed 3: passes, a failure and an inapplicable identity (residual
+    # Infinity); recorded while each identity still ran its own loop over its cases
+    PINNED_REPORT = "2f179e69a48f3b05adfe9ddb1d5ee71bbf439714bfc57e42ab5edd58e4c665a0"
+
+    def test_report_is_pinned(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "version": 1,
+                "seed": 3,
+                "rules": {
+                    "selection": {"kind": "vertex_count"},
+                    "division": {"kind": "restricted_measure", "measure": ISO},
+                },
+                "identities": list(analysis.IDENTITIES),
+                "n_cases": 7,
+            },
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert hashlib.sha256((tmp_path / "verify_report.json").read_bytes()).hexdigest() == self.PINNED_REPORT
+
     def test_empty_identities_exit_1(self, tmp_path):
         cfg = write_config(
             tmp_path,
