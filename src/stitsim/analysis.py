@@ -453,7 +453,7 @@ def consistency_test(
     bounds = [n_reps * j // per_arm for j in range(per_arm + 1)]
     chunks = [(arm, lo, hi - lo) for arm in (0, 1) for lo, hi in zip(bounds, bounds[1:])]
     work = partial(_collect_chunk, rules, V, W, times, probes, seed)
-    results = _forked_map(n_jobs, work, chunks) if n_jobs > 1 else list(map(work, chunks))
+    results = _forked_map(n_jobs, work, chunks)
     tables: list[list[np.ndarray]] = [[], []]
     aborted = [0, 0]
     for (arm, _, _), (table, ab) in zip(chunks, results):
@@ -596,85 +596,69 @@ def _division_measure(rules: RulePair) -> HyperplaneMeasure:
     return rules.division.measure
 
 
-# Each check draws n_cases random cases and returns (passed, max residual, threshold).
+# Each check draws one random case and returns its residual.
 
 
-def _fundamental(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
+def _fundamental(rules: RulePair, rng) -> float:
+    return fundamental_residual(_division_measure(rules), *_random_nested_triple(rng))
+
+
+def _corollary(rules: RulePair, rng) -> float:
     measure = _division_measure(rules)
-    worst = 0.0
-    for _ in range(n_cases):
-        V, W, B = _random_nested_triple(rng)
-        worst = max(worst, fundamental_residual(measure, V, W, B))
-    return worst < EXACT, worst, EXACT
+    _, W, B = _random_nested_triple(rng)
+    mass_b = hitting_mass(measure, B)
+    return abs(joint_hitting_mass(measure, B, W) - mass_b) / mass_b
 
 
-def _corollary(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
-    measure = _division_measure(rules)
-    worst = 0.0
-    for _ in range(n_cases):
-        _, W, B = _random_nested_triple(rng)
-        mass_b = hitting_mass(measure, B)
-        worst = max(worst, abs(joint_hitting_mass(measure, B, W) - mass_b) / mass_b)
-    return worst < EXACT, worst, EXACT
-
-
-def _nu_limit(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
+def _nu_limit(rules: RulePair, rng) -> float:
+    """The worst monotonicity violation or gap to the limit; inf for a probe the 16x16 square never contains."""
     if not rules.stit_flag:
         raise _NotApplicable("needs a shared-measure pair")
-    measure = rules.division.measure
-    worst = 0.0
-    ok = True
-    for _ in range(max(1, n_cases // 10)):
-        probe = random_convex_polygon(
-            rng, n_points=6, scale=0.5, center=(rng.standard_normal(), rng.standard_normal())
-        )
-        est = nu_limit(rules, probe, [1.0, 2.0, 4.0, 8.0, 16.0])
-        ok = ok and est.limit_reached
-        target = hitting_mass(measure, probe)
-        for v1, v2 in zip(est.values, est.values[1:]):
-            worst = max(worst, (v1 - v2) / target)  # monotonicity violation
-        worst = max(worst, abs(est.values[-1] - target) / target)
-    return ok and worst < EXACT, worst, EXACT
+    probe = random_convex_polygon(
+        rng, n_points=6, scale=0.5, center=(rng.standard_normal(), rng.standard_normal())
+    )
+    est = nu_limit(rules, probe, [1.0, 2.0, 4.0, 8.0, 16.0])
+    if not est.limit_reached:
+        return math.inf
+    target = hitting_mass(rules.division.measure, probe)
+    gaps = [(v1 - v2) / target for v1, v2 in zip(est.values, est.values[1:])]
+    return max(gaps + [abs(est.values[-1] - target) / target])
 
 
-def _rate_matches_nu(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
+def _rate_matches_nu(rules: RulePair, rng) -> float:
     """Relative gap between the selection rate and the division measure's hitting mass.
 
     Zero (to rounding) exactly when the selection rule is the hitting-mass rule
     of that measure; order-one for area or vertex-count selection.
     """
     measure = _division_measure(rules)
-    worst = 0.0
-    for _ in range(n_cases):
-        C = random_convex_polygon(rng, n_points=int(rng.integers(4, 10)), scale=1.0)
-        nu_c = hitting_mass(measure, C)
-        worst = max(worst, abs(rate(rules.selection, C) - nu_c) / nu_c)
-    return worst < EXACT, worst, EXACT
+    C = random_convex_polygon(rng, n_points=int(rng.integers(4, 10)), scale=1.0)
+    nu_c = hitting_mass(measure, C)
+    return abs(rate(rules.selection, C) - nu_c) / nu_c
 
 
-def _division_bound(rules: RulePair, rng, n_cases: int) -> tuple[bool, float, float]:
+def _division_bound(rules: RulePair, rng) -> float:
+    """How far the largest rate ratio of a random cell's pieces exceeds the selection rule's bound."""
     sel = rules.selection
-    worst = 0.0
-    for _ in range(max(1, n_cases // 5)):
-        C = random_convex_polygon(rng, n_points=int(rng.integers(4, 10)), scale=1.0)
-        k_hat = check_bound(sel, C, 200, rng)
-        if isinstance(sel, VertexCount):
-            n = vertex_count(C)
-            bound = (n + 2) / n
-        else:  # IntrinsicVolume or HittingMeasure: monotone under inclusion
-            bound = 1.0 + 1e-12
-        worst = max(worst, k_hat - bound)
-    return worst <= 0.0, max(worst, 0.0), 0.0
+    C = random_convex_polygon(rng, n_points=int(rng.integers(4, 10)), scale=1.0)
+    k_hat = check_bound(sel, C, 200, rng)
+    if isinstance(sel, VertexCount):
+        n = vertex_count(C)
+        bound = (n + 2) / n
+    else:  # IntrinsicVolume or HittingMeasure: monotone under inclusion
+        bound = 1.0 + 1e-12
+    return k_hat - bound
 
 
-# name -> (random stream id, check); the id keys the identity's generator to
-# (seed, id), so an identity's result for a seed does not depend on the others.
+# name -> (random stream id, cases divisor, check, threshold).  The id keys the
+# identity's generator to (seed, id), so an identity's result for a seed does
+# not depend on the others; the costlier checks draw n_cases // divisor cases.
 IDENTITIES = {
-    "fundamental": (0, _fundamental),
-    "corollary": (1, _corollary),
-    "nu_limit": (2, _nu_limit),
-    "rate_matches_nu": (3, _rate_matches_nu),
-    "division_bound": (4, _division_bound),
+    "fundamental": (0, 1, _fundamental, EXACT),
+    "corollary": (1, 1, _corollary, EXACT),
+    "nu_limit": (2, 10, _nu_limit, EXACT),
+    "rate_matches_nu": (3, 1, _rate_matches_nu, EXACT),
+    "division_bound": (4, 5, _division_bound, 0.0),
 }
 
 
@@ -683,19 +667,25 @@ def identity_suite(
 ) -> list[IdentityResult]:
     """Analytic identity checks for a rule pair; failures are informative, not errors.
 
-    The shared-measure pair passes everything; an area or vertex-count
-    selection fails 'rate_matches_nu' by design.
+    Each identity checks max(1, n_cases // divisor) cases drawn from its own
+    stream and reports its largest residual, 0 at least; it passes below its
+    threshold, or at 0.  The shared-measure pair passes everything; an area
+    or vertex-count selection fails 'rate_matches_nu' by design.
     """
+    if n_cases < 1:
+        raise ValueError(f"n_cases must be >= 1, got {n_cases}")
     results: list[IdentityResult] = []
     for name in identities:
         if name not in IDENTITIES:
             raise ValueError(f"unknown identity '{name}'")
-        stream, check = IDENTITIES[name]
+        stream, divisor, check, threshold = IDENTITIES[name]
         rng = np.random.default_rng((seed, stream))
+        worst = 0.0
         try:
-            passed, worst, threshold = check(rules, rng, n_cases)
+            for _ in range(max(1, n_cases // divisor)):
+                worst = max(worst, check(rules, rng))
         except _NotApplicable as exc:
-            results.append(IdentityResult(name, False, math.inf, EXACT, str(exc)))
+            results.append(IdentityResult(name, False, math.inf, threshold, str(exc)))
             continue
-        results.append(IdentityResult(name, passed, worst, threshold))
+        results.append(IdentityResult(name, worst < threshold or worst == 0.0, worst, threshold))
     return results

@@ -311,7 +311,7 @@ class TestConsistencyPipeline:
                 alone, _ = _collect_chunk(stit_rules, unit_square, W, times, probes, 7, (arm, rep, 1))
                 assert np.array_equal(alone[:, 0], whole[:, rep])
 
-    @pytest.mark.parametrize("cores, pool", [(2, [2]), (None, [])], ids=["two-cores", "unknown-cores"])
+    @pytest.mark.parametrize("cores, pool", [(2, [2]), (None, [1])], ids=["two-cores", "unknown-cores"])
     def test_workers_bounded_by_cores(self, unit_square, stit_rules, monkeypatch, in_process_pool, cores, pool):
         # 100000 real processes would be 99999 forks; the in-process map starts none.
         # Where the OS reports no affinity set, the bound is os.cpu_count(), or 1.
@@ -519,7 +519,7 @@ class TestWorkerPool:
     def _call(rules, n_jobs, seed=3):
         return consistency_test(rules, rectangle(0, 0, 1, 1), rectangle(0, 0, 2, 2), [0.5], 100, seed=seed, n_jobs=n_jobs)
 
-    @pytest.mark.parametrize("n_jobs", [2, 3])
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])  # one process forks nothing
     def test_results_in_chunk_order(self, forks, n_jobs):
         assert analysis._forked_map(n_jobs, lambda c: (c, os.getpid()), list(range(5))) == [
             (c, os.getpid() if c % n_jobs == 0 else forks[c % n_jobs - 1]) for c in range(5)
@@ -766,7 +766,7 @@ class TestMemoryBound:
         monkeypatch.setattr(analysis, "available_memory", lambda: 0.5 * per_trajectory)
         in_process = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=64)
         assert in_process.to_dict() == bounded.to_dict()
-        assert in_process_pool == [3]  # one trajectory's worth or less: in process
+        assert in_process_pool == [3, 1]  # one trajectory's worth or less: in process
 
     def test_in_process_call_reads_no_bound(self, unit_square, stit_rules, monkeypatch):
         def unread():
@@ -1088,6 +1088,21 @@ class TestIdentitySuite:
         pair = RulePair(VertexCount(), PointDriven())
         [result] = identity_suite(pair, ["division_bound"], n_cases=20, seed=4)
         assert result.passed, result.max_residual
+        assert result.max_residual == 0.0  # every case under its bound: a negative residual is reported as 0
+
+    @pytest.mark.parametrize("n_cases", [0, -3])
+    def test_no_cases_is_an_error(self, iso_measure, n_cases):
+        # no case checked must not pass: the vertex-count pair fails this identity on any case
+        pair = RulePair(VertexCount(), RestrictedMeasure(iso_measure))
+        with pytest.raises(ValueError, match="n_cases must be >= 1"):
+            identity_suite(pair, ["rate_matches_nu"], n_cases=n_cases)
+
+    def test_probe_never_contained_gives_infinite_residual(self, stit_rules, monkeypatch):
+        monkeypatch.setattr(analysis, "random_convex_polygon", lambda rng, **kw: rectangle(-9, -1, 9, 1))
+        [result] = identity_suite(stit_rules, ["nu_limit"], n_cases=10, seed=1)
+        assert not result.passed
+        assert result.max_residual == math.inf
+        assert result.detail == ""
 
     @pytest.mark.parametrize(
         "division, identity, detail",

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -706,3 +707,36 @@ class TestParsersRejectOnlyWithConfigError:
                 pass
 
         check()
+
+
+def readme_json_blocks() -> list[tuple[str, dict]]:
+    """(the command of its "### <command>" section, or "rules" for a rules fragment, JSON) per README json block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks, section = [], None
+    for heading, block in re.findall(r"^### (\w+)|^```json\n(.*?)^```$", text, re.M | re.S):
+        section = heading or section
+        if block.startswith('"rules"'):
+            blocks.append(("rules", json.loads("{" + block + "}")))
+        elif block:
+            blocks.append((section, json.loads(block)))
+    return blocks
+
+
+class TestReadmeExamples:
+    """Each JSON example of the README parses.  Parsers only: nothing is simulated."""
+
+    BLOCKS = readme_json_blocks()
+    PARSERS = {
+        "simulate": parse_simulate,
+        "consistency": parse_consistency,
+        "rules": lambda fragment: parse_rules(fragment["rules"]),
+        "verify": parse_verify,
+        "rate": parse_rate,
+    }
+
+    def test_every_example_found(self):
+        assert [name for name, _ in self.BLOCKS] == list(self.PARSERS)
+
+    @pytest.mark.parametrize("name, example", BLOCKS, ids=[name for name, _ in BLOCKS])
+    def test_example_parses(self, name, example):
+        self.PARSERS[name](example)

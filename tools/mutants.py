@@ -2,8 +2,8 @@
 
 Each mutant replaces one exact piece of text in a file of `src/stitsim` and
 names the tests that must fail on it.  The script applies each mutant to a
-temporary copy of `src/`, never to the tree, and runs only the named tests
-against that copy.  A named test id may be a test, a parametrized test or a
+temporary copy of `src/` of its own, never to the tree, and runs only the
+named tests against that copy, up to four mutants at a time (one per CPU).  A named test id may be a test, a parametrized test or a
 class; it counts as failed when one of the tests it names fails.
 
     python3 tools/mutants.py
@@ -22,6 +22,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,6 +31,11 @@ REPO = Path(__file__).resolve().parent.parent
 RATE = "tests/test_analysis.py::TestRateEstimate"
 BATCHED = "tests/test_analysis.py::TestBatchedTestsMatchScipy"
 POOL = "tests/test_analysis.py::TestWorkerPool"
+IDENT = "tests/test_analysis.py::TestIdentitySuite"
+CHUNK = "tests/test_analysis.py::TestChunkKernel"
+HITS = "tests/test_geometry.py::test_batched_clip_and_hit_equal_the_scalar_ones"
+REGION = "tests/test_engine.py::TestRegion"
+SEEDS = "tests/test_engine.py::TestReplicateSeeds"
 
 
 class Mutant(NamedTuple):
@@ -127,6 +134,148 @@ MUTANTS = [
         'np.searchsorted(x, pooled, side="left")',
         (f"{BATCHED}::test_ks_columns_equal_ks_2samp", "tests/test_analysis.py::TestKSTwoSample::test_identical_samples"),
     ),
+
+    # the identity suite: one loop over each identity's cases
+    Mutant(
+        "wrong case divisor",
+        "analysis.py",
+        '"nu_limit": (2, 10, _nu_limit, EXACT)',
+        '"nu_limit": (2, 1, _nu_limit, EXACT)',
+        (f"{IDENT}::test_results_are_pinned[stit-isotropic]",),
+    ),
+    Mutant(
+        "worst residual from -inf",
+        "analysis.py",
+        "worst = 0.0\n        try:",
+        "worst = -math.inf\n        try:",
+        (f"{IDENT}::test_division_bound_passes_for_vertex_count", f"{IDENT}::test_results_are_pinned[point-driven]"),
+    ),
+    Mutant(
+        "two streams swapped",
+        "analysis.py",
+        '"fundamental": (0, 1, _fundamental, EXACT),\n    "corollary": (1, 1, _corollary, EXACT),',
+        '"fundamental": (1, 1, _fundamental, EXACT),\n    "corollary": (0, 1, _corollary, EXACT),',
+        (f"{IDENT}::test_results_are_pinned[vertex-count]", "tests/test_config_cli.py::TestCliVerify::test_report_is_pinned"),
+    ),
+    Mutant(
+        "no cases pass",
+        "analysis.py",
+        '    if n_cases < 1:\n        raise ValueError(f"n_cases must be >= 1, got {n_cases}")\n',
+        "",
+        (f"{IDENT}::test_no_cases_is_an_error",),
+    ),
+    # one clip kernel and one hit kernel
+    Mutant(
+        "no clip in the band",
+        "geometry.py",
+        "        hit[band[clip_segments(rows, C)[0]]] = True\n",
+        "",
+        (f"{HITS}[probe]",),
+    ),
+    Mutant(
+        "only the first endpoint tested",
+        "geometry.py",
+        "(edge_margins(C, rows[:, 0], rows[:, 1]) >= floor) | (\n"
+        "            edge_margins(C, rows[:, 2], rows[:, 3]) >= floor\n        )",
+        "edge_margins(C, rows[:, 0], rows[:, 1]) >= floor",
+        (f"{HITS}[probe]",),
+    ),
+    Mutant(
+        "interior floor 0",
+        "analysis.py",
+        "floor = 1e-9 * V._scale",
+        "floor = 0.0",
+        (f"{CHUNK}::test_chords_on_the_boundary[hexagon]", f"{CHUNK}::test_equals_window_stats_of_crops[direct-triangle]"),
+    ),
+    Mutant(
+        "no crop floor",
+        "engine.py",
+        "if length > MIN_CHORD_REL * V._scale]",
+        "if length >= 0.0]",
+        (f"{CHUNK}::test_chords_on_the_boundary[square]",),
+    ),
+    Mutant(
+        "no STIT term in the chord budget",
+        "rules.py",
+        "        n += intensity * intensity * t * t * W.area / math.pi\n",
+        "",
+        ("tests/test_rules.py::TestMinExpectedChords::test_isotropic_stit_mean",),
+    ),
+    # the W arm builds only the cells that can meet V
+    Mutant(
+        "margin -0.05",
+        "engine.py",
+        "m = 2.0 * (a + b * (x_hi - x_lo + y_hi - y_lo) + drift)",
+        "m = -0.05",
+        (f"{REGION}::test_cells_at_the_margin_are_kept", f"{REGION}::test_left_out_cells_have_no_chord_that_crop_keeps[stit-axis-aligned-square]"),
+    ),
+    Mutant(
+        "margin 0",
+        "engine.py",
+        "m = 2.0 * (a + b * (x_hi - x_lo + y_hi - y_lo) + drift)",
+        "m = 0.0",
+        (f"{REGION}::test_cells_at_the_margin_are_kept",),
+    ),
+    Mutant(
+        "box test on the wrong side",
+        "engine.py",
+        "if x_hi < keep[0] or y_hi < keep[1] or x_lo > keep[2] or y_lo > keep[3]:",
+        "if x_lo < keep[0] or y_lo < keep[1] or x_hi > keep[2] or y_hi > keep[3]:",
+        (f"{REGION}::test_left_out_cells_have_no_chord_that_crop_keeps[stit-square]",),
+    ),
+    Mutant(
+        "containment over the first vertex only",
+        "geometry.py",
+        "x, y = np.array(other.vertices).T",
+        "x, y = np.array(other.vertices[:1]).T",
+        (
+            "tests/test_geometry.py::test_containment_equals_the_exact_reference[probe]",
+            "tests/test_analysis.py::TestConsistencyPipeline::test_probe_containment_checked_before_replicates",
+        ),
+    ),
+    Mutant(
+        "keep box not cached",
+        "engine.py",
+        "@functools.lru_cache(maxsize=64)\ndef _keep_box",
+        "def _keep_box",
+        ("tests/test_engine.py::test_keep_box_is_computed_once_per_window_pair",),
+    ),
+    # the replicate seeder
+    Mutant(
+        "words past the fourth not mixed in",
+        "engine.py",
+        "    for e in entropy[4:]:\n        for dst in range(4):\n            pool[dst] = mix(pool[dst], hashmix(e))\n",
+        "",
+        (f"{SEEDS}::test_generators_equal_default_rng_of_the_tuple",),
+    ),
+    Mutant(
+        "wrong mix constant",
+        "engine.py",
+        "0xCA01F9DD",
+        "0xCA01F9DE",
+        (f"{SEEDS}::test_generators_equal_default_rng_of_the_tuple",),
+    ),
+    Mutant(
+        "first seed not checked against numpy",
+        "engine.py",
+        "if words is not None and lo == start and not np.array_equal(words[0], expected):",
+        "if False:",
+        (f"{SEEDS}::test_words_that_differ_from_numpy_give_plain_tuples",),
+    ),
+    Mutant(
+        "the words for every generate_state call",
+        "engine.py",
+        "if n_words == 4 and dtype is np.uint64:",
+        "if True:",
+        (f"{SEEDS}::test_other_states_come_from_numpy",),
+    ),
+    Mutant(
+        "reps up to 2**33 as one word",
+        "engine.py",
+        "reps[-1] < 2**32",
+        "reps[-1] < 2**33",
+        (f"{SEEDS}::test_reps_from_2_to_the_32_are_plain_tuples",),
+    ),
 ]
 
 # Mutants that no test can kill, with the reason.  They are run too, and must survive.
@@ -140,6 +289,46 @@ SURVIVORS = [
             (RATE, "tests/test_analysis.py::TestChunkKernel"),
         ),
         "only rate_estimate uses stream 2, and it passes W = V: a region V in V leaves no cell out, so the draws are equal",
+    ),
+    (
+        Mutant(
+            "<= for < on the exact identities",
+            "analysis.py",
+            "worst < threshold or",
+            "worst <= threshold or",
+            (IDENT, "tests/test_config_cli.py::TestCliVerify"),
+        ),
+        "no residual of an exact identity lands on 1e-10 itself",
+    ),
+    (
+        Mutant(
+            "> for >= in the band containment",
+            "geometry.py",
+            "edge_margins(C, rows[:, 0], rows[:, 1]) >= floor) | (",
+            "edge_margins(C, rows[:, 0], rows[:, 1]) > floor) | (",
+            (HITS,),
+        ),
+        "rounding-sized: no drawn endpoint has a margin of exactly -snap_tol times the scale",
+    ),
+    (
+        Mutant(
+            ">= for > at the interior floor",
+            "analysis.py",
+            "chords[:, i + 1]) > floor",
+            "chords[:, i + 1]) >= floor",
+            (CHUNK, "tests/test_analysis.py::TestWindowStats"),
+        ),
+        "rounding-sized: no endpoint sits exactly 1e-9 times the scale inside an edge",
+    ),
+    (
+        Mutant(
+            "the container's own snap tolerance in contains_polygon",
+            "geometry.py",
+            "-max(self.snap_tol, other.snap_tol) * self._scale",
+            "-self.snap_tol * self._scale",
+            ("tests/test_geometry.py::test_containment_equals_the_exact_reference", REGION),
+        ),
+        "the tolerances differ by rounding-sized amounts, and no tested vertex lies between them",
     ),
 ]
 
@@ -167,29 +356,38 @@ def killed_by(test: str, failed: set[str]) -> bool:
     return any(f == test or f.startswith((test + "::", test + "[")) for f in failed)
 
 
+def copy_src(dest: Path) -> Path:
+    shutil.copytree(REPO / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return dest / "src"
+
+
+def try_mutant(tmp: str, k: int, m: Mutant) -> tuple[str | None, set[str]]:
+    """Applies mutant k to its own copy of src/ and runs its tests; returns (an error or None, the failed test ids)."""
+    src = copy_src(Path(tmp) / str(k))
+    path = src / "stitsim" / m.file
+    text = path.read_text()
+    if text.count(m.old) != 1:
+        return f"old text found {text.count(m.old)} times in {m.file}, not once", set()
+    path.write_text(text.replace(m.old, m.new))
+    return None, run_tests(src, m.tests)[1]
+
+
 def main() -> int:
     table = [(m, None) for m in MUTANTS] + SURVIVORS
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     bad = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(min(4, cpus)) as pool:
         every_test = tuple(dict.fromkeys(t for m, _ in table for t in m.tests))
-        passed, failed = run_tests(src, every_test)
+        passed, failed = run_tests(copy_src(Path(tmp) / "clean"), every_test)
         if not passed:
             print(f"unmutated copy fails: {sorted(failed)}")
             return 1
-        for m, why in table:
-            path = src / "stitsim" / m.file
-            text = path.read_text()
-            if text.count(m.old) != 1:
-                print(f"{m.name}: old text found {text.count(m.old)} times in {m.file}, not once")
+        outcomes = pool.map(partial(try_mutant, tmp), range(len(table)), [m for m, _ in table])
+        for (m, why), (error, failed) in zip(table, outcomes):
+            if error:
+                print(f"{m.name}: {error}")
                 bad += 1
                 continue
-            path.write_text(text.replace(m.old, m.new))
-            try:
-                _, failed = run_tests(src, m.tests)
-            finally:
-                path.write_text(text)
             survived_by = [t for t in m.tests if not killed_by(t, failed)]
             if why is None:
                 bad += bool(survived_by)
