@@ -268,7 +268,7 @@ def _forked_map(n_jobs: int, work: Callable, chunks: list) -> list:
     own pipe.  A child that ends without writing its whole result raises
     `ChildProcessError` here; a child whose caller is gone exits before its
     next chunk.  On return or error every child is killed and reaped.
-    Linux only.
+    With n_jobs = 1 it forks nothing; `max_workers` allows more on Linux only.
     """
     n_jobs = min(n_jobs, len(chunks))
     results: list = [None] * len(chunks)
@@ -686,6 +686,6 @@ def identity_suite(
                 worst = max(worst, check(rules, rng))
         except _NotApplicable as exc:
             results.append(IdentityResult(name, False, math.inf, threshold, str(exc)))
-            continue
-        results.append(IdentityResult(name, worst < threshold or worst == 0.0, worst, threshold))
+        else:
+            results.append(IdentityResult(name, worst < threshold or worst == 0.0, worst, threshold))
     return results

@@ -3,8 +3,9 @@
 Each mutant replaces one exact piece of text in a file of `src/stitsim` and
 names the tests that must fail on it.  The script applies each mutant to a
 temporary copy of `src/` of its own, never to the tree, and runs only the
-named tests against that copy, up to four mutants at a time (one per CPU).  A named test id may be a test, a parametrized test or a
-class; it counts as failed when one of the tests it names fails.
+named tests against that copy, up to four mutants at a time (one per CPU).
+A named test id may be a test, a parametrized test or a class; it counts as
+failed when one of the tests it names fails.
 
     python3 tools/mutants.py
 
@@ -155,7 +156,10 @@ MUTANTS = [
         "analysis.py",
         '"fundamental": (0, 1, _fundamental, EXACT),\n    "corollary": (1, 1, _corollary, EXACT),',
         '"fundamental": (1, 1, _fundamental, EXACT),\n    "corollary": (0, 1, _corollary, EXACT),',
-        (f"{IDENT}::test_results_are_pinned[vertex-count]", "tests/test_config_cli.py::TestCliVerify::test_report_is_pinned"),
+        (
+            f"{IDENT}::test_results_are_pinned[vertex-count]",
+            "tests/test_config_cli.py::TestCliVerify::test_report_is_pinned",
+        ),
     ),
     Mutant(
         "no cases pass",
@@ -185,7 +189,10 @@ MUTANTS = [
         "analysis.py",
         "floor = 1e-9 * V._scale",
         "floor = 0.0",
-        (f"{CHUNK}::test_chords_on_the_boundary[hexagon]", f"{CHUNK}::test_equals_window_stats_of_crops[direct-triangle]"),
+        (
+            f"{CHUNK}::test_chords_on_the_boundary[hexagon]",
+            f"{CHUNK}::test_equals_window_stats_of_crops[direct-triangle]",
+        ),
     ),
     Mutant(
         "no crop floor",
@@ -207,7 +214,10 @@ MUTANTS = [
         "engine.py",
         "m = 2.0 * (a + b * (x_hi - x_lo + y_hi - y_lo) + drift)",
         "m = -0.05",
-        (f"{REGION}::test_cells_at_the_margin_are_kept", f"{REGION}::test_left_out_cells_have_no_chord_that_crop_keeps[stit-axis-aligned-square]"),
+        (
+            f"{REGION}::test_cells_at_the_margin_are_kept",
+            f"{REGION}::test_left_out_cells_have_no_chord_that_crop_keeps[stit-axis-aligned-square]",
+        ),
     ),
     Mutant(
         "margin 0",
