@@ -21,7 +21,7 @@ from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .engine import EVENT_BYTES, MAX_EVENTS, SEED_BLOCK, CroppedTessellation, crop_rows, new_process, replicate_seeds
+from .engine import SEED_BLOCK, CroppedTessellation, crop_rows, new_process, replicate_seeds
 from .errors import ContainmentViolation, InsufficientSamples, ReplicateAborted
 from .geometry import (
     Polygon,
@@ -40,7 +40,6 @@ from .rules import (
     RulePair,
     VertexCount,
     check_bound,
-    min_expected_chords,
     rate,
 )
 
@@ -223,42 +222,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def available_memory() -> Optional[int]:
-    """Bytes of memory available: MemAvailable of /proc/meminfo, else os.sysconf's free pages, else None."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError):
-        pass
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
-def max_workers(rules: RulePair, W: Polygon, t: float) -> int:
-    """The processes, the caller included, that a consistency test of `rules` in W up to time t may use.
-
-    At most `usable_cpus()`, and at most `available_memory()` over one
-    trajectory's size: `min_expected_chords(rules, W, t)` events, capped at
-    MAX_EVENTS, at EVENT_BYTES each.  The chord count is a lower bound on
-    the mean, so this is an estimate, not a hard bound: a trajectory may
-    keep more, and a chunk also keeps the chords of its finished replicates.
-    Where the memory cannot be read only the CPUs bound it; it is always at
-    least 1, and 1 off Linux, the one platform where the extra processes are
-    forked.
-    """
-    if not sys.platform.startswith("linux"):
-        return 1
-    free = available_memory()
-    if free is None:
-        return usable_cpus()
-    trajectory = max(1.0, min(min_expected_chords(rules, W, t), MAX_EVENTS)) * EVENT_BYTES
-    return max(1, min(usable_cpus(), int(free // trajectory)))
-
-
 def _forked_map(n_jobs: int, work: Callable, chunks: list) -> list:
     """[work(chunk) for chunk in chunks] on n_jobs processes: this one and n_jobs - 1 forked children.
 
@@ -268,9 +231,10 @@ def _forked_map(n_jobs: int, work: Callable, chunks: list) -> list:
     own pipe.  A child that ends without writing its whole result raises
     `ChildProcessError` here; a child whose caller is gone exits before its
     next chunk.  On return or error every child is killed and reaped.
-    With n_jobs = 1 it forks nothing; `max_workers` allows more on Linux only.
+    With n_jobs = 1, or off Linux, where fork is missing or unsafe, it forks
+    nothing and maps in this process.
     """
-    n_jobs = min(n_jobs, len(chunks))
+    n_jobs = min(n_jobs, len(chunks)) if sys.platform.startswith("linux") else 1
     results: list = [None] * len(chunks)
     pipes: list = []  # read ends as files, child i's at i - 1
     pids: list[int] = []  # children not yet reaped
@@ -416,14 +380,15 @@ def consistency_test(
     alpha: float = 0.001,
     n_jobs: int = 1,
 ) -> ConsistencyReport:
-    """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V, on at most `max_workers()` processes.
+    """Two-sample comparison of Y(V, t) against Y(W, t) cropped to V, on at most `usable_cpus()` processes.
 
-    With n_jobs > 1 the call forks n_jobs - 1 children on Linux, runs a
-    share of the replicates itself, and kills and reaps the children before
-    it returns (see `_forked_map`); elsewhere it runs in process.  The
-    report does not depend on the process count.  At each time the three KS
-    statistics are one `ks_two_sample` call and the probe hits one
-    `chi_square_2x2` call; Holm's correction runs over the whole family.
+    With n_jobs > 1 the call forks min(n_jobs, usable_cpus()) - 1 children
+    on Linux, runs a share of the replicates itself, and kills and reaps the
+    children before it returns (see `_forked_map`); elsewhere it runs in
+    process.  The report does not depend on the process count.  At each
+    time the three KS statistics are one `ks_two_sample` call and the probe
+    hits one `chi_square_2x2` call; Holm's correction runs over the whole
+    family.
     """
     if n_reps < MIN_REPS:
         raise ValueError(f"n_reps must be >= {MIN_REPS}")
@@ -447,8 +412,7 @@ def consistency_test(
     # Each arm in near-equal chunks of at most SEED_BLOCK replicates (one seeder
     # block; it bounds a chunk's chord arrays), as many as a multiple of n_jobs,
     # so share chunks[i::n_jobs] of every process holds the same work of each arm.
-    if n_jobs > 1:
-        n_jobs = min(n_jobs, max_workers(rules, W, times[-1]))
+    n_jobs = min(n_jobs, usable_cpus())
     per_arm = min(n_reps, n_jobs * -(-n_reps // (n_jobs * SEED_BLOCK)))
     bounds = [n_reps * j // per_arm for j in range(per_arm + 1)]
     chunks = [(arm, lo, hi - lo) for arm in (0, 1) for lo, hi in zip(bounds, bounds[1:])]

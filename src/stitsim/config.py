@@ -1,7 +1,8 @@
 """Experiment configuration: a strict, versioned JSON schema.
 
-Unknown keys are rejected everywhere so that a typo in a rule name cannot
-silently change an experiment.  A shared measure is declared once under
+Unknown keys are rejected everywhere, and a rule block takes only the keys
+of its kind, so that a typo in a rule name cannot silently change an
+experiment.  A shared measure is declared once under
 "shared_measure" and referenced as "shared" from both rule blocks; this is
 what makes the shared-measure (STIT) pairing a pointer identity.
 """
@@ -84,12 +85,31 @@ def parse_measure(spec: Any, path: str) -> HyperplaneMeasure:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def directions_to_spec(directions: Isotropic | Atoms) -> Any:
+    """The config form of `directions`: the inverse of `parse_directions`."""
+    if isinstance(directions, Isotropic):
+        return "isotropic"
+    return [[t, w] for t, w in zip(directions.thetas, directions.weights)]
+
+
 def measure_to_dict(m: HyperplaneMeasure) -> dict:
-    if isinstance(m.directions, Isotropic):
-        dirs: Any = "isotropic"
-    else:
-        dirs = [[t, w] for t, w in zip(m.directions.thetas, m.directions.weights)]
-    return {"intensity": m.intensity, "directions": dirs}
+    return {"intensity": m.intensity, "directions": directions_to_spec(m.directions)}
+
+
+# The keys of each rule kind besides "kind": (required, optional).
+_SELECTION_KEYS = {"intrinsic_volume": (["index"], []), "vertex_count": ([], []), "hitting_measure": (["measure"], [])}
+_DIVISION_KEYS = {"restricted_measure": (["measure"], []), "point_driven": ([], ["directions"])}
+
+
+def _rule_kind(spec: Any, path: str, kinds: dict) -> str:
+    """The kind of a rule block, once the block holds only keys of that kind (`kinds[kind]`)."""
+    _require_keys(spec, path, ["kind"], spec)  # an object with a kind; its own keys are checked below
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}: unknown kind '{kind}'")
+    required, optional = kinds[kind]
+    _require_keys(spec, path, ["kind", *required], optional)
+    return kind
 
 
 def parse_rules(spec: Any, path: str = "rules") -> RulePair:
@@ -108,7 +128,7 @@ def parse_rules(spec: Any, path: str = "rules") -> RulePair:
         shared = parse_measure(spec["shared_measure"], f"{path}.shared_measure")
 
     def resolve_measure(block: dict, sub: str) -> HyperplaneMeasure:
-        m = block.get("measure")
+        m = block["measure"]
         if m == "shared":
             if shared is None:
                 raise ConfigError(f"{path}.{sub}: 'shared' used without shared_measure")
@@ -116,11 +136,8 @@ def parse_rules(spec: Any, path: str = "rules") -> RulePair:
         return parse_measure(m, f"{path}.{sub}.measure")
 
     sel_spec = spec["selection"]
-    _require_keys(sel_spec, f"{path}.selection", ["kind"], ["index", "measure"])
-    kind = sel_spec["kind"]
+    kind = _rule_kind(sel_spec, f"{path}.selection", _SELECTION_KEYS)
     if kind == "intrinsic_volume":
-        if "index" not in sel_spec:
-            raise ConfigError(f"{path}.selection: intrinsic_volume needs 'index'")
         index = _number(sel_spec["index"], f"{path}.selection.index", int)
         try:
             selection: Any = IntrinsicVolume(index)
@@ -128,21 +145,15 @@ def parse_rules(spec: Any, path: str = "rules") -> RulePair:
             raise ConfigError(f"{path}.selection.index: {exc}") from exc
     elif kind == "vertex_count":
         selection = VertexCount()
-    elif kind == "hitting_measure":
-        selection = HittingMeasure(resolve_measure(sel_spec, "selection"))
     else:
-        raise ConfigError(f"{path}.selection: unknown kind '{kind}'")
+        selection = HittingMeasure(resolve_measure(sel_spec, "selection"))
 
     div_spec = spec["division"]
-    _require_keys(div_spec, f"{path}.division", ["kind"], ["measure", "directions"])
-    kind = div_spec["kind"]
-    if kind == "restricted_measure":
+    if _rule_kind(div_spec, f"{path}.division", _DIVISION_KEYS) == "restricted_measure":
         division: Any = RestrictedMeasure(resolve_measure(div_spec, "division"))
-    elif kind == "point_driven":
+    else:
         dirs = div_spec.get("directions", "isotropic")
         division = PointDriven(parse_directions(dirs, f"{path}.division.directions"))
-    else:
-        raise ConfigError(f"{path}.division: unknown kind '{kind}'")
     return RulePair(selection, division)
 
 
@@ -160,9 +171,7 @@ def rules_to_dict(rules: RulePair) -> dict:
     if isinstance(div, RestrictedMeasure):
         div_d: dict = {"kind": "restricted_measure", "measure": measure_to_dict(div.measure)}
     else:
-        div_d = {"kind": "point_driven", "directions": measure_to_dict(
-            HyperplaneMeasure(1.0, div.directions)
-        )["directions"]}
+        div_d = {"kind": "point_driven", "directions": directions_to_spec(div.directions)}
     return {"selection": sel_d, "division": div_d}
 
 

@@ -29,11 +29,6 @@ from .geometry import Polygon, Segment, clip_segments, segment_rows, split
 from .rules import RulePair, divide, rate
 
 MAX_RESAMPLE = 100
-# A trajectory keeps about EVENT_BYTES per event: its chord, its birth time
-# and two heap cells with their polygons (tracemalloc, one STIT trajectory of
-# 51 782 events in [0,1]^2).  2e6 events are then about 1.6 GB;
-# `analysis.max_workers` bounds the pool by available memory with it.
-EVENT_BYTES = 780
 MAX_EVENTS = 2_000_000
 MIN_CHORD_REL = 1e-9  # crop keeps chords longer than this fraction of V's extent
 

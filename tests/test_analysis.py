@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import math
 import os
@@ -53,7 +52,6 @@ from stitsim.rules import (
     RestrictedMeasure,
     RulePair,
     VertexCount,
-    min_expected_chords,
 )
 
 from reference import (
@@ -322,13 +320,32 @@ class TestConsistencyPipeline:
         assert in_process_pool == pool
         assert bounded.to_dict() == consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3).to_dict()
 
-    def test_workers_bounded_by_affinity(self, unit_square, stit_rules, monkeypatch, in_process_pool):
-        # pinned to 3 of 64 CPUs: 3 workers
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    @pytest.mark.parametrize(
+        "rules, t, cpus",
+        [
+            (stit_pair(HyperplaneMeasure(1.0)), 0.5, {0, 5, 7}),
+            (RulePair(VertexCount(), RestrictedMeasure(HyperplaneMeasure(1.0))), 10.0, set(range(64))),
+        ],
+        ids=["pinned-to-3-of-64", "vertex-count-at-the-event-cap"],
+    )
+    def test_workers_bounded_by_affinity(self, unit_square, monkeypatch, rules, t, cpus):
+        # The process count is the affinity set's size whatever the rules and the time: the vertex-count
+        # pair expects e^30 - 1 chords by t = 10, over MAX_EVENTS.  The stub runs no replicate.
+        class Stop(Exception):
+            pass
+
+        def record(n_jobs, work, chunks):
+            asked.append(n_jobs)
+            raise Stop
+
+        asked = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert analysis.usable_cpus() == 3
-        consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5], 100, seed=3, n_jobs=100_000)
-        assert in_process_pool == [3]
+        monkeypatch.setattr(analysis, "_forked_map", record)
+        assert analysis.usable_cpus() == len(cpus)
+        with pytest.raises(Stop):
+            consistency_test(rules, unit_square, rectangle(0, 0, 2, 2), [t], 100, seed=3, n_jobs=100_000)
+        assert asked == [len(cpus)]
 
     def test_in_process_arm_is_chunked_by_seed_block(self, unit_square, stit_rules, monkeypatch):
         W = rectangle(0, 0, 2, 2)
@@ -372,7 +389,7 @@ class TestConsistencyPipeline:
 
         shares = []
         monkeypatch.setattr(analysis, "_forked_map", record)
-        monkeypatch.setattr(analysis, "max_workers", lambda *args: n_jobs)
+        monkeypatch.setattr(analysis, "usable_cpus", lambda: n_jobs)
         with pytest.raises(Stop):
             consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5], n_reps, n_jobs=n_jobs)
         chunks = sorted(c for share in shares for c in share)
@@ -592,6 +609,7 @@ class TestWorkerPool:
         monkeypatch.setattr(analysis.sys, "platform", "darwin")
         monkeypatch.setattr(os, "fork", fork)
         assert self._call(stit_rules, 2).to_dict() == serial.to_dict()
+        assert analysis._forked_map(2, lambda c: (c, os.getpid()), [0, 1, 2]) == [(c, os.getpid()) for c in range(3)]
 
     def test_back_to_back_calls_equal_serial(self, unit_square):
         # a child must not answer the second call with the first call's inputs
@@ -675,105 +693,6 @@ def _group_lives(pgid: int) -> bool:
     except ProcessLookupError:
         return False
     return True
-
-
-class TestMemoryBound:
-    MEMINFO = "MemTotal:        8211568 kB\nMemFree:         6587304 kB\nMemAvailable:    7711812 kB\n"
-
-    @pytest.fixture
-    def meminfo(self, monkeypatch):
-        """Serves /proc/meminfo from `content`; None makes it unreadable."""
-        content = {"text": self.MEMINFO}
-
-        def fake_open(path, *args, **kwargs):
-            assert path == "/proc/meminfo"
-            if content["text"] is None:
-                raise FileNotFoundError(path)
-            return io.StringIO(content["text"])
-
-        monkeypatch.setattr(analysis, "open", fake_open, raising=False)
-        return content
-
-    @staticmethod
-    def _sysconf(values):
-        def sysconf(name):
-            if name not in values:
-                raise ValueError(f"unrecognized configuration name {name}")
-            return values[name]
-
-        return sysconf
-
-    def test_reads_mem_available(self, meminfo, monkeypatch):
-        monkeypatch.setattr(os, "sysconf", self._sysconf({}))
-        assert analysis.available_memory() == 7711812 * 1024
-
-    @pytest.mark.parametrize("text", [None, "MemTotal: 8211568 kB\n"], ids=["unreadable", "no-MemAvailable"])
-    def test_falls_back_to_sysconf(self, meminfo, monkeypatch, text):
-        meminfo["text"] = text
-        monkeypatch.setattr(os, "sysconf", self._sysconf({"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}))
-        assert analysis.available_memory() == 4096 * 1000
-
-    def test_unknown_without_meminfo_or_sysconf(self, meminfo, monkeypatch):
-        meminfo["text"] = None
-        monkeypatch.setattr(os, "sysconf", self._sysconf({}))
-        assert analysis.available_memory() is None
-        monkeypatch.delattr(os, "sysconf")
-        assert analysis.available_memory() is None
-
-    @pytest.fixture
-    def host(self, monkeypatch):
-        """Sets the host's CPUs and available bytes."""
-
-        def set_host(cpus, free):
-            monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
-            monkeypatch.setattr(analysis, "available_memory", lambda: free)
-
-        return set_host
-
-    def test_trajectories_at_the_event_cap(self, host):
-        # e^30 - 1 expected chords are capped at MAX_EVENTS, about 1.56 GB a trajectory
-        rules = RulePair(VertexCount(), RestrictedMeasure(HyperplaneMeasure(1.0)))
-        per_trajectory = analysis.MAX_EVENTS * analysis.EVENT_BYTES
-        for free, workers in [(7.5e9, 4), (4 * per_trajectory, 4), (4 * per_trajectory - 1, 3), (1e6, 1)]:
-            host(64, free)
-            assert analysis.max_workers(rules, rectangle(0, 0, 3, 3), 10.0) == workers
-
-    def test_trajectory_of_expected_chords(self, host, stit_rules):
-        W = rectangle(0, 0, 2, 2)
-        per_trajectory = min_expected_chords(stit_rules, W, 0.5) * analysis.EVENT_BYTES
-        host(64, 3.5 * per_trajectory)
-        assert analysis.max_workers(stit_rules, W, 0.5) == 3
-        host(2, 3.5 * per_trajectory)
-        assert analysis.max_workers(stit_rules, W, 0.5) == 2
-
-    def test_cpus_alone_without_a_reading(self, host, stit_rules):
-        host(5, None)
-        assert analysis.max_workers(stit_rules, rectangle(0, 0, 2, 2), 0.5) == 5
-
-    def test_pointdriven_t3_keeps_two_workers_on_a_two_cpu_host(self, host):
-        # the bench's pooled workload, with 7.5 GB available
-        rules = RulePair(HittingMeasure(HyperplaneMeasure(1.0)), PointDriven())
-        host(2, 7.5e9)
-        assert analysis.max_workers(rules, rectangle(0, 0, 3, 3), 3.0) == 2
-
-    def test_consistency_test_asks_for_the_bounded_pool(self, unit_square, stit_rules, monkeypatch, in_process_pool):
-        W = rectangle(0, 0, 2, 2)
-        per_trajectory = min_expected_chords(stit_rules, W, 0.5) * analysis.EVENT_BYTES
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        monkeypatch.setattr(analysis, "available_memory", lambda: 3.5 * per_trajectory)
-        bounded = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=64)
-        assert in_process_pool == [3]
-        monkeypatch.setattr(analysis, "available_memory", lambda: 0.5 * per_trajectory)
-        in_process = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=64)
-        assert in_process.to_dict() == bounded.to_dict()
-        assert in_process_pool == [3, 1]  # one trajectory's worth or less: in process
-
-    def test_in_process_call_reads_no_bound(self, unit_square, stit_rules, monkeypatch):
-        def unread():
-            raise AssertionError("one worker needs no bound")
-
-        monkeypatch.setattr(analysis, "max_workers", lambda *args: unread())
-        consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5], 100, seed=3, n_jobs=1)
 
 
 class _FixedChords:

@@ -16,7 +16,9 @@ from stitsim import analysis
 from stitsim.cli import build_parser, main
 from stitsim.config import (
     ConfigError,
+    directions_to_spec,
     parse_consistency,
+    parse_directions,
     parse_rate,
     parse_rules,
     parse_simulate,
@@ -55,6 +57,12 @@ RATE = {
     "dts": [0.02],
     "n_reps": 10,
 }
+
+
+def src_env():
+    """The environment of a subprocess that imports the stitsim under test."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -96,6 +104,37 @@ class TestRulesParsing:
         with pytest.raises(ConfigError):
             parse_rules({"stit": {"measure": ISO}, "extra": 1})
 
+    @pytest.mark.parametrize(
+        "selection, division, key",
+        [
+            ({"kind": "vertex_count"}, {"kind": "point_driven", "measure": ISO}, "measure"),
+            ({"kind": "vertex_count", "index": 1}, {"kind": "restricted_measure", "measure": ISO}, "index"),
+            ({"kind": "intrinsic_volume", "index": 1, "measure": ISO}, {"kind": "point_driven"}, "measure"),
+            ({"kind": "vertex_count"}, {"kind": "restricted_measure", "measure": ISO, "directions": "isotropic"}, "directions"),
+        ],
+        ids=["point-driven-measure", "vertex-count-index", "intrinsic-volume-measure", "restricted-measure-directions"],
+    )
+    def test_key_of_another_kind_rejected(self, selection, division, key):
+        rules = copy.deepcopy({"selection": selection, "division": division})
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_rules(rules)
+        for block in rules.values():
+            block.pop(key, None)
+        parse_rules(rules)
+
+    @pytest.mark.parametrize(
+        "selection, division, message",
+        [
+            ({"kind": "intrinsic_volume"}, {"kind": "point_driven"}, "selection: missing required key 'index'"),
+            ({"kind": "hitting_measure"}, {"kind": "point_driven"}, "selection: missing required key 'measure'"),
+            ({"kind": "vertex_count"}, {"kind": "restricted_measure"}, "division: missing required key 'measure'"),
+        ],
+        ids=["intrinsic-volume-index", "hitting-measure-measure", "restricted-measure-measure"],
+    )
+    def test_key_of_the_kind_required(self, selection, division, message):
+        with pytest.raises(ConfigError, match=f"^rules.{message}$"):
+            parse_rules({"selection": selection, "division": division})
+
     def test_atom_directions(self):
         rules = parse_rules(
             {
@@ -126,6 +165,10 @@ class TestRulesParsing:
         again = parse_rules(json.loads(json.dumps(rules_to_dict(rules))))
         assert again == rules
         assert again.stit_flag == rules.stit_flag
+
+    @pytest.mark.parametrize("spec", ["isotropic", [[0.0, 0.25], [0.1, 0.75]]], ids=["isotropic", "atoms"])
+    def test_directions_writer_inverts_the_parser(self, spec):
+        assert directions_to_spec(parse_directions(spec, "directions")) == spec
 
 
 class TestConfigValidation:
@@ -454,17 +497,23 @@ class TestCliConsistency:
     def test_pooled_run_leaves_no_process(self, tmp_path):
         # The children a pooled run forks must not outlive it.
         cfg = write_config(tmp_path, CONSISTENCY)  # 100 replicates, t = 0.5
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = [sys.executable, "-m", "stitsim.cli", "consistency", "--config", cfg, "--threads", "2"]
+        argv = [sys.executable, "-m", "stitsim", "consistency", "--config", cfg, "--threads", "2"]
         with subprocess.Popen(
-            argv + ["--out", str(tmp_path)], env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+            argv + ["--out", str(tmp_path)], env=src_env(), start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE
         ) as proc:
             _, err = proc.communicate(timeout=120)
         assert proc.returncode in (0, 2), err
         assert json.loads((tmp_path / "consistency_report.json").read_text())["n_reps"] == 100
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # the session's process group is empty
+
+
+def test_python_m_stitsim_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "stitsim", "--help"], env=src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: stitsim ")
 
 
 class TestCliBadInput:

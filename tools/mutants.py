@@ -32,11 +32,15 @@ REPO = Path(__file__).resolve().parent.parent
 RATE = "tests/test_analysis.py::TestRateEstimate"
 BATCHED = "tests/test_analysis.py::TestBatchedTestsMatchScipy"
 POOL = "tests/test_analysis.py::TestWorkerPool"
+PIPELINE = "tests/test_analysis.py::TestConsistencyPipeline"
 IDENT = "tests/test_analysis.py::TestIdentitySuite"
 CHUNK = "tests/test_analysis.py::TestChunkKernel"
 HITS = "tests/test_geometry.py::test_batched_clip_and_hit_equal_the_scalar_ones"
 REGION = "tests/test_engine.py::TestRegion"
 SEEDS = "tests/test_engine.py::TestReplicateSeeds"
+BAD_INPUT = "tests/test_config_cli.py::TestCliBadInput::test_exits_1_with_config_error"
+RULES = "tests/test_config_cli.py::TestRulesParsing"
+CLI_SIMULATE = "tests/test_config_cli.py::TestCliSimulate"
 
 
 class Mutant(NamedTuple):
@@ -100,11 +104,25 @@ MUTANTS = [
         (f"{POOL}::test_orphan_ends_before_its_next_chunk",),
     ),
     Mutant(
+        "no CPU cap",
+        "analysis.py",
+        "    n_jobs = min(n_jobs, usable_cpus())\n",
+        "",
+        (f"{PIPELINE}::test_workers_bounded_by_cores", f"{PIPELINE}::test_workers_bounded_by_affinity"),
+    ),
+    Mutant(
+        "forks off Linux",
+        "analysis.py",
+        'if sys.platform.startswith("linux") else 1',
+        "if True else 1",
+        (f"{POOL}::test_in_process_off_linux",),
+    ),
+    Mutant(
         "chunks of SEED_BLOCK, shares uneven",
         "analysis.py",
         "per_arm = min(n_reps, n_jobs * -(-n_reps // (n_jobs * SEED_BLOCK)))",
         "per_arm = min(n_reps, -(-n_reps // SEED_BLOCK))",
-        ("tests/test_analysis.py::TestConsistencyPipeline::test_every_share_holds_the_same_work_of_each_arm",),
+        (f"{PIPELINE}::test_every_share_holds_the_same_work_of_each_arm",),
     ),
     # the batched KS and chi-square kernels
     Mutant(
@@ -240,7 +258,7 @@ MUTANTS = [
         "x, y = np.array(other.vertices[:1]).T",
         (
             "tests/test_geometry.py::test_containment_equals_the_exact_reference[probe]",
-            "tests/test_analysis.py::TestConsistencyPipeline::test_probe_containment_checked_before_replicates",
+            f"{PIPELINE}::test_probe_containment_checked_before_replicates",
         ),
     ),
     Mutant(
@@ -285,6 +303,45 @@ MUTANTS = [
         "reps[-1] < 2**32",
         "reps[-1] < 2**33",
         (f"{SEEDS}::test_reps_from_2_to_the_32_are_plain_tuples",),
+    ),
+    # the config parsers and the dump
+    Mutant(
+        "booleans are numbers",
+        "config.py",
+        "if isinstance(value, (bool, str)):",
+        "if isinstance(value, str):",
+        (f"{BAD_INPUT}[simulate-time-bool]", f"{BAD_INPUT}[simulate-window-bool-coordinates]"),
+    ),
+    Mutant(
+        "negative seed accepted",
+        "config.py",
+        "    if seed < 0:\n",
+        "    if False:\n",
+        (
+            "tests/test_config_cli.py::TestConfigValidation::test_seed_must_be_non_negative_integer[-1]",
+            f"{CLI_SIMULATE}::test_bad_seed_exits_1[1-override0]",
+        ),
+    ),
+    Mutant(
+        "path separator in out_prefix accepted",
+        "config.py",
+        'any(c in prefix for c in ("/", os.sep, "\\0"))',
+        'any(c in prefix for c in ("\\0",))',
+        (f"{BAD_INPUT}[simulate-out_prefix-path]",),
+    ),
+    Mutant(
+        "key of another rule kind accepted",
+        "config.py",
+        '_require_keys(spec, path, ["kind", *required], optional)',
+        '_require_keys(spec, path, ["kind", *required], spec)',
+        (f"{RULES}::test_key_of_another_kind_rejected",),
+    ),
+    Mutant(
+        "dump numbers to 16 digits",
+        "output.py",
+        'format(x, ".17g")',
+        'format(x, ".16g")',
+        (f"{CLI_SIMULATE}::test_isotropic_outputs_are_pinned", f"{CLI_SIMULATE}::test_dump_roundtrip"),
     ),
 ]
 
