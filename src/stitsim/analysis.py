@@ -295,6 +295,17 @@ def _run_share(work: Callable, share: list, w: int, pipes: list, caller: int) ->
         os._exit(1)
 
 
+def _chunk_bounds(n_reps: int, n_jobs: int, size: int) -> list[int]:
+    """Cuts of range(n_reps) into near-equal chunks of at most `size`, as many as a multiple of n_jobs.
+
+    Chunk j is [bounds[j], bounds[j + 1]).  With fewer replicates than that
+    many chunks, each chunk is one replicate.  Share chunks[i::n_jobs] of
+    `_forked_map` then holds the same work, to one replicate a chunk.
+    """
+    count = min(n_reps, n_jobs * -(-n_reps // (n_jobs * size)))
+    return [n_reps * j // count for j in range(count + 1)]
+
+
 def _collect_chunk(
     rules: RulePair,
     V: Polygon,
@@ -409,12 +420,10 @@ def consistency_test(
     if not all(V.contains_polygon(pr) for pr in probes):
         raise ContainmentViolation("probe polygon outside the window")
 
-    # Each arm in near-equal chunks of at most SEED_BLOCK replicates (one seeder
-    # block; it bounds a chunk's chord arrays), as many as a multiple of n_jobs,
-    # so share chunks[i::n_jobs] of every process holds the same work of each arm.
+    # Chunks of at most SEED_BLOCK replicates (one seeder block; it bounds a
+    # chunk's chord arrays), so every process gets the same work of each arm.
     n_jobs = min(n_jobs, usable_cpus())
-    per_arm = min(n_reps, n_jobs * -(-n_reps // (n_jobs * SEED_BLOCK)))
-    bounds = [n_reps * j // per_arm for j in range(per_arm + 1)]
+    bounds = _chunk_bounds(n_reps, n_jobs, SEED_BLOCK)
     chunks = [(arm, lo, hi - lo) for arm in (0, 1) for lo, hi in zip(bounds, bounds[1:])]
     work = partial(_collect_chunk, rules, V, W, times, probes, seed)
     results = _forked_map(n_jobs, work, chunks)
@@ -445,6 +454,14 @@ def consistency_test(
     return ConsistencyReport(results, n_reps, (ab_d, ab_c), alpha, verdict)
 
 
+def _rate_chunk(
+    rules: RulePair, V: Polygon, B: Polygon, dt: float, seed: int, chunk: tuple[int, int, int]
+) -> tuple[int, int]:
+    """(replicates that hit B by dt, aborted replicates) of one chunk of `rate_estimate`."""
+    table, aborted = _collect_chunk(rules, V, V, [dt], [B], seed, chunk)
+    return int(table[0, :, 3].sum()), aborted
+
+
 def rate_estimate(
     rules: RulePair,
     V: Polygon,
@@ -456,8 +473,11 @@ def rate_estimate(
     """(1/dt) * P-hat(the tessellation in V hits B by time dt).
 
     For a shared-measure pair this converges to the hitting mass of B as
-    dt -> 0 (first-order division rate).  It sums the probe column of stream 2
-    of `_collect_chunk`; any aborted replicate raises `ReplicateAborted`.
+    dt -> 0 (first-order division rate).  It counts the replicates of stream 2
+    whose `_collect_chunk` probe column is 1; any aborted replicate raises
+    `ReplicateAborted`.  The replicates run on min(`usable_cpus()`,
+    ceil(n_reps / SEED_BLOCK)) processes (see `_forked_map`); a count of hits
+    is exact, so the estimate does not depend on the process count.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -469,11 +489,12 @@ def rate_estimate(
         raise ValueError(
             f"dt too large: expected divisions in (0, dt) must stay below {MAX_DIVISIONS_PER_DT}"
         )
-    hits = aborted = 0
-    for start in range(0, n_reps, RATE_CHUNK):
-        table, ab = _collect_chunk(rules, V, V, [dt], [B], seed, (2, start, min(RATE_CHUNK, n_reps - start)))
-        hits += table[0, :, 3].sum()
-        aborted += ab
+    # Under SEED_BLOCK replicates a fork costs more than it saves.
+    n_jobs = min(usable_cpus(), -(-n_reps // SEED_BLOCK))
+    bounds = _chunk_bounds(n_reps, n_jobs, RATE_CHUNK)
+    chunks = [(2, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    results = _forked_map(n_jobs, partial(_rate_chunk, rules, V, B, dt, seed), chunks)
+    hits, aborted = map(sum, zip(*results))
     if aborted:
         raise ReplicateAborted(f"{aborted} of {n_reps} replicates aborted")
     return float(hits / (n_reps * dt))

@@ -873,6 +873,15 @@ class TestRateEstimate:
         # generous first-order bias allowance on top of 3 sigma
         assert abs(est - target) < 3 * sigma + 1.0 * dt
 
+    def test_estimate_follows_the_exact_first_hit_law(self, unit_square, stit_rules):
+        # law (i): STIT in V restricted to B is STIT in B, so P(B hit by dt) = 1 - exp(-dt * 2/pi)
+        # exactly, and the estimate's mean is that over dt, with no first-order bias
+        B = rectangle(0.25, 0.25, 0.75, 0.75)
+        dt, n = 0.07, 100_000
+        p = -math.expm1(-dt * 2.0 / math.pi)
+        est = rate_estimate(stit_rules, unit_square, B, dt, n, seed=2213)
+        assert abs(est - p / dt) < 4 * math.sqrt(p * (1 - p) / n) / dt
+
     def test_estimate_is_pinned(self, unit_square, stit_rules):
         # recorded before the replicates' chords were tested in one batch
         B = rectangle(0.25, 0.25, 0.75, 0.75)
@@ -904,6 +913,25 @@ class TestRateEstimate:
         with pytest.raises(ReplicateAborted, match="1 of 50 replicates"):
             rate_estimate(stit_rules, unit_square, rectangle(0.25, 0.25, 0.75, 0.75), 0.01, 50)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked only on Linux")
+    def test_abort_in_a_child_share_raises(self, unit_square, stit_rules, monkeypatch):
+        # 2100 replicates on 2 processes: the child runs replicates 1050 to 2099, and the fork carries the patch
+        real = analysis.new_process
+        parent = os.getpid()
+
+        class Aborts:
+            def advance(self, t):
+                raise ReplicateAborted("stand-in: aborts")
+
+        def new_process_spy(window, rules, seed, region=None):
+            aborts = seed[2] == 2099 and os.getpid() != parent
+            return Aborts() if aborts else real(window, rules, seed, region=region)
+
+        monkeypatch.setattr(analysis, "new_process", new_process_spy)
+        monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
+        with pytest.raises(ReplicateAborted, match="^1 of 2100 replicates aborted$"):
+            rate_estimate(stit_rules, unit_square, rectangle(0.25, 0.25, 0.75, 0.75), 0.01, 2100)
+
     @pytest.mark.parametrize("B", ["centre", "V", "corner"])
     @pytest.mark.parametrize("pair", ["stit", "area"])
     def test_equals_its_own_loop(self, unit_square, stit_rules, iso_measure, pair, B):
@@ -922,12 +950,45 @@ class TestRateEstimate:
             return _collect_chunk(*args)
 
         monkeypatch.setattr(analysis, "_collect_chunk", spy)
+        monkeypatch.setattr(analysis, "usable_cpus", lambda: 1)
         B = rectangle(0.25, 0.25, 0.75, 0.75)
         n = analysis.RATE_CHUNK + 1000
         assert rate_estimate(stit_rules, unit_square, B, 0.02, n, seed=3) == _reference_rate_estimate(
             stit_rules, unit_square, B, 0.02, n, seed=3
         )
-        assert chunks == [(2, 0, analysis.RATE_CHUNK), (2, analysis.RATE_CHUNK, 1000)]
+        assert chunks == [(2, 0, 33268), (2, 33268, 33268)]  # two near-equal chunks of at most RATE_CHUNK
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_estimate_does_not_depend_on_the_process_count(self, unit_square, stit_rules, monkeypatch, cpus):
+        real = analysis._forked_map
+        asked = []
+
+        def spy(n_jobs, work, chunks):
+            asked.append((n_jobs, chunks))
+            return real(n_jobs, work, chunks)
+
+        monkeypatch.setattr(analysis, "_forked_map", spy)
+        monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
+        B = rectangle(0.25, 0.25, 0.75, 0.75)
+        est = rate_estimate(stit_rules, unit_square, B, 0.02, 3000, seed=5)
+        assert est == 0.6166666666666667 == _reference_rate_estimate(stit_rules, unit_square, B, 0.02, 3000, seed=5)
+        assert asked == [(cpus, [(2, 3000 * j // cpus, 3000 // cpus) for j in range(cpus)])]
+
+    def test_one_seed_block_forks_nothing(self, unit_square, stit_rules, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def record(n_jobs, work, chunks):
+            asked.append(n_jobs)
+            raise Stop
+
+        asked = []
+        monkeypatch.setattr(analysis, "_forked_map", record)
+        monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
+        for n in (analysis.SEED_BLOCK, analysis.SEED_BLOCK + 1):
+            with pytest.raises(Stop):
+                rate_estimate(stit_rules, unit_square, rectangle(0.25, 0.25, 0.75, 0.75), 0.02, n)
+        assert asked == [1, 2]
 
     def test_tiny_probe_rate_vanishes(self, unit_square, stit_rules):
         B = rectangle(0.5, 0.5, 0.5 + 1e-6, 0.5 + 1e-6)

@@ -564,10 +564,13 @@ class TestCliBadInput:
             ("verify", VERIFY, "identities", [["x"]]),
             ("rate", RATE, "dts", ["abc"]),
             ("rate", RATE, "dts", [float("nan")]),
+            ("rate", RATE, "dts", [0.0]),
+            ("rate", RATE, "dts", []),
             ("rate", RATE, "n_reps", "abc"),
             ("rate", RATE, "n_reps", 0),
             ("rate", RATE, "window", [[0, 0], [True, 0], [1, 1], [0, 1]]),
             ("rate", RATE, "probe", [[0.25, 0.25], [0.75, 0.25], ["0.75", "0.75"], [0.25, 0.75]]),
+            ("rate", RATE, "probe", [[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]),
             # rate(unit square) = 4/pi for the isotropic STIT pair, so dt = 0.1 gives 0.127
             ("rate", RATE, "dts", [0.02, 0.1]),
         ],
@@ -601,10 +604,13 @@ class TestCliBadInput:
             "verify-identities-not-strings",
             "rate-dts",
             "rate-dts-nan",
+            "rate-dts-zero",
+            "rate-dts-empty",
             "rate-n_reps",
             "rate-n_reps-zero",
             "rate-window-bool-coordinate",
             "rate-probe-string-coordinates",
+            "rate-probe-outside-window",
             "rate-dt-too-large",
         ],
     )
@@ -678,6 +684,25 @@ class TestCliRate:
         report = json.loads((tmp_path / "rate_report.json").read_text())
         assert report["target"] == pytest.approx(2.0 / math.pi)
         assert abs(report["rows"][0]["estimate"] - 2.0 / math.pi) < 0.2
+
+    def test_report_does_not_depend_on_the_process_count(self, tmp_path, monkeypatch):
+        # 3000 replicates fill three seeder blocks, so 2 usable CPUs give 2 processes
+        real = analysis._forked_map
+        asked = []
+
+        def spy(n_jobs, work, chunks):
+            asked.append(n_jobs)
+            return real(n_jobs, work, chunks)
+
+        monkeypatch.setattr(analysis, "_forked_map", spy)
+        cfg = write_config(tmp_path, {**RATE, "dts": [0.02, 0.005], "n_reps": 3000})
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
+            assert main(["rate", "--config", cfg, "--out", str(tmp_path / str(cpus))]) == 0
+            reports.append((tmp_path / str(cpus) / "rate_report.json").read_bytes())
+        assert asked == [1, 1, 2, 2]
+        assert reports[0] == reports[1]
 
 
 # Valid rule blocks beside STIT_RULES, so that every branch of parse_rules has

@@ -52,13 +52,31 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # rate_estimate on the chunk collector
+    # rate_estimate on the chunk collector, through the forked map
     Mutant(
         "rate on stream 0",
         "analysis.py",
-        "(2, start, min(RATE_CHUNK, n_reps - start))",
-        "(0, start, min(RATE_CHUNK, n_reps - start))",
+        "chunks = [(2, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]",
+        "chunks = [(0, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]",
         (f"{RATE}::test_estimate_is_pinned", f"{RATE}::test_equals_its_own_loop"),
+    ),
+    Mutant(
+        "the children's hits dropped",
+        "analysis.py",
+        "hits, aborted = map(sum, zip(*results))",
+        "hits, aborted = map(sum, zip(*results[::n_jobs]))",
+        (
+            f"{RATE}::test_estimate_does_not_depend_on_the_process_count[2]",
+            f"{RATE}::test_abort_in_a_child_share_raises",
+            "tests/test_config_cli.py::TestCliRate::test_report_does_not_depend_on_the_process_count",
+        ),
+    ),
+    Mutant(
+        "no one-block floor on forking",
+        "analysis.py",
+        "n_jobs = min(usable_cpus(), -(-n_reps // SEED_BLOCK))",
+        "n_jobs = usable_cpus()",
+        (f"{RATE}::test_one_seed_block_forks_nothing",),
     ),
     Mutant(
         "probe columns not made 0/1",
@@ -72,7 +90,7 @@ MUTANTS = [
         "analysis.py",
         "    if aborted:\n        raise ReplicateAborted(f\"{aborted} of {n_reps} replicates aborted\")\n",
         "",
-        (f"{RATE}::test_any_aborted_replicate_raises",),
+        (f"{RATE}::test_any_aborted_replicate_raises", f"{RATE}::test_abort_in_a_child_share_raises"),
     ),
     # the forked map of a pooled consistency test
     Mutant(
@@ -118,10 +136,10 @@ MUTANTS = [
         (f"{POOL}::test_in_process_off_linux",),
     ),
     Mutant(
-        "chunks of SEED_BLOCK, shares uneven",
+        "chunks of at most size, shares uneven",
         "analysis.py",
-        "per_arm = min(n_reps, n_jobs * -(-n_reps // (n_jobs * SEED_BLOCK)))",
-        "per_arm = min(n_reps, -(-n_reps // SEED_BLOCK))",
+        "count = min(n_reps, n_jobs * -(-n_reps // (n_jobs * size)))",
+        "count = min(n_reps, -(-n_reps // size))",
         (f"{PIPELINE}::test_every_share_holds_the_same_work_of_each_arm",),
     ),
     # the batched KS and chi-square kernels
@@ -321,6 +339,48 @@ MUTANTS = [
             "tests/test_config_cli.py::TestConfigValidation::test_seed_must_be_non_negative_integer[-1]",
             f"{CLI_SIMULATE}::test_bad_seed_exits_1[1-override0]",
         ),
+    ),
+    Mutant(
+        "probe outside the rate window accepted",
+        "config.py",
+        "    if not window.contains_polygon(probe):\n",
+        "    if False:\n",
+        (f"{BAD_INPUT}[rate-probe-outside-window]",),
+    ),
+    Mutant(
+        "dt of 0 accepted",
+        "config.py",
+        "if not dts or any(d <= 0 or not math.isfinite(d) for d in dts):",
+        "if not dts or any(not math.isfinite(d) for d in dts):",
+        (f"{BAD_INPUT}[rate-dts-zero]",),
+    ),
+    Mutant(
+        "NaN dt accepted",
+        "config.py",
+        "if not dts or any(d <= 0 or not math.isfinite(d) for d in dts):",
+        "if not dts or any(d <= 0 for d in dts):",
+        (f"{BAD_INPUT}[rate-dts-nan]",),
+    ),
+    Mutant(
+        "no time steps accepted",
+        "config.py",
+        "if not dts or any(d <= 0 or not math.isfinite(d) for d in dts):",
+        "if any(d <= 0 or not math.isfinite(d) for d in dts):",
+        (f"{BAD_INPUT}[rate-dts-empty]",),
+    ),
+    Mutant(
+        "no bound on rate(window) * dt",
+        "config.py",
+        "        if window_rate * dt >= MAX_DIVISIONS_PER_DT:\n",
+        "        if False:\n",
+        (f"{BAD_INPUT}[rate-dt-too-large]",),
+    ),
+    Mutant(
+        "rate n_reps of 0 accepted",
+        "config.py",
+        "    if n_reps < 1:\n",
+        "    if False:\n",
+        (f"{BAD_INPUT}[rate-n_reps-zero]",),
     ),
     Mutant(
         "path separator in out_prefix accepted",
