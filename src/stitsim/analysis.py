@@ -51,6 +51,11 @@ MAX_DIVISIONS_PER_DT = 0.1  # rate_estimate's bound on rate(V) * dt
 # rate_estimate's chunk: at small dt a chunk's fixed cost is worth tens of replicates
 # (SEED_BLOCK chunks made rate_small_dt 7-9% slower), and 64 blocks bound its table at 2 MB.
 RATE_CHUNK = 64 * SEED_BLOCK
+# rate_estimate runs one process per RATE_FORK_MIN replicates, up to usable_cpus().  On a 2-vCPU
+# Xeon a fork costs 3-5 ms: one process against two took 1.2 vs 5.1 ms at 100 replicates, 9.6 vs
+# 9.9 ms at 1024 and 19.6 vs 17.3 ms at 2048 (dt = 0.005, medians of 20 alternating pairs), and
+# the same at dt = 0.07.  MAX_DIVISIONS_PER_DT keeps a replicate's cost near its seeding at any dt.
+RATE_FORK_MIN = 1024
 
 
 @dataclass(frozen=True)
@@ -476,8 +481,11 @@ def rate_estimate(
     dt -> 0 (first-order division rate).  It counts the replicates of stream 2
     whose `_collect_chunk` probe column is 1; any aborted replicate raises
     `ReplicateAborted`.  The replicates run on min(`usable_cpus()`,
-    ceil(n_reps / SEED_BLOCK)) processes (see `_forked_map`); a count of hits
-    is exact, so the estimate does not depend on the process count.
+    ceil(n_reps / RATE_FORK_MIN)) processes; a count of hits is exact, so
+    the estimate does not depend on the process count.  Above RATE_FORK_MIN
+    replicates on Linux the call forks children with `os.fork` (see
+    `_forked_map`), so it must not be called from a multi-threaded process:
+    a child may block on a lock that another thread held at the fork.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -489,8 +497,7 @@ def rate_estimate(
         raise ValueError(
             f"dt too large: expected divisions in (0, dt) must stay below {MAX_DIVISIONS_PER_DT}"
         )
-    # Under SEED_BLOCK replicates a fork costs more than it saves.
-    n_jobs = min(usable_cpus(), -(-n_reps // SEED_BLOCK))
+    n_jobs = min(usable_cpus(), -(-n_reps // RATE_FORK_MIN))
     bounds = _chunk_bounds(n_reps, n_jobs, RATE_CHUNK)
     chunks = [(2, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
     results = _forked_map(n_jobs, partial(_rate_chunk, rules, V, B, dt, seed), chunks)

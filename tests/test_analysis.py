@@ -974,7 +974,7 @@ class TestRateEstimate:
         assert est == 0.6166666666666667 == _reference_rate_estimate(stit_rules, unit_square, B, 0.02, 3000, seed=5)
         assert asked == [(cpus, [(2, 3000 * j // cpus, 3000 // cpus) for j in range(cpus)])]
 
-    def test_one_seed_block_forks_nothing(self, unit_square, stit_rules, monkeypatch):
+    def test_under_rate_fork_min_forks_nothing(self, unit_square, stit_rules, monkeypatch):
         class Stop(Exception):
             pass
 
@@ -985,7 +985,7 @@ class TestRateEstimate:
         asked = []
         monkeypatch.setattr(analysis, "_forked_map", record)
         monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
-        for n in (analysis.SEED_BLOCK, analysis.SEED_BLOCK + 1):
+        for n in (analysis.RATE_FORK_MIN, analysis.RATE_FORK_MIN + 1):
             with pytest.raises(Stop):
                 rate_estimate(stit_rules, unit_square, rectangle(0.25, 0.25, 0.75, 0.75), 0.02, n)
         assert asked == [1, 2]

@@ -72,11 +72,11 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "no one-block floor on forking",
+        "no RATE_FORK_MIN floor on forking",
         "analysis.py",
-        "n_jobs = min(usable_cpus(), -(-n_reps // SEED_BLOCK))",
+        "n_jobs = min(usable_cpus(), -(-n_reps // RATE_FORK_MIN))",
         "n_jobs = usable_cpus()",
-        (f"{RATE}::test_one_seed_block_forks_nothing",),
+        (f"{RATE}::test_under_rate_fork_min_forks_nothing",),
     ),
     Mutant(
         "probe columns not made 0/1",
