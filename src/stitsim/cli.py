@@ -32,6 +32,12 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _write_report(out_dir: str, name: str, report) -> None:
+    with open(_out_path(out_dir, name), "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     state = new_process(cfg["window"], cfg["rules"], cfg["seed"])
     state.advance(cfg["time"])
@@ -59,9 +65,7 @@ def cmd_consistency(cfg: dict, args: argparse.Namespace) -> int:
         alpha=cfg["alpha"],
         n_jobs=args.threads,
     )
-    with open(_out_path(args.out, "consistency_report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(args.out, "consistency_report.json", report.to_dict())
     text = report.to_text()
     with open(_out_path(args.out, "consistency_report.txt"), "w") as fh:
         fh.write(text + "\n")
@@ -78,9 +82,7 @@ def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
         status = "PASS" if r.passed else "FAIL"
         extra = f"  ({r.detail})" if r.detail else ""
         print(f"{status}  {r.name:<16} residual {r.max_residual:.3e} (threshold {r.threshold:g}){extra}")
-    with open(_out_path(args.out, "verify_report.json"), "w") as fh:
-        json.dump([asdict(r) for r in results], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(args.out, "verify_report.json", [asdict(r) for r in results])
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -95,9 +97,7 @@ def cmd_rate(cfg: dict, args: argparse.Namespace) -> int:
         est = rate_estimate(rules, cfg["window"], cfg["probe"], dt, cfg["n_reps"], seed=cfg["seed"])
         rows.append({"dt": dt, "estimate": est, "n_reps": cfg["n_reps"]})
         print(f"dt={dt:<10g} rate estimate {est:.6g}")
-    with open(_out_path(args.out, "rate_report.json"), "w") as fh:
-        json.dump({"target": target, "rows": rows}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(args.out, "rate_report.json", {"target": target, "rows": rows})
     return 0
 
 

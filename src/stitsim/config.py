@@ -271,6 +271,9 @@ def parse_consistency(cfg: dict) -> dict:
         if not isinstance(cfg["probes"], list):
             raise ConfigError("config.probes: expected \"default\" or a list of polygons")
         probes = [parse_window(p, f"config.probes[{i}]") for i, p in enumerate(cfg["probes"])]
+        for i, probe in enumerate(probes):
+            if not V.contains_polygon(probe):
+                raise ConfigError(f"config.probes[{i}]: probe must be contained in window_inner")
     n_reps = _number(cfg["n_reps"], "config.n_reps", int)
     if n_reps < MIN_REPS:
         raise ConfigError(f"config.n_reps: must be >= {MIN_REPS}, got {n_reps}")

@@ -64,87 +64,7 @@ class Polygon:
                 raise InvalidPolygon("non-finite vertex coordinate")
         if len(pts) < 3:
             raise InvalidPolygon(f"need at least 3 vertices, got {len(pts)}")
-
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-        scale = max(x_hi - x_lo, y_hi - y_lo)
-        if scale <= 0.0:
-            raise InvalidPolygon("degenerate polygon: zero extent")
-        tol = SNAP_REL * scale
-
-        # Drop consecutive duplicates (snap tolerance), then collinear vertices.
-        dedup: list[tuple[float, float]] = []
-        for p in pts:
-            if not dedup or math.hypot(p[0] - dedup[-1][0], p[1] - dedup[-1][1]) > tol:
-                dedup.append(p)
-        while len(dedup) > 1 and math.hypot(
-            dedup[0][0] - dedup[-1][0], dedup[0][1] - dedup[-1][1]
-        ) <= tol:
-            dedup.pop()
-        if len(dedup) < 3:
-            raise InvalidPolygon("fewer than 3 distinct vertices")
-
-        n = len(dedup)
-        kept = []
-        cross_tol = tol * scale
-        for i in range(n):
-            ax, ay = dedup[i - 1]
-            bx, by = dedup[i]
-            cx, cy = dedup[(i + 1) % n]
-            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if cross > cross_tol:
-                kept.append(dedup[i])
-            elif cross < -cross_tol:
-                raise InvalidPolygon("vertices not in CCW convex position")
-            # collinear midpoints are dropped
-        if len(kept) < 3:
-            raise InvalidPolygon("polygon collapses after collinear removal")
-
-        self._finish(kept, scale, (x_lo, y_lo, x_hi, y_hi))
-
-    def _finish(self, kept: list[tuple[float, float]], scale: float, box: tuple) -> None:
-        """Rotate the checked vertex list to its canonical start, measure it, set the slots.
-
-        `box` is the bounding box of the input points; the kept vertices are a
-        subset, so it covers them.
-        """
-        # Canonical start: lexicographically smallest vertex.
-        start = kept.index(min(kept))
-        kept = kept[start:] + kept[:start]
-
-        # All turns are left turns, so the boundary winds once exactly when the
-        # signs of the nonzero edge dy change at most twice (up, then down).
-        # The cross products are taken about kept[0]: about (0, 0) they cancel
-        # for a small cell far from the origin.
-        hypot = math.hypot
-        area2 = 0.0
-        perim = 0.0
-        up = None
-        flips = 0
-        ox, oy = x0, y0 = kept[0]
-        for x1, y1 in kept[1:] + kept[:1]:
-            area2 += (x0 - ox) * (y1 - oy) - (x1 - ox) * (y0 - oy)
-            perim += hypot(x1 - x0, y1 - y0)
-            dy = y1 - y0
-            if dy != 0.0:
-                if up is not None and up != (dy > 0.0):
-                    flips += 1
-                up = dy > 0.0
-            x0, y0 = x1, y1
-        if area2 <= 0.0:
-            raise InvalidPolygon("non-positive signed area")
-        if flips > 2:
-            raise InvalidPolygon("boundary winds more than once")
-
-        object.__setattr__(self, "vertices", tuple(kept))
-        object.__setattr__(self, "area", 0.5 * area2)
-        object.__setattr__(self, "perimeter", perim)
-        object.__setattr__(self, "_diameter", None)
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_box", box)
-        object.__setattr__(self, "_circles", None)
-        object.__setattr__(self, "_edge_arrays", None)
+        _build(self, pts)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polygon is immutable")
@@ -254,6 +174,112 @@ class Polygon:
         return bool(edge_margins(self, x, y).min() >= -max(self.snap_tol, other.snap_tol) * self._scale)
 
 
+def _build(poly: Polygon, pts: list[tuple[float, float]]) -> None:
+    """Check at least 3 finite points as a CCW strictly convex polygon and set poly's slots.
+
+    `_convex_vertices` drops or rejects points, and runs only when `_strictly_convex`
+    fails: when that holds, the slow pass would keep every point in order."""
+    x_lo = x_hi = pts[0][0]
+    y_lo = y_hi = pts[0][1]
+    for x, y in pts:
+        if x < x_lo:
+            x_lo = x
+        elif x > x_hi:
+            x_hi = x
+        if y < y_lo:
+            y_lo = y
+        elif y > y_hi:
+            y_hi = y
+    scale = max(x_hi - x_lo, y_hi - y_lo)
+    if scale <= 0.0:
+        raise InvalidPolygon("degenerate polygon: zero extent")
+    tol = SNAP_REL * scale
+    cross_tol = tol * scale
+    kept = pts if _strictly_convex(pts, tol, cross_tol) else _convex_vertices(pts, tol, cross_tol)
+
+    # Canonical start: lexicographically smallest vertex.
+    start = kept.index(min(kept))
+    kept = kept[start:] + kept[:start]
+
+    # All turns are left turns, so the boundary winds once exactly when the
+    # signs of the nonzero edge dy change at most twice (up, then down).
+    # The cross products are taken about kept[0]: about (0, 0) they cancel
+    # for a small cell far from the origin.
+    hypot = math.hypot
+    area2 = 0.0
+    perim = 0.0
+    up = None
+    flips = 0
+    ox, oy = x0, y0 = kept[0]
+    for x1, y1 in kept[1:] + kept[:1]:
+        area2 += (x0 - ox) * (y1 - oy) - (x1 - ox) * (y0 - oy)
+        perim += hypot(x1 - x0, y1 - y0)
+        dy = y1 - y0
+        if dy != 0.0:
+            if up is not None and up != (dy > 0.0):
+                flips += 1
+            up = dy > 0.0
+        x0, y0 = x1, y1
+    if area2 <= 0.0:
+        raise InvalidPolygon("non-positive signed area")
+    if flips > 2:
+        raise InvalidPolygon("boundary winds more than once")
+
+    # the box of the points covers the kept vertices, a subset of them
+    object.__setattr__(poly, "vertices", tuple(kept))
+    object.__setattr__(poly, "area", 0.5 * area2)
+    object.__setattr__(poly, "perimeter", perim)
+    object.__setattr__(poly, "_diameter", None)
+    object.__setattr__(poly, "_scale", scale)
+    object.__setattr__(poly, "_box", (x_lo, y_lo, x_hi, y_hi))
+    object.__setattr__(poly, "_circles", None)
+    object.__setattr__(poly, "_edge_arrays", None)
+
+
+def _strictly_convex(pts: list[tuple[float, float]], tol: float, cross_tol: float) -> bool:
+    """Whether every edge of the closed path is longer than tol and every turn
+    is a left turn by more than cross_tol, the two tests of `_convex_vertices`."""
+    hypot = math.hypot
+    ax, ay = pts[-2]
+    bx, by = pts[-1]
+    for cx, cy in pts:
+        # edge b -> c, and the turn at b; a NaN turn fails, as `_convex_vertices` drops it
+        if not (hypot(cx - bx, cy - by) > tol and (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol):
+            return False
+        ax, ay, bx, by = bx, by, cx, cy
+    return True
+
+
+def _convex_vertices(pts: list[tuple[float, float]], tol: float, cross_tol: float) -> list[tuple[float, float]]:
+    """The points without consecutive duplicates (within tol), then without
+    collinear ones (turns within cross_tol); raises InvalidPolygon on a right
+    turn or when fewer than 3 are left."""
+    dedup: list[tuple[float, float]] = []
+    for p in pts:
+        if not dedup or math.hypot(p[0] - dedup[-1][0], p[1] - dedup[-1][1]) > tol:
+            dedup.append(p)
+    while len(dedup) > 1 and math.hypot(dedup[0][0] - dedup[-1][0], dedup[0][1] - dedup[-1][1]) <= tol:
+        dedup.pop()
+    if len(dedup) < 3:
+        raise InvalidPolygon("fewer than 3 distinct vertices")
+
+    n = len(dedup)
+    kept = []
+    for i in range(n):
+        ax, ay = dedup[i - 1]
+        bx, by = dedup[i]
+        cx, cy = dedup[(i + 1) % n]
+        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if cross > cross_tol:
+            kept.append(dedup[i])
+        elif cross < -cross_tol:
+            raise InvalidPolygon("vertices not in CCW convex position")
+        # collinear midpoints are dropped
+    if len(kept) < 3:
+        raise InvalidPolygon("polygon collapses after collinear removal")
+    return kept
+
+
 def rectangle(x0: float, y0: float, x1: float, y1: float) -> Polygon:
     return Polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
 
@@ -327,40 +353,16 @@ def vertex_count(C: Polygon) -> int:
     return len(C.vertices)
 
 
-def _piece(pts: list[tuple[float, float]]) -> Polygon:
-    """Polygon(pts) for a split piece, without redoing what the parent proved.
-
-    The points are CCW, and each is a parent vertex or a convex combination of
-    two, so they are finite floats inside the parent's box.  The dedup and
-    turn tests of `Polygon.__init__` run on every vertex, but only as checks:
-    when none lands within tolerance the full constructor would keep every
-    point, so the same shared tail gives the same polygon.  Otherwise the full
-    constructor decides what to drop or reject.
-    """
-    x_lo = x_hi = pts[0][0]
-    y_lo = y_hi = pts[0][1]
-    for x, y in pts:
-        if x < x_lo:
-            x_lo = x
-        elif x > x_hi:
-            x_hi = x
-        if y < y_lo:
-            y_lo = y
-        elif y > y_hi:
-            y_hi = y
-    scale = max(x_hi - x_lo, y_hi - y_lo)
-    tol = SNAP_REL * scale
-    cross_tol = tol * scale
-    hypot = math.hypot
-    ax, ay = pts[-2]
-    bx, by = pts[-1]
-    for cx, cy in pts:
-        # edge b -> c, and the turn at b
-        if hypot(cx - bx, cy - by) <= tol or (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= cross_tol:
-            return Polygon(pts)
-        ax, ay, bx, by = bx, by, cx, cy
+def _piece(pts: list[tuple[float, float]]) -> Optional[Polygon]:
+    """The polygon of a split piece, or None when it is degenerate; the points are
+    CCW finite floats, so `Polygon.__init__` has nothing to check."""
+    if len(pts) < 3:
+        return None
     poly = object.__new__(Polygon)
-    poly._finish(pts, scale, (x_lo, y_lo, x_hi, y_hi))
+    try:
+        _build(poly, pts)
+    except InvalidPolygon:
+        return None
     return poly
 
 
@@ -372,11 +374,8 @@ def split(
     A side with empty interior comes back as None; the trace is None unless
     both sides are nonempty.  Raises DegenerateSplit for sliver pieces so the
     caller can resample the line.  Each piece is built by `_piece` from the
-    parent's vertices and the crossing points, in the parent's CCW order:
-    it checks every edge length and turn against the snap tolerances and
-    falls back to the full `Polygon` constructor when one lands within them
-    (a flat turn, as when the line runs nearly along an edge), so a piece is
-    always exactly what `Polygon(points)` would build.
+    parent's vertices and the crossing points, in the parent's CCW order, so
+    it is exactly what `Polygon(points)` would build.
     """
     ux, uy = h.normal
     a = h.a
@@ -406,14 +405,8 @@ def split(
             minus_pts.append(ip)
             cross_pts.append(ip)
 
-    try:
-        plus = _piece(plus_pts) if len(plus_pts) >= 3 else None
-    except InvalidPolygon:
-        plus = None
-    try:
-        minus = _piece(minus_pts) if len(minus_pts) >= 3 else None
-    except InvalidPolygon:
-        minus = None
+    plus = _piece(plus_pts)
+    minus = _piece(minus_pts)
 
     if plus is None and minus is None:
         raise DegenerateSplit("both split pieces degenerate")

@@ -1,12 +1,13 @@
-"""Exact scalar references for containment, clipping, hit tests, crop,
-window statistics, the two-sample tests and the rate estimate, and the
-helpers only the tests use.
+"""Exact scalar references for the polygon constructor, containment,
+clipping, hit tests, crop, window statistics, the two-sample tests and the
+rate estimate, and the helpers only the tests use.
 
 The geometric references work one point, segment and edge at a time in
-plain Python and share no code with the array kernels of `stitsim.geometry`
-(`clip_segments`, `segments_hit_polygon`, `edge_margins`), so a test that
-compares the two compares independent arithmetic.  The two-sample
-references are scipy's own tests, one pair of samples per call.
+plain Python and share no code with `stitsim.geometry` (its polygon builder
+and the array kernels `clip_segments`, `segments_hit_polygon`,
+`edge_margins`), so a test that compares the two compares independent
+arithmetic.  The two-sample references are scipy's own tests, one pair of
+samples per call.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from stitsim.analysis import WindowStats
 from stitsim.engine import MIN_CHORD_REL, new_process, replicate_seeds
-from stitsim.geometry import Polygon, Segment, segment_rows, segments_hit_polygon
+from stitsim.geometry import SNAP_REL, Polygon, Segment, segment_rows, segments_hit_polygon
 
 TILING_REL_TOL = 1e-9  # check_tiling's bound on |sum of cell areas - window area| / window area
 
@@ -33,6 +34,49 @@ def check_tiling(state):
     """The live cells of a state built without a region cover its window: their areas add up to its area."""
     total = sum(c.polygon.area for c in live_cells(state))
     return abs(total - state.window.area) <= TILING_REL_TOL * state.window.area
+
+
+def _reference_polygon(pts):
+    """(vertices, area, perimeter, _scale, _box) of `Polygon(pts)` for at least 3 finite
+    points, or None when it rejects them: consecutive duplicates within the snap
+    tolerance dropped, then collinear points, on every point, then the canonical
+    start, the measures and the winding check."""
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    box = (min(xs), min(ys), max(xs), max(ys))
+    scale = max(box[2] - box[0], box[3] - box[1])
+    if scale <= 0.0:
+        return None
+    tol = SNAP_REL * scale
+    dedup = []
+    for p in pts:
+        if not dedup or math.hypot(p[0] - dedup[-1][0], p[1] - dedup[-1][1]) > tol:
+            dedup.append(p)
+    while len(dedup) > 1 and math.hypot(dedup[0][0] - dedup[-1][0], dedup[0][1] - dedup[-1][1]) <= tol:
+        dedup.pop()
+    kept = []
+    for i in range(len(dedup)):
+        (ax, ay), (bx, by), (cx, cy) = dedup[i - 1], dedup[i], dedup[(i + 1) % len(dedup)]
+        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if cross < -tol * scale:
+            return None
+        if cross > tol * scale:
+            kept.append(dedup[i])
+    if len(dedup) < 3 or len(kept) < 3:
+        return None
+    start = kept.index(min(kept))
+    kept = kept[start:] + kept[:start]
+    area2 = perim = 0.0
+    ox, oy = kept[0]
+    dys = []
+    for (x0, y0), (x1, y1) in zip(kept, kept[1:] + kept[:1]):
+        area2 += (x0 - ox) * (y1 - oy) - (x1 - ox) * (y0 - oy)
+        perim += math.hypot(x1 - x0, y1 - y0)
+        if y1 != y0:
+            dys.append(y1 > y0)
+    if area2 <= 0.0 or sum(a != b for a, b in zip(dys, dys[1:])) > 2:
+        return None
+    return (tuple(kept), 0.5 * area2, perim, scale, box)
 
 
 def _reference_contains_point(C, p, tol=None):

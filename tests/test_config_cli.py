@@ -521,6 +521,7 @@ class TestCliBadInput:
         "command, base, key, value",
         [
             ("simulate", SIMULATE, "time", "abc"),
+            ("simulate", SIMULATE, "version", 2),
             ("simulate", SIMULATE, "window", PENTAGRAM),
             ("simulate", SIMULATE, "rules", {"stit": {"measure": {"intensity": None, "directions": "isotropic"}}}),
             ("simulate", SIMULATE, "out_prefix", "sub/x"),
@@ -536,6 +537,7 @@ class TestCliBadInput:
                 {"stit": {"measure": {"intensity": 1.0, "directions": [[0.0, float("nan")], [1.5, 0.5]]}}},
             ),
             ("consistency", CONSISTENCY, "times", [0.5, "abc"]),
+            ("consistency", CONSISTENCY, "times", [1.0, 0.5]),
             ("consistency", CONSISTENCY, "n_reps", "abc"),
             ("consistency", CONSISTENCY, "n_reps", 99),
             ("consistency", CONSISTENCY, "n_reps", 150.5),
@@ -547,6 +549,7 @@ class TestCliBadInput:
             ("consistency", CONSISTENCY, "window_inner", [[0, 0], ["1", 0], [1, 1], [0, 1]]),
             ("consistency", CONSISTENCY, "window_outer", [[0, 0], [3, 0], [3, 3], [False, 3]]),
             ("consistency", CONSISTENCY, "probes", [[[0.1, 0.1], [0.2, 0.1], [True, True], [0.1, 0.2]]]),
+            ("consistency", CONSISTENCY, "probes", [[[0.1, 0.1], [0.2, 0.1], [0.2, 0.2]], [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5]]]),
             (
                 "consistency",
                 CONSISTENCY,
@@ -576,6 +579,7 @@ class TestCliBadInput:
         ],
         ids=[
             "simulate-time",
+            "simulate-version-2",
             "simulate-window-pentagram",
             "simulate-intensity-null",
             "simulate-out_prefix-path",
@@ -586,6 +590,7 @@ class TestCliBadInput:
             "simulate-window-vertex-not-a-pair",
             "simulate-atom-weight-nan",
             "consistency-times",
+            "consistency-times-descending",
             "consistency-n_reps",
             "consistency-n_reps-below-100",
             "consistency-n_reps-fractional",
@@ -597,6 +602,7 @@ class TestCliBadInput:
             "consistency-window_inner-string-coordinate",
             "consistency-window_outer-bool-coordinate",
             "consistency-probe-bool-coordinates",
+            "consistency-probe-outside-window_inner",
             "consistency-intrinsic-volume-index",
             "consistency-intrinsic-volume-index-fractional",
             "verify-n_cases",

@@ -122,7 +122,8 @@ class TestAdvance:
     )
     def test_split_pieces_equal_full_constructor_pieces(self, monkeypatch, rules, W, seed, t):
         built = new_process(W, rules, seed).advance(t)
-        monkeypatch.setattr(geometry, "_piece", Polygon)
+        # every piece through the slow pass, as if no fast check passed
+        monkeypatch.setattr(geometry, "_strictly_convex", lambda pts, tol, cross_tol: False)
         full = new_process(W, rules, seed).advance(t)
         assert len(built.segments) > 300
         assert (built.segments, built.births) == (full.segments, full.births)

@@ -25,7 +25,13 @@ from stitsim.geometry import (
     width,
 )
 
-from reference import _reference_clip_segment, _reference_contains_point, _reference_segment_hits_polygon, translate
+from reference import (
+    _reference_clip_segment,
+    _reference_contains_point,
+    _reference_polygon,
+    _reference_segment_hits_polygon,
+    translate,
+)
 
 
 class TestPolygonValidation:
@@ -283,34 +289,26 @@ def _piece_test_line(rng, C, kind):
 
 
 def _split_checking_pieces(C, h):
-    """split(C, h), checking every piece against Polygon(points); returns the number of fallbacks."""
+    """split(C, h), checking every piece against the reference constructor; returns the number of slow passes.
+
+    A piece that passes the fast check (`_strictly_convex`) must also be kept
+    point for point by the slow pass (`_convex_vertices`).
+    """
     build_piece = geometry._piece
-    fallbacks = 0
+    slow_passes = 0
 
     def checked_piece(pts):
-        nonlocal fallbacks
-        try:
-            full = Polygon(pts)
-        except InvalidPolygon:
-            full = None
-        # the piece path calls Polygon.__init__ only when it falls back
-        with mock.patch.object(Polygon, "__init__", autospec=True, side_effect=Polygon.__init__) as init:
-            try:
-                piece = build_piece(pts)
-            except InvalidPolygon:
-                piece = None
-        fallbacks += init.call_count
-        if full is None:
+        nonlocal slow_passes
+        with mock.patch.object(geometry, "_convex_vertices", wraps=geometry._convex_vertices) as slow:
+            piece = build_piece(pts)
+        slow_passes += slow.call_count
+        expected = _reference_polygon(pts) if len(pts) >= 3 else None
+        if expected is None:
             assert piece is None
-            raise InvalidPolygon("rejected by both constructors")
-        assert piece is not None
-        assert (piece.vertices, piece.area, piece.perimeter, piece._scale, piece._box) == (
-            full.vertices,
-            full.area,
-            full.perimeter,
-            full._scale,
-            full._box,
-        )
+            return None
+        assert (piece.vertices, piece.area, piece.perimeter, piece._scale, piece._box) == expected
+        if not slow.call_count:
+            assert geometry._convex_vertices(pts, piece.snap_tol, piece.snap_tol * piece._scale) == pts
         return piece
 
     with mock.patch.object(geometry, "_piece", checked_piece):
@@ -318,7 +316,7 @@ def _split_checking_pieces(C, h):
             split(C, h)
         except DegenerateSplit:
             pass
-    return fallbacks
+    return slow_passes
 
 
 @settings(max_examples=1000, deadline=None)
@@ -335,12 +333,21 @@ def test_split_pieces_match_full_constructor(seed, polygon_kind, line_kind):
 
 def test_split_piece_fallback_is_reached():
     # random lines almost never make a flat turn; lines along an edge do
-    fallbacks = 0
+    slow_passes = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
         C = _piece_test_polygon(rng, "random")
-        fallbacks += _split_checking_pieces(C, _piece_test_line(rng, C, "near-edge"))
-    assert fallbacks > 0
+        slow_passes += _split_checking_pieces(C, _piece_test_line(rng, C, "near-edge"))
+    assert slow_passes > 0
+
+
+def test_split_piece_with_crossings_within_snap_tol_takes_the_slow_pass():
+    # a line across the sharp apex of a thin triangle turned by 45 degrees:
+    # its two crossing points lie within snap_tol of each other, and each
+    # turns by more than the turn tolerance, so only the edge test catches them
+    e, n = (math.sqrt(0.5), math.sqrt(0.5)), (-math.sqrt(0.5), math.sqrt(0.5))
+    C = Polygon([(-0.01 * n[0], -0.01 * n[1]), e, (0.01 * n[0], 0.01 * n[1])])
+    assert _split_checking_pieces(C, Hyperplane(math.pi / 4, 1.0 - 3.1e-11)) == 1
 
 
 def test_diameter_is_the_largest_vertex_distance():

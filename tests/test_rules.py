@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from stitsim import HyperplaneMeasure, new_process
+from stitsim.engine import replicate_seeds
 from stitsim.geometry import offset_interval, random_convex_polygon, rectangle, split
 from stitsim.measures import axis_aligned
 from stitsim.rules import (
@@ -173,3 +174,19 @@ class TestMinExpectedChords:
         counts = [len(new_process(unit_square, stit_rules, (77, rep)).advance(t).segments) for rep in range(400)]
         stderr = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - min_expected_chords(stit_rules, unit_square, t)) < 4.5 * stderr
+
+    @pytest.mark.parametrize(
+        "division", [PointDriven(), RestrictedMeasure(HyperplaneMeasure(1.0))], ids=["point-driven", "restricted"]
+    )
+    def test_area_selection_count_is_poisson(self, division):
+        # law (v): the cells' areas always sum to area(W), so every division
+        # rule gives Poisson(t * area(W)) chords; lambda = 3 in [0,2]x[0,1] at t = 1.5
+        W, t = rectangle(0.0, 0.0, 2.0, 1.0), 1.5
+        rules = RulePair(IntrinsicVolume(2), division)
+        seeds = replicate_seeds(2301, 0, 0, 4000)
+        counts = np.array([len(new_process(W, rules, seed).advance(t).segments) for seed in seeds])
+        lam = min_expected_chords(rules, W, t)
+        assert lam == 3.0
+        assert abs(counts.mean() - lam) < 4.5 * counts.std(ddof=1) / math.sqrt(len(counts))
+        # var/mean of a Poisson sample of 4000 at lambda = 3 has sd about 0.024
+        assert abs(counts.var(ddof=1) / counts.mean() - 1.0) < 0.15

@@ -37,8 +37,12 @@ IDENT = "tests/test_analysis.py::TestIdentitySuite"
 CHUNK = "tests/test_analysis.py::TestChunkKernel"
 HITS = "tests/test_geometry.py::test_batched_clip_and_hit_equal_the_scalar_ones"
 REGION = "tests/test_engine.py::TestRegion"
+PIECES = "tests/test_geometry.py::test_split_pieces_match_full_constructor"
+SLOW_PASS = "tests/test_geometry.py::test_split_piece_fallback_is_reached"
+NEAR_DUPLICATES = "tests/test_geometry.py::test_split_piece_with_crossings_within_snap_tol_takes_the_slow_pass"
 SEEDS = "tests/test_engine.py::TestReplicateSeeds"
 BAD_INPUT = "tests/test_config_cli.py::TestCliBadInput::test_exits_1_with_config_error"
+VALIDATION = "tests/test_config_cli.py::TestConfigValidation"
 RULES = "tests/test_config_cli.py::TestRulesParsing"
 CLI_SIMULATE = "tests/test_config_cli.py::TestCliSimulate"
 
@@ -203,6 +207,28 @@ MUTANTS = [
         '    if n_cases < 1:\n        raise ValueError(f"n_cases must be >= 1, got {n_cases}")\n',
         "",
         (f"{IDENT}::test_no_cases_is_an_error",),
+    ),
+    # the one polygon builder: a fast check, else the slow pass
+    Mutant(
+        "fast check without its turn test",
+        "geometry.py",
+        "if not (hypot(cx - bx, cy - by) > tol and (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol):",
+        "if not hypot(cx - bx, cy - by) > tol:",
+        (PIECES, SLOW_PASS),
+    ),
+    Mutant(
+        "fast check without its edge-length test",
+        "geometry.py",
+        "if not (hypot(cx - bx, cy - by) > tol and (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol):",
+        "if not (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol:",
+        (NEAR_DUPLICATES,),
+    ),
+    Mutant(
+        "slow pass keeps a flat turn",
+        "geometry.py",
+        "        if cross > cross_tol:\n            kept.append(dedup[i])",
+        "        if cross >= -cross_tol:\n            kept.append(dedup[i])",
+        (PIECES, SLOW_PASS),
     ),
     # one clip kernel and one hit kernel
     Mutant(
@@ -395,6 +421,72 @@ MUTANTS = [
         '_require_keys(spec, path, ["kind", *required], optional)',
         '_require_keys(spec, path, ["kind", *required], spec)',
         (f"{RULES}::test_key_of_another_kind_rejected",),
+    ),
+    Mutant(
+        "wrong schema version accepted",
+        "config.py",
+        'if cfg.get("version") != SCHEMA_VERSION:',
+        "if False:",
+        (f"{BAD_INPUT}[simulate-version-2]",),
+    ),
+    Mutant(
+        "consistency n_reps below MIN_REPS accepted",
+        "config.py",
+        "    if n_reps < MIN_REPS:\n",
+        "    if False:\n",
+        (f"{BAD_INPUT}[consistency-n_reps-below-100]",),
+    ),
+    Mutant(
+        "alpha outside (0, 1) accepted",
+        "config.py",
+        "    if not 0 < alpha < 1:\n",
+        "    if False:\n",
+        (f"{BAD_INPUT}[consistency-alpha-negative]", f"{BAD_INPUT}[consistency-alpha-above-1]"),
+    ),
+    Mutant(
+        "descending times accepted",
+        "config.py",
+        "    if any(b < a for a, b in zip(times, times[1:])):\n",
+        "    if False:\n",
+        (f"{BAD_INPUT}[consistency-times-descending]",),
+    ),
+    Mutant(
+        "window_inner outside window_outer accepted",
+        "config.py",
+        "    if not W.contains_polygon(V):\n",
+        "    if False:\n",
+        (f"{VALIDATION}::test_consistency_requires_nesting",),
+    ),
+    Mutant(
+        "no event budget",
+        "config.py",
+        "    if floor > MAX_EVENTS:\n",
+        "    if False:\n",
+        (
+            f"{VALIDATION}::test_event_budget_checked_at_parse_time",
+            f"{VALIDATION}::test_window_dependent_budget_checked_at_parse_time",
+        ),
+    ),
+    Mutant(
+        "n_cases of 0 accepted",
+        "config.py",
+        "    if n_cases < 1:\n",
+        "    if False:\n",
+        (f"{BAD_INPUT}[verify-n_cases-zero]",),
+    ),
+    Mutant(
+        "probe outside window_inner accepted",
+        "config.py",
+        "            if not V.contains_polygon(probe):\n",
+        "            if False:\n",
+        (f"{BAD_INPUT}[consistency-probe-outside-window_inner]",),
+    ),
+    Mutant(
+        "dump records in reverse order",
+        "output.py",
+        '+ "\\n")\n        for seg, birth in zip(state.segments, state.births):',
+        '+ "\\n")\n        for seg, birth in zip(state.segments[::-1], state.births[::-1]):',
+        (f"{CLI_SIMULATE}::test_isotropic_outputs_are_pinned",),
     ),
     Mutant(
         "dump numbers to 16 digits",
