@@ -21,7 +21,7 @@ from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .engine import SEED_BLOCK, CroppedTessellation, crop_rows, new_process, replicate_seeds
+from .engine import SEED_BLOCK, CroppedTessellation, crop_rows, death_time, new_process, replicate_seeds
 from .errors import ContainmentViolation, InsufficientSamples, ReplicateAborted
 from .geometry import (
     Polygon,
@@ -48,13 +48,16 @@ MAX_ABORT_FRAC = 0.01  # consistency_test fails when more of an arm's replicates
 PROBE_GRID = 3  # default_probes places PROBE_GRID x PROBE_GRID disks
 PROBE_RADIUS_FRAC = 0.1  # default probe radius over the shorter side of V's bounding box
 MAX_DIVISIONS_PER_DT = 0.1  # rate_estimate's bound on rate(V) * dt
-# rate_estimate's chunk: at small dt a chunk's fixed cost is worth tens of replicates
-# (SEED_BLOCK chunks made rate_small_dt 7-9% slower), and 64 blocks bound its table at 2 MB.
+# rate_estimate's chunk: at small dt a chunk's fixed cost is worth a hundred or more replicates
+# (SEED_BLOCK chunks made a 20 000-replicate call at dt = 0.005 5-12% slower), and 64 blocks
+# bound its table at 2 MB.
 RATE_CHUNK = 64 * SEED_BLOCK
 # rate_estimate runs one process per RATE_FORK_MIN replicates, up to usable_cpus().  On a 2-vCPU
-# Xeon a fork costs 3-5 ms: one process against two took 1.2 vs 5.1 ms at 100 replicates, 9.6 vs
-# 9.9 ms at 1024 and 19.6 vs 17.3 ms at 2048 (dt = 0.005, medians of 20 alternating pairs), and
-# the same at dt = 0.07.  MAX_DIVISIONS_PER_DT keeps a replicate's cost near its seeding at any dt.
+# Xeon a fork costs 4-6 ms: one process against two took 2.0 vs 5.7 ms at 100 replicates, 10.8
+# vs 11.4 ms at 1024 and 21.0 vs 17.4 ms at 2048 at dt = 0.07 (medians of 20 alternating pairs).
+# At dt = 0.005, where a replicate whose root outlives dt costs only its seeding and one draw,
+# they took 1.2 vs 4.4, 3.5 vs 7.5 and 7.0 vs 10.8 ms.  The floor is the break-even of the
+# costliest replicates, near the largest dt that MAX_DIVISIONS_PER_DT allows.
 RATE_FORK_MIN = 1024
 
 
@@ -327,20 +330,31 @@ def _collect_chunk(
     law, not its seeded draws.  Arms 0 and 2 (`rate_estimate`'s) build in V.
     Replicate `rep` runs on the generator of seed (seed, arm, rep), from
     `replicate_seeds`, so its statistics do not depend on how the replicates
-    are chunked.  Each replicate advances once, to the last time; `times`
-    must be ascending.  Each replicate that did not abort has a row per time:
-    `window_stats(crop(snapshot, V), probes)`.
+    are chunked.  Its generator first draws the root's death; a replicate
+    whose root outlives the last time has no chord by then, and builds no
+    state.  Any other replicate builds one on that generator and that draw
+    (the root is kept, as V lies in W) and advances once, to the last time;
+    `times` must be ascending.  Each replicate that did not abort has a row
+    per time: `window_stats(crop(snapshot, V), probes)`.
     """
     arm, rep_start, rep_count = chunk
     build_window, region = (W, V) if arm == 1 else (V, None)
+    root_rate = rate(rules.selection, build_window)
+    last = times[-1]
+    default_rng = np.random.default_rng
     chords: list[Segment] = []
     births: list[float] = []
     counts: list[int] = []
     aborted = 0
     for rep_seed in replicate_seeds(seed, arm, rep_start, rep_count):
-        state = new_process(build_window, rules, rep_seed, region=region)
+        rng = default_rng(rep_seed)
+        death = death_time(0.0, rng, root_rate)
+        if death > last:  # advance pops a cell only at death_time <= t
+            counts.append(0)
+            continue
+        state = new_process(build_window, rules, rep_seed, region=region, _root=(rng, death))
         try:
-            state.advance(times[-1])
+            state.advance(last)
         except ReplicateAborted:
             aborted += 1
             continue
@@ -480,7 +494,9 @@ def rate_estimate(
     For a shared-measure pair this converges to the hitting mass of B as
     dt -> 0 (first-order division rate).  It counts the replicates of stream 2
     whose `_collect_chunk` probe column is 1; any aborted replicate raises
-    `ReplicateAborted`.  The replicates run on min(`usable_cpus()`,
+    `ReplicateAborted`.  A replicate whose root cell outlives dt has no chord
+    and builds no state; as rate(V) * dt < MAX_DIVISIONS_PER_DT, that is
+    over 90% of them (exp(-0.1)).  The replicates run on min(`usable_cpus()`,
     ceil(n_reps / RATE_FORK_MIN)) processes; a count of hits is exact, so
     the estimate does not depend on the process count.  Above RATE_FORK_MIN
     replicates on Linux the call forks children with `os.fork` (see

@@ -8,7 +8,10 @@ from the heap in a fixed order, (death time, cell index), and each draws the
 dividing line or lines of the popped cell, then the life times of its plus
 and minus children.  So a trajectory is a pure function of its seed (and its
 region, below), and advancing in stages equals advancing in one shot.  Life
-times are fixed at cell birth: death = birth + Exp(1)/rate(cell).
+times are fixed at cell birth: death = birth + Exp(1)/rate(cell)
+(`death_time`).  The root's is the first draw, so the replicate loop
+(`analysis._collect_chunk`) draws it before it builds a state: a replicate
+whose root outlives the last time has no chord, and it builds no state.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from .rules import RulePair, divide, rate
 MAX_RESAMPLE = 100
 MAX_EVENTS = 2_000_000
 MIN_CHORD_REL = 1e-9  # crop keeps chords longer than this fraction of V's extent
+
+
+def death_time(birth: float, rng: np.random.Generator, cell_rate: float) -> float:
+    """A cell's death: birth + Exp(1)/rate, one draw from the trajectory's generator."""
+    return birth + rng.standard_exponential() / cell_rate
 
 
 class Cell(NamedTuple):
@@ -67,7 +75,12 @@ class ProcessState:
     )
 
     def __init__(
-        self, window: Polygon, rules: RulePair, seed: int | tuple[int, ...], region: Polygon | None = None
+        self,
+        window: Polygon,
+        rules: RulePair,
+        seed: int | tuple[int, ...],
+        region: Polygon | None = None,
+        _root: tuple[np.random.Generator, float] | None = None,
     ):
         self.window = window
         self.rules = rules
@@ -78,9 +91,14 @@ class ProcessState:
         self.births: list[float] = []
         self._heap: list[Cell] = []
         self._next_index = 0
-        self._rng = np.random.default_rng(seed)
         self._keep = None if region is None else _keep_box(region, window)
-        self._spawn(window, 0.0)
+        if _root is None:
+            self._rng = np.random.default_rng(seed)
+            self._spawn(window, 0.0)
+        else:  # the generator of `seed` after its first draw, and the root's death from that draw
+            self._rng, death = _root
+            self._heap.append(Cell(death, 0, window))
+            self._next_index = 1
 
     def _spawn(self, polygon: Polygon, birth: float) -> None:
         keep = self._keep
@@ -90,8 +108,8 @@ class ProcessState:
                 return
         idx = self._next_index
         self._next_index += 1
-        tau = self._rng.standard_exponential()
-        heapq.heappush(self._heap, Cell(birth + tau / rate(self.rules.selection, polygon), idx, polygon))
+        death = death_time(birth, self._rng, rate(self.rules.selection, polygon))
+        heapq.heappush(self._heap, Cell(death, idx, polygon))
 
     def advance(self, t: float) -> "ProcessState":
         if not math.isfinite(t):
@@ -137,9 +155,22 @@ class ProcessState:
 
 
 def new_process(
-    W: Polygon, rules: RulePair, seed: int | tuple[int, ...], region: Polygon | None = None
+    W: Polygon,
+    rules: RulePair,
+    seed: int | tuple[int, ...],
+    region: Polygon | None = None,
+    *,
+    _root: tuple[np.random.Generator, float] | None = None,
 ) -> ProcessState:
-    return ProcessState(W, rules, seed, region)
+    """A trajectory in W at time 0: one live cell, W itself.
+
+    `_root` is private to the replicate loop (`analysis._collect_chunk`): the
+    generator of `seed` that has drawn the root's life time, and the root's
+    `death_time(0.0, rng, rate(rules.selection, W))`, so that a replicate
+    builds one generator.  With it the state is the one `seed` alone gives.
+    The loop passes it only for W = V or V inside W, whose root is kept.
+    """
+    return ProcessState(W, rules, seed, region, _root)
 
 
 # Which cells a state with a region V may leave out.

@@ -222,6 +222,8 @@ def _build(poly: Polygon, pts: list[tuple[float, float]]) -> None:
         x0, y0 = x1, y1
     if area2 <= 0.0:
         raise InvalidPolygon("non-positive signed area")
+    if not math.isfinite(area2):  # finite points whose area overflows, or a NaN from inf - inf
+        raise InvalidPolygon("non-finite signed area")
     if flips > 2:
         raise InvalidPolygon("boundary winds more than once")
 

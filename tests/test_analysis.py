@@ -52,6 +52,7 @@ from stitsim.rules import (
     RestrictedMeasure,
     RulePair,
     VertexCount,
+    rate,
 )
 
 from reference import (
@@ -81,6 +82,15 @@ def in_process_pool(monkeypatch):
 
     monkeypatch.setattr(analysis, "_forked_map", in_process_map)
     return asked
+
+
+@pytest.fixture
+def roots_die_at_once(monkeypatch):
+    """Lets every replicate past `_collect_chunk`'s screen: each root dies at its birth, drawing nothing.
+
+    For stand-ins of `analysis.new_process`, which a screened-out replicate would not reach.
+    """
+    monkeypatch.setattr(analysis, "death_time", lambda birth, rng, cell_rate: birth)
 
 
 class TestWindowStats:
@@ -759,7 +769,7 @@ class TestChunkKernel:
         [rectangle(0, 0, 1, 1), Polygon([(0, 0), (1, 0), (0, 1)]), regular_ngon((0, 0), 1, 6)],
         ids=["square", "triangle", "hexagon"],
     )
-    def test_chords_on_the_boundary(self, stit_rules, monkeypatch, V):
+    def test_chords_on_the_boundary(self, stit_rules, monkeypatch, roots_die_at_once, V):
         W = scale_about_centroid(V, 4.0)
         chords = _boundary_chords(V)
         born = [0.2, 0.75, 1.0, 1.5, 2.0]  # two are snapshot times: born at t counts at t
@@ -769,7 +779,9 @@ class TestChunkKernel:
             (chords[::-1], [born[i % 3] for i in range(len(chords))]),
         ]
         monkeypatch.setattr(
-            analysis, "new_process", lambda window, rules, seed, region=None: _FixedChords(window, *plans[seed[2]])
+            analysis,
+            "new_process",
+            lambda window, rules, seed, region=None, _root=None: _FixedChords(window, *plans[seed[2]]),
         )
         probes = default_probes(V) + [V, scale_about_centroid(V, 0.5)]
         times = [0.75, 1.5]
@@ -780,6 +792,50 @@ class TestChunkKernel:
         assert _stats(table) == expected
         assert [[window_stats(crop(snap, V), probes) for snap in column] for column in snapshots] == expected
         assert 0 < expected[-1][0].segment_count < len([b for b in plans[0][1] if b <= 1.5])  # some are dropped
+
+    @staticmethod
+    def _root_deaths(rules, window, seed, arm, n):
+        """The root's death time in replicates 0 .. n - 1 of (seed, arm), a cell in `window` at time 0."""
+        root_rate = rate(rules.selection, window)
+        return [np.random.default_rng((seed, arm, rep)).standard_exponential() / root_rate for rep in range(n)]
+
+    @pytest.mark.parametrize("arm", [0, 1], ids=["direct", "cropped"])
+    def test_builds_a_state_only_for_a_root_that_dies_by_the_last_time(self, unit_square, stit_rules, monkeypatch, arm):
+        W = rectangle(0, 0, 2, 2)
+        probes = default_probes(unit_square)
+        deaths = self._root_deaths(stit_rules, W if arm else unit_square, 5, arm, 40)
+        last = sorted(deaths)[30]  # a root that dies exactly at the last time, with 9 that outlive it
+        times = [0.5 * last, last]
+        built = []
+        real = analysis.new_process
+
+        def new_process_spy(window, rules, seed, region=None, _root=None):
+            built.append(seed[2])
+            return real(window, rules, seed, region=region, _root=_root)
+
+        monkeypatch.setattr(analysis, "new_process", new_process_spy)
+        table, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 5, (arm, 0, 40))
+        assert aborted == 0
+        assert built == [rep for rep, death in enumerate(deaths) if death <= last]
+        assert len(built) == 31 and deaths.index(last) in built
+        assert _stats(table) == _reference_columns(stit_rules, unit_square, W, times, probes, 5, arm, range(40))
+
+    @pytest.mark.parametrize("arm", [0, 1], ids=["direct", "cropped"])
+    def test_equals_crops_of_snapshots_where_roots_outlive_a_time(self, unit_square, stit_rules, arm):
+        # replicates whose root outlives the last time, and others whose root dies between the times
+        build, region = (rectangle(0, 0, 2, 2), unit_square) if arm else (unit_square, None)
+        probes = default_probes(unit_square)
+        times = [0.25, 1.0]
+        table, aborted = _collect_chunk(stit_rules, unit_square, build, times, probes, 9, (arm, 0, 40))
+        assert aborted == 0
+        deaths = self._root_deaths(stit_rules, build, 9, arm, 40)
+        assert any(d > times[-1] for d in deaths) and any(times[0] < d <= times[-1] for d in deaths)
+        expected = [[] for _ in times]
+        for rep in range(40):
+            state = new_process(build, stit_rules, (9, arm, rep), region=region)
+            for column, snap in zip(expected, state.snapshots(times)):
+                column.append(window_stats(crop(snap, unit_square), probes))
+        assert _stats(table) == expected
 
     def test_aborted_replicate_is_left_out_of_every_time(self, unit_square, stit_rules, monkeypatch):
         W = rectangle(0, 0, 2, 2)
@@ -796,8 +852,8 @@ class TestChunkKernel:
                     raise ReplicateAborted("spy: aborted between the first and the last time")
                 return self.state.advance(t)
 
-        def new_process_spy(window, rules, seed, region=None):
-            state = real(window, rules, seed, region=region)
+        def new_process_spy(window, rules, seed, region=None, _root=None):
+            state = real(window, rules, seed, region=region, _root=_root)
             return AbortsAfterFirstTime(state) if seed[2] == 2 else state
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
@@ -814,8 +870,8 @@ class TestChunkKernel:
             def advance(self, t):
                 raise ReplicateAborted("spy: always aborts")
 
-        def new_process_spy(window, rules, seed, region=None):
-            return Aborts() if seed[1:] == (1, 0) else real(window, rules, seed, region=region)
+        def new_process_spy(window, rules, seed, region=None, _root=None):
+            return Aborts() if seed[1:] == (1, 0) else real(window, rules, seed, region=region, _root=_root)
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
         table, aborted = _collect_chunk(stit_rules, unit_square, W, [0.5, 1.0], probes, 7, (1, 0, 1))
@@ -887,7 +943,7 @@ class TestRateEstimate:
         B = rectangle(0.25, 0.25, 0.75, 0.75)
         assert rate_estimate(stit_rules, unit_square, B, 0.02, 3000, seed=5) == 0.6166666666666667
 
-    def test_counts_replicates_not_chords(self, unit_square, stit_rules, monkeypatch):
+    def test_counts_replicates_not_chords(self, unit_square, stit_rules, monkeypatch, roots_die_at_once):
         B = rectangle(0.25, 0.25, 0.75, 0.75)
         across, down = Segment((0.0, 0.5), (1.0, 0.5)), Segment((0.5, 0.0), (0.5, 1.0))
         corner = Segment((0.0, 0.1), (0.1, 0.0))
@@ -895,26 +951,28 @@ class TestRateEstimate:
         monkeypatch.setattr(
             analysis,
             "new_process",
-            lambda V, rules, seed, region=None: _FixedChords(V, plans[seed[2]], [0.001] * len(plans[seed[2]])),
+            lambda V, rules, seed, region=None, _root=None: _FixedChords(
+                V, plans[seed[2]], [0.001] * len(plans[seed[2]])
+            ),
         )
         assert rate_estimate(stit_rules, unit_square, B, 0.01, len(plans)) == 3 / (len(plans) * 0.01)
 
-    def test_any_aborted_replicate_raises(self, unit_square, stit_rules, monkeypatch):
+    def test_any_aborted_replicate_raises(self, unit_square, stit_rules, monkeypatch, roots_die_at_once):
         real = analysis.new_process
 
         class Aborts:
             def advance(self, t):
                 raise ReplicateAborted("stand-in: aborts")
 
-        def new_process_spy(window, rules, seed, region=None):
-            return Aborts() if seed[2] == 3 else real(window, rules, seed, region=region)
+        def new_process_spy(window, rules, seed, region=None, _root=None):
+            return Aborts() if seed[2] == 3 else real(window, rules, seed, region=region, _root=_root)
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
         with pytest.raises(ReplicateAborted, match="1 of 50 replicates"):
             rate_estimate(stit_rules, unit_square, rectangle(0.25, 0.25, 0.75, 0.75), 0.01, 50)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked only on Linux")
-    def test_abort_in_a_child_share_raises(self, unit_square, stit_rules, monkeypatch):
+    def test_abort_in_a_child_share_raises(self, unit_square, stit_rules, monkeypatch, roots_die_at_once):
         # 2100 replicates on 2 processes: the child runs replicates 1050 to 2099, and the fork carries the patch
         real = analysis.new_process
         parent = os.getpid()
@@ -923,9 +981,9 @@ class TestRateEstimate:
             def advance(self, t):
                 raise ReplicateAborted("stand-in: aborts")
 
-        def new_process_spy(window, rules, seed, region=None):
+        def new_process_spy(window, rules, seed, region=None, _root=None):
             aborts = seed[2] == 2099 and os.getpid() != parent
-            return Aborts() if aborts else real(window, rules, seed, region=region)
+            return Aborts() if aborts else real(window, rules, seed, region=region, _root=_root)
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
         monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
@@ -933,11 +991,16 @@ class TestRateEstimate:
             rate_estimate(stit_rules, unit_square, rectangle(0.25, 0.25, 0.75, 0.75), 0.01, 2100)
 
     @pytest.mark.parametrize("B", ["centre", "V", "corner"])
-    @pytest.mark.parametrize("pair", ["stit", "area"])
+    @pytest.mark.parametrize("pair", ["stit", "area", "point-driven"])
     def test_equals_its_own_loop(self, unit_square, stit_rules, iso_measure, pair, B):
-        rules = {"stit": stit_rules, "area": RulePair(IntrinsicVolume(2), RestrictedMeasure(iso_measure))}[pair]
+        # the reference builds every replicate's state; the collector none whose root outlives dt
+        rules = {
+            "stit": stit_rules,
+            "area": RulePair(IntrinsicVolume(2), RestrictedMeasure(iso_measure)),
+            "point-driven": RulePair(HittingMeasure(iso_measure), PointDriven()),
+        }[pair]
         B = {"centre": rectangle(0.25, 0.25, 0.75, 0.75), "V": unit_square, "corner": rectangle(0, 0, 0.2, 0.2)}[B]
-        for dt in (0.02, 0.005):
+        for dt in (0.07, 0.02, 0.005):
             for seed in range(5):
                 expected = _reference_rate_estimate(rules, unit_square, B, dt, 600, seed=seed)
                 assert rate_estimate(rules, unit_square, B, dt, 600, seed=seed) == expected

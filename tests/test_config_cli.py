@@ -530,6 +530,7 @@ class TestCliBadInput:
             ("simulate", SIMULATE, "window", [["0", "0"], [1, 0], [True, True], [0, 1]]),
             ("simulate", SIMULATE, "window", [[0, 0], [1, 0], [True, True], [0, 1]]),
             ("simulate", SIMULATE, "window", [[0, 0], [1, 0], [1, 1, 1], [0, 1]]),
+            ("simulate", SIMULATE, "window", [[0, 0], [1e155, 0], [1e155, 1e155], [0, 1e155]]),
             (
                 "simulate",
                 SIMULATE,
@@ -548,6 +549,7 @@ class TestCliBadInput:
             ("consistency", CONSISTENCY, "probes", 5),
             ("consistency", CONSISTENCY, "window_inner", [[0, 0], ["1", 0], [1, 1], [0, 1]]),
             ("consistency", CONSISTENCY, "window_outer", [[0, 0], [3, 0], [3, 3], [False, 3]]),
+            ("consistency", CONSISTENCY, "window_outer", [[0, 0], [1e155, 0], [1e155, 1e155], [0, 1e155]]),
             ("consistency", CONSISTENCY, "probes", [[[0.1, 0.1], [0.2, 0.1], [True, True], [0.1, 0.2]]]),
             ("consistency", CONSISTENCY, "probes", [[[0.1, 0.1], [0.2, 0.1], [0.2, 0.2]], [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5]]]),
             (
@@ -588,6 +590,7 @@ class TestCliBadInput:
             "simulate-window-string-and-bool-coordinates",
             "simulate-window-bool-coordinates",
             "simulate-window-vertex-not-a-pair",
+            "simulate-window-area-overflows",
             "simulate-atom-weight-nan",
             "consistency-times",
             "consistency-times-descending",
@@ -601,6 +604,7 @@ class TestCliBadInput:
             "consistency-probes",
             "consistency-window_inner-string-coordinate",
             "consistency-window_outer-bool-coordinate",
+            "consistency-window_outer-area-overflows",
             "consistency-probe-bool-coordinates",
             "consistency-probe-outside-window_inner",
             "consistency-intrinsic-volume-index",

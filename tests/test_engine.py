@@ -24,7 +24,7 @@ from stitsim import (
 )
 from stitsim.geometry import clip_segments, scale_about_centroid, segment_rows
 from stitsim.measures import axis_aligned
-from stitsim.rules import RestrictedMeasure, RulePair, VertexCount
+from stitsim.rules import RestrictedMeasure, RulePair, VertexCount, rate
 
 from reference import check_tiling, live_cells, translate
 
@@ -69,6 +69,18 @@ class TestNewProcess:
         )
         target = math.pi / 4.0
         assert abs(mean - target) < 3 * target / math.sqrt(n)
+
+    @pytest.mark.parametrize("region", [None, rectangle(0.5, 0.5, 1.5, 1.5)], ids=["whole", "region"])
+    def test_handed_root_continues_the_seeded_trajectory(self, stit_rules, region):
+        # the replicate loop's private path: the generator after the root's draw, and the root's death
+        W = rectangle(0, 0, 2, 2)
+        for rep in range(20):
+            rng = np.random.default_rng((4, 1, rep))
+            death = engine.death_time(0.0, rng, rate(stit_rules.selection, W))
+            handed = new_process(W, stit_rules, (4, 1, rep), region=region, _root=(rng, death))
+            assert live_cells(handed) == live_cells(new_process(W, stit_rules, (4, 1, rep), region=region))
+            whole = new_process(W, stit_rules, (4, 1, rep), region=region).advance(2.0)
+            assert (handed.advance(2.0).segments, handed.births) == (whole.segments, whole.births)
 
 
 class TestAdvance:

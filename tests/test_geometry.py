@@ -72,6 +72,11 @@ class TestPolygonValidation:
         with pytest.raises(InvalidPolygon):
             Polygon([(0, 0), (1, 0), (float("nan"), 1)])
 
+    def test_rejects_an_area_that_overflows(self):
+        # finite vertices and perimeter, but twice the area is 2e310
+        with pytest.raises(InvalidPolygon, match="non-finite signed area"):
+            Polygon([(0, 0), (1e155, 0), (1e155, 1e155), (0, 1e155)])
+
     def test_duplicate_vertices_deduped(self):
         p = Polygon([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)])
         assert vertex_count(p) == 4

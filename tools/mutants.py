@@ -96,6 +96,34 @@ MUTANTS = [
         "",
         (f"{RATE}::test_any_aborted_replicate_raises", f"{RATE}::test_abort_in_a_child_share_raises"),
     ),
+    # the replicate loop's root screen: no state for a replicate whose root outlives the last time
+    Mutant(
+        "a root that dies at the last time screened out",
+        "analysis.py",
+        "if death > last:",
+        "if death >= last:",
+        (f"{CHUNK}::test_builds_a_state_only_for_a_root_that_dies_by_the_last_time",),
+    ),
+    Mutant(
+        "screen at the first time",
+        "analysis.py",
+        "if death > last:",
+        "if death > times[0]:",
+        (
+            f"{CHUNK}::test_equals_crops_of_snapshots_where_roots_outlive_a_time",
+            f"{PIPELINE}::test_discrete_statistics_are_pinned",
+        ),
+    ),
+    Mutant(
+        "root rate of V on arm 1",
+        "analysis.py",
+        "root_rate = rate(rules.selection, build_window)",
+        "root_rate = rate(rules.selection, V)",
+        (
+            f"{CHUNK}::test_equals_crops_of_snapshots_where_roots_outlive_a_time[cropped]",
+            f"{PIPELINE}::test_discrete_statistics_are_pinned[cropped]",
+        ),
+    ),
     # the forked map of a pooled consistency test
     Mutant(
         "results one share off",
