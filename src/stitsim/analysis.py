@@ -330,12 +330,13 @@ def _collect_chunk(
     law, not its seeded draws.  Arms 0 and 2 (`rate_estimate`'s) build in V.
     Replicate `rep` runs on the generator of seed (seed, arm, rep), from
     `replicate_seeds`, so its statistics do not depend on how the replicates
-    are chunked.  Its generator first draws the root's death; a replicate
-    whose root outlives the last time has no chord by then, and builds no
-    state.  Any other replicate builds one on that generator and that draw
-    (the root is kept, as V lies in W) and advances once, to the last time;
-    `times` must be ascending.  Each replicate that did not abort has a row
-    per time: `window_stats(crop(snapshot, V), probes)`.
+    are chunked.  The loop first draws the root's death from a generator of
+    its own; a replicate whose root outlives the last time has no chord by
+    then, and builds no state.  Any other replicate builds one from the seed,
+    which re-seeds and redraws the same death (the root is kept, as V lies in
+    W), and advances once, to the last time; `times` must be ascending.  Each
+    replicate that did not abort has a row per time:
+    `window_stats(crop(snapshot, V), probes)`.
     """
     arm, rep_start, rep_count = chunk
     build_window, region = (W, V) if arm == 1 else (V, None)
@@ -347,12 +348,11 @@ def _collect_chunk(
     counts: list[int] = []
     aborted = 0
     for rep_seed in replicate_seeds(seed, arm, rep_start, rep_count):
-        rng = default_rng(rep_seed)
-        death = death_time(0.0, rng, root_rate)
+        death = death_time(0.0, default_rng(rep_seed), root_rate)
         if death > last:  # advance pops a cell only at death_time <= t
             counts.append(0)
             continue
-        state = new_process(build_window, rules, rep_seed, region=region, _root=(rng, death))
+        state = new_process(build_window, rules, rep_seed, region=region)
         try:
             state.advance(last)
         except ReplicateAborted:

@@ -10,8 +10,9 @@ and minus children.  So a trajectory is a pure function of its seed (and its
 region, below), and advancing in stages equals advancing in one shot.  Life
 times are fixed at cell birth: death = birth + Exp(1)/rate(cell)
 (`death_time`).  The root's is the first draw, so the replicate loop
-(`analysis._collect_chunk`) draws it before it builds a state: a replicate
-whose root outlives the last time has no chord, and it builds no state.
+(`analysis._collect_chunk`) draws it first from a generator of its own: a
+replicate whose root outlives the last time has no chord, and it builds no
+state.  A state it does build re-seeds and redraws that same death.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class ProcessState:
         rules: RulePair,
         seed: int | tuple[int, ...],
         region: Polygon | None = None,
-        _root: tuple[np.random.Generator, float] | None = None,
     ):
         self.window = window
         self.rules = rules
@@ -92,13 +92,8 @@ class ProcessState:
         self._heap: list[Cell] = []
         self._next_index = 0
         self._keep = None if region is None else _keep_box(region, window)
-        if _root is None:
-            self._rng = np.random.default_rng(seed)
-            self._spawn(window, 0.0)
-        else:  # the generator of `seed` after its first draw, and the root's death from that draw
-            self._rng, death = _root
-            self._heap.append(Cell(death, 0, window))
-            self._next_index = 1
+        self._rng = np.random.default_rng(seed)
+        self._spawn(window, 0.0)
 
     def _spawn(self, polygon: Polygon, birth: float) -> None:
         keep = self._keep
@@ -159,18 +154,9 @@ def new_process(
     rules: RulePair,
     seed: int | tuple[int, ...],
     region: Polygon | None = None,
-    *,
-    _root: tuple[np.random.Generator, float] | None = None,
 ) -> ProcessState:
-    """A trajectory in W at time 0: one live cell, W itself.
-
-    `_root` is private to the replicate loop (`analysis._collect_chunk`): the
-    generator of `seed` that has drawn the root's life time, and the root's
-    `death_time(0.0, rng, rate(rules.selection, W))`, so that a replicate
-    builds one generator.  With it the state is the one `seed` alone gives.
-    The loop passes it only for W = V or V inside W, whose root is kept.
-    """
-    return ProcessState(W, rules, seed, region, _root)
+    """A trajectory in W at time 0: one live cell, W itself."""
+    return ProcessState(W, rules, seed, region)
 
 
 # Which cells a state with a region V may leave out.

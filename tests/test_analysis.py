@@ -43,6 +43,7 @@ from stitsim.analysis import (
     rate_estimate,
     window_stats,
 )
+from stitsim.engine import death_time, replicate_seeds
 from stitsim.geometry import scale_about_centroid
 from stitsim.measures import axis_aligned
 from stitsim.rules import (
@@ -60,6 +61,7 @@ from reference import (
     _reference_ks_two_sample,
     _reference_rate_estimate,
     _reference_window_stats,
+    live_cells,
 )
 
 
@@ -781,7 +783,7 @@ class TestChunkKernel:
         monkeypatch.setattr(
             analysis,
             "new_process",
-            lambda window, rules, seed, region=None, _root=None: _FixedChords(window, *plans[seed[2]]),
+            lambda window, rules, seed, region=None: _FixedChords(window, *plans[seed[2]]),
         )
         probes = default_probes(V) + [V, scale_about_centroid(V, 0.5)]
         times = [0.75, 1.5]
@@ -809,9 +811,9 @@ class TestChunkKernel:
         built = []
         real = analysis.new_process
 
-        def new_process_spy(window, rules, seed, region=None, _root=None):
+        def new_process_spy(window, rules, seed, region=None):
             built.append(seed[2])
-            return real(window, rules, seed, region=region, _root=_root)
+            return real(window, rules, seed, region=region)
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
         table, aborted = _collect_chunk(stit_rules, unit_square, W, times, probes, 5, (arm, 0, 40))
@@ -837,6 +839,32 @@ class TestChunkKernel:
                 column.append(window_stats(crop(snap, unit_square), probes))
         assert _stats(table) == expected
 
+    @pytest.mark.parametrize("pair", ["stit", "area-point-driven", "vertex-count"])
+    @pytest.mark.parametrize("arm", [0, 1, 2])
+    def test_screen_draws_the_root_death_of_the_state(self, unit_square, iso_measure, monkeypatch, arm, pair):
+        # the screen seeds a generator of its own; a state of the same seed re-seeds and redraws the same float
+        rules = {
+            "stit": stit_pair(iso_measure),
+            "area-point-driven": RulePair(IntrinsicVolume(2), PointDriven()),
+            "vertex-count": RulePair(VertexCount(), RestrictedMeasure(iso_measure)),
+        }[pair]
+        W = rectangle(-1, -1, 2, 2)
+        screened = []
+
+        def death_time_spy(birth, rng, cell_rate):
+            screened.append(death_time(birth, rng, cell_rate))
+            return math.inf  # screened out: no state
+
+        monkeypatch.setattr(analysis, "death_time", death_time_spy)
+        table, aborted = _collect_chunk(rules, unit_square, W, [1.0], [], 17, (arm, 0, 50))
+        assert aborted == 0 and not table[0, :, 1].any()
+        seeds = list(replicate_seeds(17, arm, 0, 50))
+        for build, region in [(unit_square, None), (W, unit_square)]:  # the loop builds arm 1 in W with region V
+            roots = [live_cells(new_process(build, rules, s, region=region))[0].death_time for s in seeds]
+            assert [death_time(0.0, np.random.default_rng(s), rate(rules.selection, build)) for s in seeds] == roots
+            if (region is not None) == (arm == 1):
+                assert screened == roots
+
     def test_aborted_replicate_is_left_out_of_every_time(self, unit_square, stit_rules, monkeypatch):
         W = rectangle(0, 0, 2, 2)
         probes = default_probes(unit_square)
@@ -852,8 +880,8 @@ class TestChunkKernel:
                     raise ReplicateAborted("spy: aborted between the first and the last time")
                 return self.state.advance(t)
 
-        def new_process_spy(window, rules, seed, region=None, _root=None):
-            state = real(window, rules, seed, region=region, _root=_root)
+        def new_process_spy(window, rules, seed, region=None):
+            state = real(window, rules, seed, region=region)
             return AbortsAfterFirstTime(state) if seed[2] == 2 else state
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
@@ -870,8 +898,8 @@ class TestChunkKernel:
             def advance(self, t):
                 raise ReplicateAborted("spy: always aborts")
 
-        def new_process_spy(window, rules, seed, region=None, _root=None):
-            return Aborts() if seed[1:] == (1, 0) else real(window, rules, seed, region=region, _root=_root)
+        def new_process_spy(window, rules, seed, region=None):
+            return Aborts() if seed[1:] == (1, 0) else real(window, rules, seed, region=region)
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
         table, aborted = _collect_chunk(stit_rules, unit_square, W, [0.5, 1.0], probes, 7, (1, 0, 1))
@@ -951,7 +979,7 @@ class TestRateEstimate:
         monkeypatch.setattr(
             analysis,
             "new_process",
-            lambda V, rules, seed, region=None, _root=None: _FixedChords(
+            lambda V, rules, seed, region=None: _FixedChords(
                 V, plans[seed[2]], [0.001] * len(plans[seed[2]])
             ),
         )
@@ -964,8 +992,8 @@ class TestRateEstimate:
             def advance(self, t):
                 raise ReplicateAborted("stand-in: aborts")
 
-        def new_process_spy(window, rules, seed, region=None, _root=None):
-            return Aborts() if seed[2] == 3 else real(window, rules, seed, region=region, _root=_root)
+        def new_process_spy(window, rules, seed, region=None):
+            return Aborts() if seed[2] == 3 else real(window, rules, seed, region=region)
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
         with pytest.raises(ReplicateAborted, match="1 of 50 replicates"):
@@ -981,9 +1009,9 @@ class TestRateEstimate:
             def advance(self, t):
                 raise ReplicateAborted("stand-in: aborts")
 
-        def new_process_spy(window, rules, seed, region=None, _root=None):
+        def new_process_spy(window, rules, seed, region=None):
             aborts = seed[2] == 2099 and os.getpid() != parent
-            return Aborts() if aborts else real(window, rules, seed, region=region, _root=_root)
+            return Aborts() if aborts else real(window, rules, seed, region=region)
 
         monkeypatch.setattr(analysis, "new_process", new_process_spy)
         monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)

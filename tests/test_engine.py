@@ -24,7 +24,7 @@ from stitsim import (
 )
 from stitsim.geometry import clip_segments, scale_about_centroid, segment_rows
 from stitsim.measures import axis_aligned
-from stitsim.rules import RestrictedMeasure, RulePair, VertexCount, rate
+from stitsim.rules import RestrictedMeasure, RulePair, VertexCount
 
 from reference import check_tiling, live_cells, translate
 
@@ -69,18 +69,6 @@ class TestNewProcess:
         )
         target = math.pi / 4.0
         assert abs(mean - target) < 3 * target / math.sqrt(n)
-
-    @pytest.mark.parametrize("region", [None, rectangle(0.5, 0.5, 1.5, 1.5)], ids=["whole", "region"])
-    def test_handed_root_continues_the_seeded_trajectory(self, stit_rules, region):
-        # the replicate loop's private path: the generator after the root's draw, and the root's death
-        W = rectangle(0, 0, 2, 2)
-        for rep in range(20):
-            rng = np.random.default_rng((4, 1, rep))
-            death = engine.death_time(0.0, rng, rate(stit_rules.selection, W))
-            handed = new_process(W, stit_rules, (4, 1, rep), region=region, _root=(rng, death))
-            assert live_cells(handed) == live_cells(new_process(W, stit_rules, (4, 1, rep), region=region))
-            whole = new_process(W, stit_rules, (4, 1, rep), region=region).advance(2.0)
-            assert (handed.advance(2.0).segments, handed.births) == (whole.segments, whole.births)
 
 
 class TestAdvance:
@@ -365,6 +353,35 @@ def test_keep_box_is_computed_once_per_window_pair():
     box = engine._keep_box(V, W)
     assert engine._keep_box(Polygon(V.vertices), Polygon(W.vertices)) is box
     assert engine._keep_box.__wrapped__(V, W) == box
+
+
+def _crossings(segments, p, q):
+    """How many of the segments cross the segment pq, each at one interior point of both."""
+    rows = segment_rows(segments)
+    a, b = rows[:, :2], rows[:, 2:]
+    p, q = np.array(p), np.array(q)
+
+    def side(o, d, xy):  # the sign of the turn o -> d -> xy, row by row
+        u, v = d - o, xy - o
+        return np.sign(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+
+    return int(np.sum((side(p, q, a) * side(p, q, b) < 0) & (side(a, b, p) * side(a, b, q) < 0)))
+
+
+@pytest.mark.parametrize("S", [((0.2, 0.5), (0.8, 0.5)), ((0.2, 0.2), (0.7, 0.7))], ids=["across", "diagonal"])
+@pytest.mark.parametrize("arm", [0, 1], ids=["direct", "cropped"])
+def test_crossings_of_a_fixed_segment_are_poisson(unit_square, stit_rules, arm, S):
+    # law (ii): the chords of STIT (intensity 1) crossing a fixed segment S number
+    # Poisson(t * 2|S|/pi), built in V or built in W with region V and cropped to V
+    build, region = (rectangle(0, 0, 3, 3), unit_square) if arm else (unit_square, None)
+    t, n = 1.5, 2000
+    counts = np.array([
+        _crossings(new_process(build, stit_rules, seed, region=region).snapshots([t])[0].segments, *S)
+        for seed in engine.replicate_seeds(2502, arm, 0, n)
+    ])
+    lam = t * 2 * math.dist(*S) / math.pi  # 0.573 across, 0.675 on the diagonal
+    assert abs(counts.mean() - lam) < 4.5 * counts.std(ddof=1) / math.sqrt(n)
+    assert abs(counts.var(ddof=1) / counts.mean() - 1.0) < 0.2
 
 
 def _draws(seed):

@@ -124,6 +124,23 @@ MUTANTS = [
             f"{PIPELINE}::test_discrete_statistics_are_pinned[cropped]",
         ),
     ),
+    Mutant(
+        "screen seeded with rep + 1",
+        "analysis.py",
+        "death = death_time(0.0, default_rng(rep_seed), root_rate)",
+        "death = death_time(0.0, default_rng((*rep_seed[:2], rep_seed[2] + 1)), root_rate)",
+        (
+            f"{CHUNK}::test_screen_draws_the_root_death_of_the_state",
+            f"{CHUNK}::test_builds_a_state_only_for_a_root_that_dies_by_the_last_time",
+        ),
+    ),
+    Mutant(
+        "every stream but 0 built in W",
+        "analysis.py",
+        "if arm == 1 else (V, None)",
+        "if arm else (V, None)",
+        (f"{CHUNK}::test_screen_draws_the_root_death_of_the_state[2-stit]",),
+    ),
     # the forked map of a pooled consistency test
     Mutant(
         "results one share off",
@@ -527,16 +544,6 @@ MUTANTS = [
 
 # Mutants that no test can kill, with the reason.  They are run too, and must survive.
 SURVIVORS = [
-    (
-        Mutant(
-            "every stream but 0 built in W",
-            "analysis.py",
-            "if arm == 1 else (V, None)",
-            "if arm else (V, None)",
-            (RATE, "tests/test_analysis.py::TestChunkKernel"),
-        ),
-        "only rate_estimate uses stream 2, and it passes W = V: a region V in V leaves no cell out, so the draws are equal",
-    ),
     (
         Mutant(
             "<= for < on the exact identities",
