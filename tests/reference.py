@@ -1,20 +1,24 @@
 """Exact scalar references for the polygon constructor, containment,
-clipping, hit tests, crop, window statistics, the two-sample tests and the
-rate estimate, and the helpers only the tests use.
+clipping, hit tests, crop, window statistics, the two-sample tests, the
+rate estimate and the dump and SVG writers, and the helpers only the tests use.
 
 The geometric references work one point, segment and edge at a time in
 plain Python and share no code with `stitsim.geometry` (its polygon builder
 and the array kernels `clip_segments`, `segments_hit_polygon`,
 `edge_margins`), so a test that compares the two compares independent
 arithmetic.  The two-sample references are scipy's own tests, one pair of
-samples per call.
+samples per call.  The writers format one chord at a time with plain
+Python floats, for comparison with the block-wise array writers of
+`stitsim.output`.
 """
 
+import json
 import math
 
 import numpy as np
 
 from stitsim.analysis import WindowStats
+from stitsim.config import rules_to_dict
 from stitsim.engine import MIN_CHORD_REL, new_process, replicate_seeds
 from stitsim.geometry import SNAP_REL, Polygon, Segment, segment_rows, segments_hit_polygon
 
@@ -202,3 +206,90 @@ def _reference_rate_estimate(rules, V, B, dt, n_reps, seed=0):
     hit = segments_hit_polygon(segment_rows(chords), B)
     hits = len(np.unique(np.array(owner, dtype=int)[hit]))
     return hits / (n_reps * dt)
+
+
+def _fmt(x):
+    return format(x, ".17g")
+
+
+def _reference_dump_geometry(state, path):
+    """`dump_geometry`, one f-string per record."""
+    meta = {
+        "seed": state.seed,
+        "time": state.clock,
+        "rules": rules_to_dict(state.rules),
+        "window": [list(v) for v in state.window.vertices],
+        "n_segments": len(state.segments),
+    }
+    with open(path, "w") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        for seg, birth in zip(state.segments, state.births):
+            fh.write(f"{_fmt(seg.p[0])} {_fmt(seg.p[1])} {_fmt(seg.q[0])} {_fmt(seg.q[1])} {_fmt(birth)}\n")
+
+
+_REFERENCE_CMAP = [
+    (0.267, 0.005, 0.329),
+    (0.283, 0.141, 0.458),
+    (0.254, 0.265, 0.530),
+    (0.207, 0.372, 0.553),
+    (0.164, 0.471, 0.558),
+    (0.128, 0.567, 0.551),
+    (0.135, 0.659, 0.518),
+    (0.267, 0.749, 0.441),
+    (0.478, 0.821, 0.318),
+    (0.741, 0.873, 0.150),
+    (0.993, 0.906, 0.144),
+]
+
+
+def _reference_blend(t):
+    """The RGB of t on the ramp, each channel in [0, 1] before scaling to 255."""
+    t = min(1.0, max(0.0, t))
+    x = t * (len(_REFERENCE_CMAP) - 1)
+    i = min(int(x), len(_REFERENCE_CMAP) - 2)
+    f = x - i
+    return [(1 - f) * a + f * b for a, b in zip(_REFERENCE_CMAP[i], _REFERENCE_CMAP[i + 1])]
+
+
+def _reference_color(t):
+    return "#" + "".join(f"{round(255 * c):02x}" for c in _reference_blend(t))
+
+
+def _reference_render_svg(state, path):
+    """`render_svg`, one f-string per coordinate and one list of all lines, joined once."""
+    window = state.window
+    xs = [v[0] for v in window.vertices]
+    ys = [v[1] for v in window.vertices]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    span = max(x1 - x0, y1 - y0)
+    margin = 0.04 * span
+    scale = 640 / (span + 2 * margin)
+
+    def sx(x):
+        return f"{(x - x0 + margin) * scale:.3f}"
+
+    def sy(y):
+        return f"{(y1 - y + margin) * scale:.3f}"
+
+    w = (x1 - x0 + 2 * margin) * scale
+    h = (y1 - y0 + 2 * margin) * scale
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
+        f'viewBox="0 0 {w:.3f} {h:.3f}">',
+        f'<rect width="{w:.3f}" height="{h:.3f}" fill="white"/>',
+        '<polygon points="'
+        + " ".join(f"{sx(vx)},{sy(vy)}" for vx, vy in window.vertices)
+        + '" fill="none" stroke="black" stroke-width="1.5"/>',
+    ]
+    sw = max(0.6, 0.0015 * 640)
+    for seg, birth in zip(state.segments, state.births):
+        color = _reference_color(birth / state.clock if state.clock > 0 else 0.0)
+        lines.append(
+            f'<line x1="{sx(seg.p[0])}" y1="{sy(seg.p[1])}" '
+            f'x2="{sx(seg.q[0])}" y2="{sy(seg.q[1])}" '
+            f'stroke="{color}" stroke-width="{sw:.2f}" stroke-linecap="round"/>'
+        )
+    lines.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -367,8 +367,9 @@ class TestLoadGeometry:
             ('# {"n_segments": 1}\n1 2 3 x 5\n', ":2:"),
             ('# {"n_segments": 1\n0 0 1 1 0.5\n', ":1:"),
             ("# [1]\n0 0 1 1 0.5\n", ":1:"),
+            ('# {"n_segments": 2}\n0 0 1 1 0.5\n0 nan 1 inf 0.5\n', ":3:"),
         ],
-        ids=["non-numeric-field", "broken-json-header", "header-not-an-object"],
+        ids=["non-numeric-field", "broken-json-header", "header-not-an-object", "non-finite-field"],
     )
     def test_malformed_dump_raises_config_error(self, tmp_path, text, where):
         path = tmp_path / "dump.txt"

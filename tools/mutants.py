@@ -45,6 +45,7 @@ BAD_INPUT = "tests/test_config_cli.py::TestCliBadInput::test_exits_1_with_config
 VALIDATION = "tests/test_config_cli.py::TestConfigValidation"
 RULES = "tests/test_config_cli.py::TestRulesParsing"
 CLI_SIMULATE = "tests/test_config_cli.py::TestCliSimulate"
+WRITERS = "tests/test_output.py::test_writers_equal_the_references"
 
 
 class Mutant(NamedTuple):
@@ -529,16 +530,45 @@ MUTANTS = [
     Mutant(
         "dump records in reverse order",
         "output.py",
-        '+ "\\n")\n        for seg, birth in zip(state.segments, state.births):',
-        '+ "\\n")\n        for seg, birth in zip(state.segments[::-1], state.births[::-1]):',
-        (f"{CLI_SIMULATE}::test_isotropic_outputs_are_pinned",),
+        "np.column_stack([rows, births])",
+        "np.column_stack([rows, births])[::-1]",
+        (f"{CLI_SIMULATE}::test_isotropic_outputs_are_pinned", f"{WRITERS}[random]"),
     ),
     Mutant(
         "dump numbers to 16 digits",
         "output.py",
-        'format(x, ".17g")',
-        'format(x, ".16g")',
+        '"%.17g %.17g %.17g %.17g %.17g\\n"',
+        '"%.16g %.16g %.16g %.16g %.16g\\n"',
         (f"{CLI_SIMULATE}::test_isotropic_outputs_are_pinned", f"{CLI_SIMULATE}::test_dump_roundtrip"),
+    ),
+    # the SVG's colours and the writers' blocks
+    Mutant(
+        "colour channels rounded half up",
+        "output.py",
+        "np.rint(255 * ((1 - f) * _CMAP[i] + f * _CMAP[i + 1]))",
+        "np.floor(255 * ((1 - f) * _CMAP[i] + f * _CMAP[i + 1]) + 0.5)",
+        (f"{WRITERS}[halves-rounded-to-even]",),
+    ),
+    Mutant(
+        "no cap on the ramp interval",
+        "output.py",
+        "i = np.minimum(x.astype(int), len(_CMAP) - 2)",
+        "i = x.astype(int)",
+        (f"{WRITERS}[birth-at-the-clock]", f"{WRITERS}[ramp-anchors]"),
+    ),
+    Mutant(
+        "no [0, 1] clip on the ramp",
+        "output.py",
+        "t = np.clip(births / clock if clock > 0 else np.zeros_like(births), 0.0, 1.0)",
+        "t = births / clock if clock > 0 else np.zeros_like(births)",
+        (f"{WRITERS}[births-outside-0-to-the-clock]",),
+    ),
+    Mutant(
+        "last partial block skipped",
+        "output.py",
+        "for lo in range(0, len(state.segments), BLOCK):",
+        "for lo in range(0, len(state.segments) - BLOCK + 1, BLOCK):",
+        (f"{WRITERS}[one-block-plus-one]", f"{WRITERS}[random]"),
     ),
 ]
 
