@@ -8,6 +8,7 @@ check failed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -138,7 +139,16 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = parse(raw)
-        return run(cfg, args)
+        # A trajectory makes no reference cycles, so the cyclic collector
+        # would only rescan it; the cycles of argparse and the config are
+        # collected once the command returns.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return run(cfg, args)
+        finally:
+            if was_enabled:
+                gc.enable()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

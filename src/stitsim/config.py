@@ -238,9 +238,9 @@ def parse_simulate(cfg: dict) -> dict:
     if t <= 0 or not math.isfinite(t):
         raise ConfigError("config.time: must be positive and finite")
     prefix = cfg.get("out_prefix", "tessellation")
-    if not isinstance(prefix, str) or any(c in prefix for c in ("/", os.sep, "\0")):
+    if not isinstance(prefix, str) or not prefix or any(c in prefix for c in ("/", os.sep, "\0")):
         raise ConfigError(
-            f"config.out_prefix: expected a file name (no path separator or NUL byte), got {prefix!r}"
+            f"config.out_prefix: expected a non-empty file name (no path separator or NUL byte), got {prefix!r}"
         )
     window = parse_window(cfg["window"], "config.window")
     rules = parse_rules(cfg["rules"])

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stitsim import analysis
+from stitsim import analysis, cli
 from stitsim.cli import build_parser, main
 from stitsim.config import (
     ConfigError,
@@ -25,6 +26,7 @@ from stitsim.config import (
     parse_verify,
     rules_to_dict,
 )
+from stitsim.errors import StitsimError
 from stitsim.measures import HyperplaneMeasure, axis_aligned
 from stitsim.output import load_geometry
 from stitsim.rules import HittingMeasure, IntrinsicVolume, PointDriven, RestrictedMeasure, RulePair, VertexCount
@@ -272,6 +274,13 @@ class TestConfigValidation:
         else:
             with pytest.raises(ConfigError, match="event cap"):
                 parse(cfg)
+
+    @pytest.mark.parametrize(
+        "prefix", ["sub/x", "a\0b", "", 3], ids=["path", "nul", "empty", "not-a-string"]
+    )
+    def test_out_prefix_must_be_a_file_name(self, prefix):
+        with pytest.raises(ConfigError, match="out_prefix"):
+            parse_simulate(dict(SIMULATE, out_prefix=prefix))
 
     def test_verify_unknown_identity_rejected(self):
         with pytest.raises(ConfigError):
@@ -527,6 +536,7 @@ class TestCliBadInput:
             ("simulate", SIMULATE, "rules", {"stit": {"measure": {"intensity": None, "directions": "isotropic"}}}),
             ("simulate", SIMULATE, "out_prefix", "sub/x"),
             ("simulate", SIMULATE, "out_prefix", "a\0b"),
+            ("simulate", SIMULATE, "out_prefix", ""),
             ("simulate", SIMULATE, "time", True),
             ("simulate", SIMULATE, "window", [["0", "0"], [1, 0], [True, True], [0, 1]]),
             ("simulate", SIMULATE, "window", [[0, 0], [1, 0], [True, True], [0, 1]]),
@@ -587,6 +597,7 @@ class TestCliBadInput:
             "simulate-intensity-null",
             "simulate-out_prefix-path",
             "simulate-out_prefix-nul",
+            "simulate-out_prefix-empty",
             "simulate-time-bool",
             "simulate-window-string-and-bool-coordinates",
             "simulate-window-bool-coordinates",
@@ -675,6 +686,73 @@ class TestCliBadInput:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", "unread.json", "--threads", "2"])
         assert exc.value.code == 2
+
+
+class TestCliPausesTheCollector:
+    """Each command runs with the cyclic garbage collector off, and `main` gives it back as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def collector_back_on(self):
+        yield
+        gc.enable()  # whatever a failed test left, the rest of the suite runs with it on
+
+    @pytest.fixture
+    def run_stub(self, tmp_path, monkeypatch):
+        """Runs `main` on a `simulate` whose command returns or raises `outcome`; returns (exit code, collector on inside)."""
+        cfg = write_config(tmp_path, {})
+        inside = []
+
+        def run(outcome):
+            def command(cfg, args):
+                inside.append(gc.isenabled())
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                return outcome
+
+            monkeypatch.setitem(cli._COMMANDS, "simulate", (lambda raw: raw, command))
+            return main(["simulate", "--config", cfg, "--out", str(tmp_path)]), inside.pop()
+
+        return run
+
+    @pytest.mark.parametrize(
+        "outcome, code",
+        [(0, 0), (2, 2), (ConfigError("bad"), 1), (StitsimError("failed"), 1), (OSError("disk"), 1)],
+        ids=["return-0", "return-2", "config-error", "stitsim-error", "os-error"],
+    )
+    def test_command_runs_paused_and_the_collector_comes_back(self, run_stub, outcome, code):
+        assert run_stub(outcome) == (code, False)
+        assert gc.isenabled()
+
+    def test_collector_comes_back_when_an_unexpected_exception_propagates(self, run_stub):
+        with pytest.raises(ZeroDivisionError):
+            run_stub(ZeroDivisionError())
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("outcome", [0, OSError("disk")], ids=["return-0", "os-error"])
+    def test_a_caller_that_paused_the_collector_keeps_it_paused(self, run_stub, outcome):
+        gc.disable()
+        try:
+            assert run_stub(outcome)[1] is False
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_cyclic_garbage_of_a_simulate_does_not_grow_with_time(self, tmp_path, capsys):
+        def garbage(time):
+            cfg = write_config(tmp_path, {**SIMULATE, "time": time})
+            gc.collect()
+            gc.disable()  # main leaves it off, so every cycle of the call is still there to count
+            try:
+                assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        garbage(1.0)  # first-call caches
+        short = garbage(1.0)
+        long = garbage(100.0)
+        assert int(re.search(r"\((\d+) segments\)", capsys.readouterr().out.splitlines()[-1])[1]) > 3000
+        assert long <= short
 
 
 class TestCliRate:

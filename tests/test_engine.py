@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import pickle
@@ -353,6 +354,44 @@ def test_keep_box_is_computed_once_per_window_pair():
     box = engine._keep_box(V, W)
     assert engine._keep_box(Polygon(V.vertices), Polygon(W.vertices)) is box
     assert engine._keep_box.__wrapped__(V, W) == box
+
+
+def _stit_chords():
+    return len(new_process(rectangle(0.0, 0.0, 1.0, 1.0), stit_pair(ISO), 1).advance(100.0).segments)
+
+
+def _vertex_count_chords():
+    rules = RulePair(VertexCount(), RestrictedMeasure(ISO))
+    return len(new_process(rectangle(0.0, 0.0, 1.0, 1.0), rules, (1, 0, 110)).advance(1.5).segments)
+
+
+def _area_point_driven_chords():
+    rules = RulePair(IntrinsicVolume(2), PointDriven())
+    return len(new_process(rectangle(0.0, 0.0, 3.0, 3.0), rules, 2).advance(40.0).segments)
+
+
+def _region_crop_chords():
+    V, W = REGIONS["square"]
+    state = new_process(W, stit_pair(ISO), 3, region=V)
+    snaps = state.snapshots([0.75, 1.5])
+    return len(snaps[-1].segments) + len(crop(state, rectangle(0.25, 0.25, 0.75, 0.75)).segments)
+
+
+@pytest.mark.parametrize(
+    "build, least",
+    [(_stit_chords, 2000), (_vertex_count_chords, 300), (_area_point_driven_chords, 200), (_region_crop_chords, 1)],
+    ids=["stit", "vertex-count", "area-point-driven", "region-snapshots-crop"],
+)
+def test_trajectories_make_no_reference_cycles(build, least):
+    # The CLI runs each command with the cyclic collector paused; that is safe
+    # only while a trajectory, once dropped, is freed by reference counts alone.
+    gc.collect()
+    gc.disable()
+    try:
+        assert build() >= least  # everything it built is dropped on return
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _crossings(segments, p, q):

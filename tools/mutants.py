@@ -46,6 +46,7 @@ VALIDATION = "tests/test_config_cli.py::TestConfigValidation"
 RULES = "tests/test_config_cli.py::TestRulesParsing"
 CLI_SIMULATE = "tests/test_config_cli.py::TestCliSimulate"
 WRITERS = "tests/test_output.py::test_writers_equal_the_references"
+PAUSE = "tests/test_config_cli.py::TestCliPausesTheCollector"
 
 
 class Mutant(NamedTuple):
@@ -462,6 +463,13 @@ MUTANTS = [
         (f"{BAD_INPUT}[simulate-out_prefix-path]",),
     ),
     Mutant(
+        "empty out_prefix accepted",
+        "config.py",
+        "not isinstance(prefix, str) or not prefix or any(",
+        "not isinstance(prefix, str) or any(",
+        (f"{BAD_INPUT}[simulate-out_prefix-empty]", f"{VALIDATION}::test_out_prefix_must_be_a_file_name[empty]"),
+    ),
+    Mutant(
         "key of another rule kind accepted",
         "config.py",
         '_require_keys(spec, path, ["kind", *required], optional)',
@@ -569,6 +577,43 @@ MUTANTS = [
         "for lo in range(0, len(state.segments), BLOCK):",
         "for lo in range(0, len(state.segments) - BLOCK + 1, BLOCK):",
         (f"{WRITERS}[one-block-plus-one]", f"{WRITERS}[random]"),
+    ),
+    # the CLI's collector pause
+    Mutant(
+        "collector not paused",
+        "cli.py",
+        "        gc.disable()\n",
+        "",
+        (f"{PAUSE}::test_command_runs_paused_and_the_collector_comes_back[return-0]",),
+    ),
+    Mutant(
+        "collector not restored on an error path",
+        "cli.py",
+        """        try:
+            return run(cfg, args)
+        finally:
+            if was_enabled:
+                gc.enable()
+""",
+        """        code = run(cfg, args)
+        if was_enabled:
+            gc.enable()
+        return code
+""",
+        (
+            f"{PAUSE}::test_command_runs_paused_and_the_collector_comes_back[config-error]",
+            f"{PAUSE}::test_command_runs_paused_and_the_collector_comes_back[stitsim-error]",
+            f"{PAUSE}::test_command_runs_paused_and_the_collector_comes_back[os-error]",
+            f"{PAUSE}::test_collector_comes_back_when_an_unexpected_exception_propagates",
+        ),
+    ),
+    Mutant(
+        "collector enabled whatever the caller had",
+        "cli.py",
+        """            if was_enabled:
+                gc.enable()""",
+        """            gc.enable()""",
+        (f"{PAUSE}::test_a_caller_that_paused_the_collector_keeps_it_paused",),
     ),
 ]
 
