@@ -539,9 +539,8 @@ def nu_limit(rules: RulePair, H_probe: Polygon, sizes: Sequence[float]) -> NuEst
     """
     if any(s2 <= s1 for s1, s2 in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
-    if not rules.stit_flag:
+    if (measure := rules.stit_measure) is None:
         raise ValueError("nu_limit needs a shared-measure (selection = division) pair")
-    measure = rules.division.measure
     values = []
     limit_reached = False
     for s in sizes:
@@ -620,7 +619,7 @@ def _corollary(rules: RulePair, rng) -> float:
 
 def _nu_limit(rules: RulePair, rng) -> float:
     """The worst monotonicity violation or gap to the limit; inf for a probe the 16x16 square never contains."""
-    if not rules.stit_flag:
+    if (measure := rules.stit_measure) is None:
         raise _NotApplicable("needs a shared-measure pair")
     probe = random_convex_polygon(
         rng, n_points=6, scale=0.5, center=(rng.standard_normal(), rng.standard_normal())
@@ -628,7 +627,7 @@ def _nu_limit(rules: RulePair, rng) -> float:
     est = nu_limit(rules, probe, [1.0, 2.0, 4.0, 8.0, 16.0])
     if not est.limit_reached:
         return math.inf
-    target = hitting_mass(rules.division.measure, probe)
+    target = hitting_mass(measure, probe)
     gaps = [(v1 - v2) / target for v1, v2 in zip(est.values, est.values[1:])]
     return max(gaps + [abs(est.values[-1] - target) / target])
 

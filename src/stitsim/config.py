@@ -158,8 +158,8 @@ def parse_rules(spec: Any, path: str = "rules") -> RulePair:
 
 
 def rules_to_dict(rules: RulePair) -> dict:
-    if rules.stit_flag:
-        return {"stit": {"measure": measure_to_dict(rules.division.measure)}}
+    if (measure := rules.stit_measure) is not None:
+        return {"stit": {"measure": measure_to_dict(measure)}}
     sel = rules.selection
     if isinstance(sel, IntrinsicVolume):
         sel_d: dict = {"kind": "intrinsic_volume", "index": sel.index}
@@ -301,8 +301,8 @@ def parse_verify(cfg: dict) -> dict:
     )
     _check_version_and_seed(cfg)
     idents = cfg["identities"]
-    if not isinstance(idents, list):
-        raise ConfigError("config.identities: expected a list")
+    if not isinstance(idents, list) or not idents:
+        raise ConfigError(f"config.identities: expected a non-empty list of identity names (known: {list(IDENTITIES)})")
     for name in idents:
         if not isinstance(name, str) or name not in IDENTITIES:
             raise ConfigError(

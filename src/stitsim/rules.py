@@ -74,13 +74,11 @@ class RulePair:
     division: DivisionRule
 
     @property
-    def stit_flag(self) -> bool:
-        """True only when selection and division share one identical measure object."""
-        return (
-            isinstance(self.selection, HittingMeasure)
-            and isinstance(self.division, RestrictedMeasure)
-            and self.selection.measure is self.division.measure
-        )
+    def stit_measure(self) -> HyperplaneMeasure | None:
+        """The pair's STIT line measure: the one measure object that selection and division both hold; else None."""
+        sel, div = self.selection, self.division
+        shared = isinstance(sel, HittingMeasure) and isinstance(div, RestrictedMeasure) and sel.measure is div.measure
+        return sel.measure if shared else None
 
 
 def stit_pair(measure: HyperplaneMeasure) -> RulePair:
@@ -115,8 +113,8 @@ def min_expected_chords(rules: RulePair, W: Polygon, t: float) -> float:
     if isinstance(r, IntrinsicVolume) and r.index == 0:
         return math.expm1(min(t, 700.0))
     n = t * rate(r, W)
-    if rules.stit_flag and isinstance(r.measure.directions, Isotropic):
-        intensity = r.measure.intensity
+    if (measure := rules.stit_measure) is not None and isinstance(measure.directions, Isotropic):
+        intensity = measure.intensity
         n += intensity * intensity * t * t * W.area / math.pi
     return n
 

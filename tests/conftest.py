@@ -40,8 +40,10 @@ def rng():
 
 def trapezoid_width_integral(poly, n=256):
     """Independent quadrature oracle for the isotropic hitting mass (intensity 1)."""
+    from scipy.integrate import trapezoid  # np.trapezoid is NumPy >= 2.0 only
+
     from stitsim.geometry import width
 
     thetas = np.linspace(0.0, math.pi, n + 1)
     vals = [width(poly, t) for t in thetas]
-    return np.trapezoid(vals, thetas) / math.pi
+    return trapezoid(vals, thetas) / math.pi

@@ -74,15 +74,15 @@ def _stats(table):
 
 
 @pytest.fixture
-def in_process_pool(monkeypatch):
+def in_process_map(monkeypatch):
     """Replaces the forked map by one that maps in this process; returns the n_jobs it is asked for."""
     asked = []
 
-    def in_process_map(n_jobs, work, chunks):
+    def map_here(n_jobs, work, chunks):
         asked.append(n_jobs)
         return list(map(work, chunks))
 
-    monkeypatch.setattr(analysis, "_forked_map", in_process_map)
+    monkeypatch.setattr(analysis, "_forked_map", map_here)
     return asked
 
 
@@ -268,6 +268,20 @@ class TestBatchedTestsMatchScipy:
         assert stat.shape == p.shape == (0,)
 
 
+def _abort_first_replicates(monkeypatch, arm, n):
+    """Makes replicates 0 to n - 1 of the arm abort; with `roots_die_at_once`, the screen lets them through."""
+    real = analysis.new_process
+
+    class Aborts:
+        def advance(self, t):
+            raise ReplicateAborted("stand-in: aborts")
+
+    def new_process_spy(window, rules, seed, region=None):
+        return Aborts() if seed[1] == arm and seed[2] < n else real(window, rules, seed, region=region)
+
+    monkeypatch.setattr(analysis, "new_process", new_process_spy)
+
+
 class TestConsistencyPipeline:
     def test_null_same_window_not_rejected(self, unit_square, stit_rules):
         report = consistency_test(
@@ -287,6 +301,18 @@ class TestConsistencyPipeline:
             if report.verdict != CONSISTENT:
                 rejections += 1
         assert rejections / runs <= alpha + 0.02
+
+    @pytest.mark.parametrize("arm", [0, 1], ids=["direct", "cropped"])
+    def test_one_aborted_replicate_in_100_is_reported(self, unit_square, stit_rules, monkeypatch, roots_die_at_once, arm):
+        _abort_first_replicates(monkeypatch, arm, 1)
+        report = consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5], 100, seed=7).to_dict()
+        assert (report["aborted_direct"], report["aborted_cropped"]) == ((1, 0) if arm == 0 else (0, 1))
+
+    @pytest.mark.parametrize("arm, counts", [(0, "2/0"), (1, "0/2")], ids=["direct", "cropped"])
+    def test_two_aborted_replicates_in_100_raise(self, unit_square, stit_rules, monkeypatch, roots_die_at_once, arm, counts):
+        _abort_first_replicates(monkeypatch, arm, 2)
+        with pytest.raises(ReplicateAborted, match=f"^too many aborted replicates: {counts} of 100 per arm$"):
+            consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5], 100, seed=7)
 
     def test_area_selection_detected_inconsistent(self, unit_square, iso_measure):
         pair = RulePair(IntrinsicVolume(2), RestrictedMeasure(iso_measure))
@@ -322,14 +348,14 @@ class TestConsistencyPipeline:
                 assert np.array_equal(alone[:, 0], whole[:, rep])
 
     @pytest.mark.parametrize("cores, pool", [(2, [2]), (None, [1])], ids=["two-cores", "unknown-cores"])
-    def test_workers_bounded_by_cores(self, unit_square, stit_rules, monkeypatch, in_process_pool, cores, pool):
+    def test_workers_bounded_by_cores(self, unit_square, stit_rules, monkeypatch, in_process_map, cores, pool):
         # 100000 real processes would be 99999 forks; the in-process map starts none.
         # Where the OS reports no affinity set, the bound is os.cpu_count(), or 1.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         W = rectangle(0, 0, 2, 2)
         bounded = consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3, n_jobs=100_000)
-        assert in_process_pool == pool
+        assert in_process_map == pool
         assert bounded.to_dict() == consistency_test(stit_rules, unit_square, W, [0.5], 100, seed=3).to_dict()
 
     @pytest.mark.parametrize(
@@ -376,7 +402,7 @@ class TestConsistencyPipeline:
         assert consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 130, seed=3).to_dict() == whole.to_dict()
         assert chunks == [(arm, start, count) for arm in (0, 1) for start, count in ((0, 43), (43, 43), (86, 44))]
 
-    def test_each_process_gets_half_of_each_arm(self, unit_square, stit_rules, monkeypatch, in_process_pool):
+    def test_each_process_gets_half_of_each_arm(self, unit_square, stit_rules, monkeypatch, in_process_map):
         chunks = []
 
         def spy(*args):
@@ -386,7 +412,7 @@ class TestConsistencyPipeline:
         monkeypatch.setattr(analysis, "_collect_chunk", spy)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         consistency_test(stit_rules, unit_square, rectangle(0, 0, 2, 2), [0.5, 1.0], 130, seed=3, n_jobs=2)
-        assert in_process_pool == [2]
+        assert in_process_map == [2]
         assert chunks == [(arm, start, 65) for arm in (0, 1) for start in (0, 65)]  # share i is chunks[i::2]
 
     @pytest.mark.parametrize("n_jobs, n_reps", [(2, 6000), (4, 6000), (5, 6000), (4, 4097), (3, 100)])
@@ -517,7 +543,7 @@ def _reference_columns(rules, V, W, times, probes, seed, arm, reps):
     return columns
 
 
-class TestWorkerPool:
+class TestForkedMap:
     """The processes of a pooled call: forked for the call, killed and reaped before it returns.
 
     Each test starts at most two real children; `forks` records their pids.
@@ -889,7 +915,7 @@ class TestChunkKernel:
         assert aborted == 1
         assert _stats(table) == _reference_columns(stit_rules, unit_square, W, times, probes, 7, 1, [0, 1, 3, 4])
 
-    def test_chunk_of_aborted_replicates(self, unit_square, stit_rules, monkeypatch, in_process_pool):
+    def test_chunk_of_aborted_replicates(self, unit_square, stit_rules, monkeypatch, in_process_map):
         W = rectangle(0, 0, 2, 2)
         probes = default_probes(unit_square)
         real = analysis.new_process
@@ -908,7 +934,7 @@ class TestChunkKernel:
         # 100 processes give chunks of one replicate; one abort of 100 is within the limit
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)), raising=False)
         report = consistency_test(stit_rules, unit_square, W, [0.5, 1.0], 100, probes=probes, seed=7, n_jobs=100)
-        assert in_process_pool == [100]
+        assert in_process_map == [100]
         assert report.aborted == (0, 1)
         assert len(report.results) == 2 * (3 + len(probes))
 

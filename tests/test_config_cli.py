@@ -76,7 +76,7 @@ def write_config(tmp_path, payload, name="config.json"):
 class TestRulesParsing:
     def test_stit_shortcut_sets_flag(self):
         rules = parse_rules(STIT_RULES)
-        assert rules.stit_flag
+        assert rules.stit_measure is rules.selection.measure is rules.division.measure
 
     def test_shared_measure_gives_pointer_identity(self):
         rules = parse_rules(
@@ -86,7 +86,7 @@ class TestRulesParsing:
                 "shared_measure": ISO,
             }
         )
-        assert rules.stit_flag
+        assert rules.stit_measure is rules.selection.measure
         assert rules.selection.measure is rules.division.measure
 
     def test_separate_measures_do_not_set_flag(self):
@@ -96,7 +96,8 @@ class TestRulesParsing:
                 "division": {"kind": "restricted_measure", "measure": ISO},
             }
         )
-        assert not rules.stit_flag
+        assert rules.selection.measure == rules.division.measure
+        assert rules.stit_measure is None
 
     def test_unknown_rule_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -149,7 +150,8 @@ class TestRulesParsing:
     def test_roundtrip_through_dict(self):
         rules = parse_rules(STIT_RULES)
         again = parse_rules(rules_to_dict(rules))
-        assert again.stit_flag
+        assert again.stit_measure is again.division.measure
+        assert again.stit_measure == rules.stit_measure
         assert isinstance(again.selection, HittingMeasure)
         assert isinstance(again.division, RestrictedMeasure)
 
@@ -166,7 +168,7 @@ class TestRulesParsing:
     def test_roundtrip_through_json(self, rules):
         again = parse_rules(json.loads(json.dumps(rules_to_dict(rules))))
         assert again == rules
-        assert again.stit_flag == rules.stit_flag
+        assert again.stit_measure is None and rules.stit_measure is None
 
     @pytest.mark.parametrize("spec", ["isotropic", [[0.0, 0.25], [0.1, 0.75]]], ids=["isotropic", "atoms"])
     def test_directions_writer_inverts_the_parser(self, spec):
@@ -377,8 +379,19 @@ class TestLoadGeometry:
             ('# {"n_segments": 1\n0 0 1 1 0.5\n', ":1:"),
             ("# [1]\n0 0 1 1 0.5\n", ":1:"),
             ('# {"n_segments": 2}\n0 0 1 1 0.5\n0 nan 1 inf 0.5\n', ":3:"),
+            ("0 0 1 1 0.5\n", ": missing metadata header"),
+            ('# {"n_segments": 1}\n0 0 1 1\n', ":2: expected 5 fields, got 4"),
+            ('# {"n_segments": 2}\n0 0 1 1 0.5\n', ": header says 2 segments, found 1"),
         ],
-        ids=["non-numeric-field", "broken-json-header", "header-not-an-object", "non-finite-field"],
+        ids=[
+            "non-numeric-field",
+            "broken-json-header",
+            "header-not-an-object",
+            "non-finite-field",
+            "no-header",
+            "four-fields",
+            "count-differs-from-header",
+        ],
     )
     def test_malformed_dump_raises_config_error(self, tmp_path, text, where):
         path = tmp_path / "dump.txt"
@@ -548,8 +561,25 @@ class TestCliBadInput:
                 "rules",
                 {"stit": {"measure": {"intensity": 1.0, "directions": [[0.0, float("nan")], [1.5, 0.5]]}}},
             ),
+            (
+                "simulate",
+                SIMULATE,
+                "rules",
+                {"stit": {"measure": {"intensity": 1.0, "directions": [[0.0, 0.5], [math.pi, 0.5]]}}},
+            ),
+            (
+                "simulate",
+                SIMULATE,
+                "rules",
+                {"selection": {"kind": "hitting_measure", "measure": "shared"}, "division": {"kind": "point_driven"}},
+            ),
+            ("simulate", SIMULATE, "time", 0),
+            ("simulate", SIMULATE, "time", -1),
             ("consistency", CONSISTENCY, "times", [0.5, "abc"]),
             ("consistency", CONSISTENCY, "times", [1.0, 0.5]),
+            ("consistency", CONSISTENCY, "times", []),
+            ("consistency", CONSISTENCY, "times", 0.5),
+            ("consistency", CONSISTENCY, "times", [0.0]),
             ("consistency", CONSISTENCY, "n_reps", "abc"),
             ("consistency", CONSISTENCY, "n_reps", 99),
             ("consistency", CONSISTENCY, "n_reps", 150.5),
@@ -575,9 +605,16 @@ class TestCliBadInput:
                 "rules",
                 {"selection": {"kind": "intrinsic_volume", "index": 1.5}, "division": {"kind": "point_driven"}},
             ),
+            (
+                "consistency",
+                CONSISTENCY,
+                "rules",
+                {"selection": {"kind": "intrinsic_volume", "index": 3}, "division": {"kind": "point_driven"}},
+            ),
             ("verify", VERIFY, "n_cases", "abc"),
             ("verify", VERIFY, "n_cases", 0),
             ("verify", VERIFY, "identities", [["x"]]),
+            ("verify", VERIFY, "identities", []),
             ("rate", RATE, "dts", ["abc"]),
             ("rate", RATE, "dts", [float("nan")]),
             ("rate", RATE, "dts", [0.0]),
@@ -604,8 +641,15 @@ class TestCliBadInput:
             "simulate-window-vertex-not-a-pair",
             "simulate-window-area-overflows",
             "simulate-atom-weight-nan",
+            "simulate-atom-angle-pi",
+            "simulate-shared-without-shared_measure",
+            "simulate-time-zero",
+            "simulate-time-negative",
             "consistency-times",
             "consistency-times-descending",
+            "consistency-times-empty",
+            "consistency-times-not-a-list",
+            "consistency-times-zero",
             "consistency-n_reps",
             "consistency-n_reps-below-100",
             "consistency-n_reps-fractional",
@@ -621,9 +665,11 @@ class TestCliBadInput:
             "consistency-probe-outside-window_inner",
             "consistency-intrinsic-volume-index",
             "consistency-intrinsic-volume-index-fractional",
+            "consistency-intrinsic-volume-index-3",
             "verify-n_cases",
             "verify-n_cases-zero",
             "verify-identities-not-strings",
+            "verify-identities-empty",
             "rate-dts",
             "rate-dts-nan",
             "rate-dts-zero",
@@ -658,6 +704,11 @@ class TestCliBadInput:
         cfg.write_bytes(content)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
+
+    def test_config_root_not_an_object_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [SIMULATE])
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
 
     def test_threads_below_1_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CONSISTENCY)

@@ -9,11 +9,13 @@ import pytest
 from stitsim import (
     ContainmentViolation,
     CroppedTessellation,
+    DegenerateSplit,
     HittingMeasure,
     HyperplaneMeasure,
     IntrinsicVolume,
     PointDriven,
     Polygon,
+    ReplicateAborted,
     Segment,
     crop,
     engine,
@@ -72,6 +74,25 @@ class TestNewProcess:
         assert abs(mean - target) < 3 * target / math.sqrt(n)
 
 
+def _degenerate_draws(monkeypatch, n):
+    """Makes the first n splits degenerate, alternately a DegenerateSplit and a
+    tangent line (one empty piece); the later ones are real.  Returns the list
+    of dividing lines drawn."""
+    real = engine.split
+    drawn = []
+
+    def stand_in(C, h):
+        drawn.append(h)
+        if len(drawn) > n:
+            return real(C, h)
+        if len(drawn) % 2:
+            raise DegenerateSplit("stand-in: degenerate")
+        return C, None, None
+
+    monkeypatch.setattr(engine, "split", stand_in)
+    return drawn
+
+
 class TestAdvance:
     def test_no_segments_before_first_division(self, unit_square, stit_rules):
         state = new_process(unit_square, stit_rules, 5)
@@ -95,6 +116,30 @@ class TestAdvance:
         with pytest.raises(ValueError, match="non-finite"):
             state.advance(t)
         assert state.clock == 0.5
+
+    def test_a_division_resamples_99_degenerate_lines(self, monkeypatch, unit_square, stit_rules):
+        drawn = _degenerate_draws(monkeypatch, 99)
+        state = new_process(unit_square, stit_rules, 5)
+        state.advance(live_cells(state)[0].death_time)
+        assert len(drawn) == 100
+        assert len(state.segments) == 1 and len(live_cells(state)) == 2
+
+    def test_100_degenerate_lines_abort(self, monkeypatch, unit_square, stit_rules):
+        drawn = _degenerate_draws(monkeypatch, 100)
+        state = new_process(unit_square, stit_rules, 5)
+        with pytest.raises(ReplicateAborted, match="^cell 0: 100 degenerate dividing lines in a row$"):
+            state.advance(live_cells(state)[0].death_time)
+        assert len(drawn) == 100 and state.segments == []
+
+    def test_event_cap(self, monkeypatch, unit_square, stit_rules):
+        # no region: a region state would cache a _keep_box margin computed from the lowered cap
+        births = new_process(unit_square, stit_rules, 3).advance(20.0).births
+        monkeypatch.setattr(engine, "MAX_EVENTS", 5)
+        state = new_process(unit_square, stit_rules, 3).advance(births[4])
+        assert len(state.segments) == 5
+        with pytest.raises(ReplicateAborted, match="^event cap 5 exceeded$"):
+            state.advance(births[5])
+        assert len(state.segments) == 6
 
     def test_cells_equal_segments_plus_one(self, unit_square, stit_rules):
         state = new_process(unit_square, stit_rules, 17).advance(2.0)
@@ -157,6 +202,12 @@ class TestSnapshots:
     def test_times_must_ascend(self, unit_square, stit_rules):
         with pytest.raises(ValueError):
             new_process(unit_square, stit_rules, 0).snapshots([2.0, 1.0])
+
+    def test_times_must_not_precede_the_clock(self, unit_square, stit_rules):
+        state = new_process(unit_square, stit_rules, 0).advance(1.0)
+        with pytest.raises(ValueError, match="precede the current clock"):
+            state.snapshots([0.5, 2.0])
+        assert state.clock == 1.0
 
 
 class TestCrop:

@@ -1,4 +1,5 @@
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -80,6 +81,34 @@ class TestPolygonValidation:
     def test_duplicate_vertices_deduped(self):
         p = Polygon([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)])
         assert vertex_count(p) == 4
+
+    def test_pickles_to_an_equal_polygon(self, triangle):
+        again = pickle.loads(pickle.dumps(triangle))
+        assert again == triangle and again is not triangle
+        assert (again.area, again.perimeter, again._box) == (triangle.area, triangle.perimeter, triangle._box)
+
+    @pytest.mark.parametrize("name", ["vertices", "area", "extra"])
+    def test_is_immutable(self, unit_square, name):
+        with pytest.raises(AttributeError, match="Polygon is immutable"):
+            setattr(unit_square, name, 2.0)
+        assert unit_square.area == 1.0
+
+
+class TestHyperplane:
+    @pytest.mark.parametrize(
+        "theta, a, message",
+        [
+            (math.pi, 0.0, "theta must lie in"),
+            (-0.1, 0.0, "theta must lie in"),
+            (float("nan"), 0.0, "theta must lie in"),
+            (0.5, float("inf"), "parameters must be finite"),
+            (0.5, float("nan"), "parameters must be finite"),
+        ],
+        ids=["theta-pi", "theta-negative", "theta-nan", "offset-inf", "offset-nan"],
+    )
+    def test_rejects_bad_parameters(self, theta, a, message):
+        with pytest.raises(ValueError, match=message):
+            Hyperplane(theta, a)
 
 
 class TestSplit:

@@ -131,11 +131,13 @@ class TestCheckBound:
 
 
 class TestRulePair:
-    def test_stit_flag_requires_identical_measure_object(self, iso_measure):
-        assert stit_pair(iso_measure).stit_flag
+    def test_stit_measure_requires_identical_measure_object(self, iso_measure):
+        assert stit_pair(iso_measure).stit_measure is iso_measure
         other = HyperplaneMeasure(1.0)
-        assert not RulePair(HittingMeasure(iso_measure), RestrictedMeasure(other)).stit_flag
-        assert not RulePair(IntrinsicVolume(2), RestrictedMeasure(iso_measure)).stit_flag
+        assert other == iso_measure and other is not iso_measure
+        assert RulePair(HittingMeasure(iso_measure), RestrictedMeasure(other)).stit_measure is None
+        assert RulePair(IntrinsicVolume(2), RestrictedMeasure(iso_measure)).stit_measure is None
+        assert RulePair(HittingMeasure(iso_measure), PointDriven()).stit_measure is None
 
     def test_intrinsic_volume_index_validated(self):
         with pytest.raises(ValueError):

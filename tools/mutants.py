@@ -31,7 +31,7 @@ from typing import NamedTuple
 REPO = Path(__file__).resolve().parent.parent
 RATE = "tests/test_analysis.py::TestRateEstimate"
 BATCHED = "tests/test_analysis.py::TestBatchedTestsMatchScipy"
-POOL = "tests/test_analysis.py::TestWorkerPool"
+FORKED = "tests/test_analysis.py::TestForkedMap"
 PIPELINE = "tests/test_analysis.py::TestConsistencyPipeline"
 IDENT = "tests/test_analysis.py::TestIdentitySuite"
 CHUNK = "tests/test_analysis.py::TestChunkKernel"
@@ -47,6 +47,8 @@ RULES = "tests/test_config_cli.py::TestRulesParsing"
 CLI_SIMULATE = "tests/test_config_cli.py::TestCliSimulate"
 WRITERS = "tests/test_output.py::test_writers_equal_the_references"
 PAUSE = "tests/test_config_cli.py::TestCliPausesTheCollector"
+RULE_PAIR = "tests/test_rules.py::TestRulePair"
+ADVANCE = "tests/test_engine.py::TestAdvance"
 
 
 class Mutant(NamedTuple):
@@ -90,6 +92,16 @@ MUTANTS = [
         "table[:, :, 3:] = table[:, :, 3:] > 0",
         "table[:, :, 3:] = table[:, :, 3:]",
         (f"{RATE}::test_counts_replicates_not_chords", f"{RATE}::test_equals_its_own_loop[stit-V]"),
+    ),
+    Mutant(
+        "an arm may abort 1% of its replicates no more",
+        "analysis.py",
+        "if ab_d > MAX_ABORT_FRAC * n_reps or ab_c > MAX_ABORT_FRAC * n_reps:",
+        "if ab_d >= MAX_ABORT_FRAC * n_reps or ab_c >= MAX_ABORT_FRAC * n_reps:",
+        (
+            f"{PIPELINE}::test_one_aborted_replicate_in_100_is_reported",
+            f"{CHUNK}::test_chunk_of_aborted_replicates",
+        ),
     ),
     Mutant(
         "rate ignores aborts",
@@ -149,28 +161,28 @@ MUTANTS = [
         "analysis.py",
         "results[i::n_jobs] = out",
         "results[i - 1::n_jobs] = out",
-        (f"{POOL}::test_results_in_chunk_order", f"{POOL}::test_back_to_back_calls_equal_serial"),
+        (f"{FORKED}::test_results_in_chunk_order", f"{FORKED}::test_back_to_back_calls_equal_serial"),
     ),
     Mutant(
         "child's exception dropped",
         "analysis.py",
         "            if not ok:\n                raise out\n",
         "",
-        (f"{POOL}::test_exception_in_a_child_is_raised",),
+        (f"{FORKED}::test_exception_in_a_child_is_raised",),
     ),
     Mutant(
         "children not reaped",
         "analysis.py",
         "os.kill(pid, signal.SIGKILL)\n                    os.waitpid(pid, 0)\n",
         "os.kill(pid, signal.SIGKILL)\n",
-        (f"{POOL}::test_exception_in_share_0_ends_the_children",),
+        (f"{FORKED}::test_exception_in_share_0_ends_the_children",),
     ),
     Mutant(
         "orphans run out their share",
         "analysis.py",
         "if os.getppid() != caller:",
         "if False:",
-        (f"{POOL}::test_orphan_ends_before_its_next_chunk",),
+        (f"{FORKED}::test_orphan_ends_before_its_next_chunk",),
     ),
     Mutant(
         "no CPU cap",
@@ -184,7 +196,7 @@ MUTANTS = [
         "analysis.py",
         'if sys.platform.startswith("linux") else 1',
         "if True else 1",
-        (f"{POOL}::test_in_process_off_linux",),
+        (f"{FORKED}::test_in_process_off_linux",),
     ),
     Mutant(
         "chunks of at most size, shares uneven",
@@ -310,12 +322,53 @@ MUTANTS = [
         "if length >= 0.0]",
         (f"{CHUNK}::test_chords_on_the_boundary[square]",),
     ),
+    # RulePair.stit_measure, the one answer to "is this pair STIT", and its readers
+    Mutant(
+        "STIT by equal measures, not one object",
+        "rules.py",
+        "and sel.measure is div.measure",
+        "and sel.measure == div.measure",
+        (
+            f"{RULE_PAIR}::test_stit_measure_requires_identical_measure_object",
+            f"{RULES}::test_separate_measures_do_not_set_flag",
+        ),
+    ),
+    Mutant(
+        "no pair is STIT",
+        "rules.py",
+        "return sel.measure if shared else None",
+        "return None",
+        (
+            f"{RULE_PAIR}::test_stit_measure_requires_identical_measure_object",
+            f"{RULES}::test_stit_shortcut_sets_flag",
+            f"{RULES}::test_roundtrip_through_dict",
+            "tests/test_analysis.py::TestNuLimit::test_rectangle_and_square_exhaustions_agree",
+        ),
+    ),
     Mutant(
         "no STIT term in the chord budget",
         "rules.py",
         "        n += intensity * intensity * t * t * W.area / math.pi\n",
         "",
-        ("tests/test_rules.py::TestMinExpectedChords::test_isotropic_stit_mean",),
+        (
+            "tests/test_rules.py::TestMinExpectedChords::test_isotropic_stit_mean",
+            f"{VALIDATION}::test_window_dependent_budget_checked_at_parse_time[simulate-stit-t6000]",
+        ),
+    ),
+    # a division's resample loop and the event cap
+    Mutant(
+        "one resample fewer",
+        "engine.py",
+        "for _ in range(MAX_RESAMPLE):",
+        "for _ in range(MAX_RESAMPLE - 1):",
+        (f"{ADVANCE}::test_a_division_resamples_99_degenerate_lines",),
+    ),
+    Mutant(
+        "event cap one chord early",
+        "engine.py",
+        "if len(self.segments) > MAX_EVENTS:",
+        "if len(self.segments) >= MAX_EVENTS:",
+        (f"{ADVANCE}::test_event_cap",),
     ),
     # the W arm builds only the cells that can meet V
     Mutant(
@@ -527,6 +580,13 @@ MUTANTS = [
         "    if n_cases < 1:\n",
         "    if False:\n",
         (f"{BAD_INPUT}[verify-n_cases-zero]",),
+    ),
+    Mutant(
+        "empty identity list accepted",
+        "config.py",
+        "if not isinstance(idents, list) or not idents:",
+        "if not isinstance(idents, list):",
+        (f"{BAD_INPUT}[verify-identities-empty]", "tests/test_config_cli.py::TestCliVerify::test_empty_identities_exit_1"),
     ),
     Mutant(
         "probe outside window_inner accepted",
