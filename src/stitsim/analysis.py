@@ -98,24 +98,24 @@ def default_probes(V: Polygon) -> list[Polygon]:
     return probes
 
 
-def _column_pair(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a and b as (samples, columns) arrays with the same columns; a 1-D sample is one column."""
+def _column_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as (samples, columns) arrays with the same columns."""
     a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != b.ndim or a.ndim not in (1, 2) or a.shape[1:] != b.shape[1:]:
-        raise ValueError(f"need two 1-D samples or two 2-D arrays with as many columns, got shapes {a.shape}/{b.shape}")
-    return (a[:, None], b[:, None]) if a.ndim == 1 else (a, b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"need two 2-D arrays with as many columns, got shapes {a.shape}/{b.shape}")
+    return a, b
 
 
-def ks_two_sample(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> tuple:
+def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided two-sample Kolmogorov-Smirnov test of each column of `a` against the same column of `b`.
 
-    `a` is (m,) or (m, columns) and `b` is (n,) or (n, columns).  Each column
-    gets scipy's `ks_2samp(method="asymp")` arithmetic: D is the largest gap
-    between the empirical CDFs at the pooled points, and its p-value is
+    `a` is (m, columns) and `b` is (n, columns).  Each column gets scipy's
+    `ks_2samp(method="asymp")` arithmetic: D is the largest gap between the
+    empirical CDFs at the pooled points, and its p-value is
     `kstwo.sf(D, round(m*n/(m+n)))`, the exact law of the one-sample KS
     statistic at the effective sample size, clipped to [0, 1].  All columns
-    share one `kstwo.sf` call.  A 1-D pair gives (D, p) as floats; 2-D arrays
-    give an array of D and one of p, a value per column.
+    share one `kstwo.sf` call.  Returns an array of D and one of p, a value
+    per column.
     """
     xs, ys = (x.astype(float) for x in _column_pair(a, b))
     m, n = len(xs), len(ys)
@@ -131,10 +131,10 @@ def ks_two_sample(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarr
     above = gaps.max(axis=1)
     d = np.where(below > above, below, above)
     p = np.clip(scipy_stats.kstwo.sf(d, np.round(m * n / (m + n))), 0, 1)
-    return (float(d[0]), float(p[0])) if np.ndim(a) == 1 else (d, p)
+    return d, p
 
 
-def chi_square_2x2(hits_a: Sequence[bool] | np.ndarray, hits_b: Sequence[bool] | np.ndarray) -> tuple:
+def chi_square_2x2(hits_a: np.ndarray, hits_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chi-square test for equal hit frequency in each column of `hits_a` and the same column of `hits_b`.
 
     Shapes as in `ks_two_sample`; a nonzero entry is a hit.  Each column's
@@ -142,7 +142,7 @@ def chi_square_2x2(hits_a: Sequence[bool] | np.ndarray, hits_b: Sequence[bool] |
     `chi2_contingency(correction=True)` arithmetic: expected counts from the
     margins, Yates' continuity step, and the four Pearson terms summed in
     table order; p = `chdtrc(1, statistic)`, one call for all columns.  A
-    table with an empty row or column gives (0.0, 1.0).
+    table with an empty row or column gives statistic 0 and p 1.
     """
     ha, hb = _column_pair(hits_a, hits_b)
     hit_a, hit_b = np.count_nonzero(ha, axis=0), np.count_nonzero(hb, axis=0)
@@ -159,7 +159,7 @@ def chi_square_2x2(hits_a: Sequence[bool] | np.ndarray, hits_b: Sequence[bool] |
         observed = observed + np.minimum(0.5, np.abs(gap)) * np.sign(gap)
         stat[proper] = ((observed - expected) ** 2 / expected).reshape(-1, 4).sum(axis=1)
         p[proper] = special.chdtrc(1, stat[proper])
-    return (float(stat[0]), float(p[0])) if np.ndim(hits_a) == 1 else (stat, p)
+    return stat, p
 
 
 def holm_adjust(pvalues: Sequence[float]) -> list[float]:
@@ -180,7 +180,7 @@ class TestResult:
     kind: str  # "ks" or "chi2"
     value: float
     p_raw: float
-    p_holm: float = float("nan")
+    p_holm: float
 
 
 CONSISTENT = "consistent-not-rejected"
@@ -523,35 +523,6 @@ def rate_estimate(
     return float(hits / (n_reps * dt))
 
 
-@dataclass(frozen=True)
-class NuEstimate:
-    values: tuple[float, ...]
-    limit_reached: bool
-
-
-def nu_limit(rules: RulePair, H_probe: Polygon, sizes: Sequence[float]) -> NuEstimate:
-    """Monotone window-exhaustion sequence whose limit reconstructs the driving measure.
-
-    Evaluates rate(W_n) * P(hit probe | hit W_n) for centered square windows of
-    the given sizes; for a shared-measure pair this equals the mass of lines
-    hitting both the probe and W_n, which stabilizes at the probe's hitting
-    mass once the probe is contained.
-    """
-    if any(s2 <= s1 for s1, s2 in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly ascending")
-    if (measure := rules.stit_measure) is None:
-        raise ValueError("nu_limit needs a shared-measure (selection = division) pair")
-    values = []
-    limit_reached = False
-    for s in sizes:
-        half = s / 2.0
-        Wn = Polygon([(-half, -half), (half, -half), (half, half), (-half, half)])
-        values.append(joint_hitting_mass(measure, H_probe, Wn))
-        if Wn.contains_polygon(H_probe):
-            limit_reached = True
-    return NuEstimate(tuple(values), limit_reached)
-
-
 def fundamental_residual(
     measure: HyperplaneMeasure, V: Polygon, W: Polygon, B: Polygon
 ) -> float:
@@ -559,7 +530,10 @@ def fundamental_residual(
 
     The left-hand sides are evaluated through the offset-overlap route (for the
     isotropic family: numerical quadrature), the right-hand side through the
-    closed-form hitting mass, so agreement is a genuine cross-check.
+    closed-form hitting mass, so agreement is a genuine cross-check of the
+    quadrature of `joint_hitting_mass`.  It reads only the measure (the
+    `fundamental` identity passes the division's) and takes each rate to be
+    its hitting mass: it does not check the rule pair.
     """
     if not (V.contains_polygon(B) and W.contains_polygon(V)):
         raise ContainmentViolation("need B subset V subset W")
@@ -591,6 +565,7 @@ def _random_nested_triple(rng) -> tuple[Polygon, Polygon, Polygon]:
 
 
 EXACT = 1e-10  # residual threshold of the exact identities
+NU_SIZES = (1.0, 2.0, 4.0, 8.0, 16.0)  # sides of the nu_limit identity's centred squares
 
 
 class _NotApplicable(Exception):
@@ -618,18 +593,26 @@ def _corollary(rules: RulePair, rng) -> float:
 
 
 def _nu_limit(rules: RulePair, rng) -> float:
-    """The worst monotonicity violation or gap to the limit; inf for a probe the 16x16 square never contains."""
+    """Window exhaustion over the centred squares W_n of side NU_SIZES, for a random probe.
+
+    rate(W_n) * P(the first line hits the probe) is the mass of the lines that
+    hit both; it rises to the probe's hitting mass.  Returns the worst rise
+    violation or gap to that limit; inf for a probe that the largest square
+    does not contain.
+    """
     if (measure := rules.stit_measure) is None:
         raise _NotApplicable("needs a shared-measure pair")
     probe = random_convex_polygon(
         rng, n_points=6, scale=0.5, center=(rng.standard_normal(), rng.standard_normal())
     )
-    est = nu_limit(rules, probe, [1.0, 2.0, 4.0, 8.0, 16.0])
-    if not est.limit_reached:
+    halves = [s / 2.0 for s in NU_SIZES]
+    squares = [Polygon([(-h, -h), (h, -h), (h, h), (-h, h)]) for h in halves]
+    if not squares[-1].contains_polygon(probe):
         return math.inf
+    values = [joint_hitting_mass(measure, probe, Wn) for Wn in squares]
     target = hitting_mass(measure, probe)
-    gaps = [(v1 - v2) / target for v1, v2 in zip(est.values, est.values[1:])]
-    return max(gaps + [abs(est.values[-1] - target) / target])
+    gaps = [(v1 - v2) / target for v1, v2 in zip(values, values[1:])]
+    return max(gaps + [abs(values[-1] - target) / target])
 
 
 def _rate_matches_nu(rules: RulePair, rng) -> float:

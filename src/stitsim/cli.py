@@ -1,8 +1,8 @@
 """Config-driven command line: simulate, consistency, verify, rate.
 
 Exit codes: 0 success (or consistency not rejected / identities pass),
-1 configuration or runtime error, 2 inconsistency detected or an identity
-check failed.
+1 bad command line, configuration or runtime error, 2 inconsistency
+detected or an identity check failed.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_consistency(cfg: dict, args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     report = consistency_test(
         cfg["rules"],
         cfg["V"],
@@ -107,6 +104,17 @@ _COMMANDS = {
 }
 
 
+def _process_count(text: str) -> int:
+    """The value of --threads: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stitsim",
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "consistency":
             p.add_argument(
                 "--threads",
-                type=int,
+                type=_process_count,
                 default=usable_cpus(),
                 help="processes, this one included (default: the CPUs this process may run on)",
             )
@@ -129,7 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help (code 0) or a usage error (its code 2 means "inconsistent" here)
+        return 1 if exc.code else 0
     parse, run = _COMMANDS[args.command]
     try:
         raw = cfgmod.load_config(args.config)

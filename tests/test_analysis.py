@@ -39,7 +39,6 @@ from stitsim.analysis import (
     holm_adjust,
     identity_suite,
     ks_two_sample,
-    nu_limit,
     rate_estimate,
     window_stats,
 )
@@ -143,27 +142,27 @@ class TestWindowStats:
 
 class TestKSTwoSample:
     def test_identical_samples(self, rng):
-        a = list(rng.random(100))
-        stat, p = ks_two_sample(a, a)
+        a = rng.random((100, 1))
+        [stat], [p] = ks_two_sample(a, a)
         assert stat == 0.0
         assert p == pytest.approx(1.0)
 
     def test_shifted_uniform_strongly_rejected(self, rng):
-        a = rng.random(5000)
-        b = rng.random(5000) + 0.5
-        _, p = ks_two_sample(a, b)
+        a = rng.random((5000, 1))
+        b = rng.random((5000, 1)) + 0.5
+        _, [p] = ks_two_sample(a, b)
         assert p < 1e-10
 
     def test_minimum_sample_size(self, rng):
         with pytest.raises(InsufficientSamples):
-            ks_two_sample(list(rng.random(10)), list(rng.random(100)))
+            ks_two_sample(rng.random((10, 1)), rng.random((100, 1)))
 
     def test_null_calibration(self, rng):
         # rejection rate at alpha=0.05 should sit near 0.05
         rejections = 0
         reps = 1000
         for _ in range(reps):
-            _, p = ks_two_sample(rng.random(200), rng.random(200))
+            _, [p] = ks_two_sample(rng.random((200, 1)), rng.random((200, 1)))
             if p < 0.05:
                 rejections += 1
         assert abs(rejections / reps - 0.05) < 0.02
@@ -181,11 +180,13 @@ class TestHolmAndChi2:
         assert all(a >= p for a, p in zip(adj, ps))
 
     def test_chi2_degenerate_table(self):
-        assert chi_square_2x2([True] * 50, [True] * 50) == (0.0, 1.0)
-        assert chi_square_2x2([False] * 50, [False] * 50) == (0.0, 1.0)
+        for hit in (True, False):
+            stat, p = chi_square_2x2(np.full((50, 1), hit), np.full((50, 1), hit))
+            assert (stat.tolist(), p.tolist()) == ([0.0], [1.0])
 
     def test_chi2_detects_gross_difference(self):
-        _, p = chi_square_2x2([True] * 90 + [False] * 10, [True] * 10 + [False] * 90)
+        hits = np.arange(100)[:, None]
+        _, [p] = chi_square_2x2(hits < 90, hits < 10)
         assert p < 1e-10
 
 
@@ -205,12 +206,6 @@ class TestBatchedTestsMatchScipy:
         d, p = ks_two_sample(a, b)
         expected = [_reference_ks_two_sample(a[:, c], b[:, c]) for c in range(a.shape[1])]
         assert list(zip(d.tolist(), p.tolist())) == expected
-
-    def test_ks_one_dimensional_pair_gives_floats(self, rng):
-        a, b = rng.random(50), rng.random(70)
-        result = ks_two_sample(list(a), list(b))
-        assert result == _reference_ks_two_sample(a, b)
-        assert all(type(x) is float for x in result)
 
     def test_ks_needs_twenty_samples_in_every_column(self, rng):
         with pytest.raises(InsufficientSamples):
@@ -248,7 +243,8 @@ class TestBatchedTestsMatchScipy:
         expected = [_reference_chi_square_2x2(a[:, c], b[:, c]) for c in range(5)]
         assert list(zip(stat.tolist(), p.tolist())) == expected
         assert expected[:2] == [(0.0, 1.0)] * 2
-        assert chi_square_2x2([], [True, False]) == (0.0, 1.0) == _reference_chi_square_2x2([], [True, False])
+        stat, p = chi_square_2x2(np.zeros((0, 1)), np.array([[True], [False]]))
+        assert list(zip(stat.tolist(), p.tolist())) == [(0.0, 1.0)] == [_reference_chi_square_2x2([], [True, False])]
         stat, p = chi_square_2x2(np.zeros((0, 3)), np.ones((10, 3)))
         assert stat.tolist() == [0.0] * 3 and p.tolist() == [1.0] * 3
 
@@ -256,6 +252,7 @@ class TestBatchedTestsMatchScipy:
     def test_sides_need_the_same_columns(self, rng, test):
         mismatched = [
             (rng.random((30, 3)), rng.random((30, 2))),
+            (rng.random(30), rng.random(30)),
             (rng.random(30), rng.random((30, 1))),
             (rng.random((30, 2, 2)),) * 2,
         ]
@@ -1114,25 +1111,17 @@ class TestRateEstimate:
 
 
 class TestNuLimit:
-    def test_requires_shared_measure_pair(self, unit_square, iso_measure):
-        pair = RulePair(VertexCount(), RestrictedMeasure(iso_measure))
-        with pytest.raises(ValueError):
-            nu_limit(pair, unit_square, [1.0, 2.0])
-
-    def test_sizes_must_ascend(self, unit_square, stit_rules):
-        with pytest.raises(ValueError):
-            nu_limit(stit_rules, unit_square, [2.0, 1.0])
-
-    def test_rectangle_and_square_exhaustions_agree(self, stit_rules, iso_measure):
+    def test_rectangle_and_square_exhaustions_agree(self, iso_measure):
         from stitsim.measures import hitting_mass, joint_hitting_mass
 
         probe = rectangle(-0.3, -0.2, 0.4, 0.3)
-        est = nu_limit(stit_rules, probe, [1.0, 2.0, 4.0])
+        squares = [rectangle(-s / 2.0, -s / 2.0, s / 2.0, s / 2.0) for s in (1.0, 2.0, 4.0)]
+        values = [joint_hitting_mass(iso_measure, probe, Wn) for Wn in squares]
         # rectangle exhaustion computed directly: same limit
         rects = [rectangle(-s, -s / 2, s, s / 2) for s in (1.0, 2.0, 4.0)]
         vals = [joint_hitting_mass(iso_measure, probe, r) for r in rects]
-        assert est.values[-1] == pytest.approx(vals[-1], rel=1e-10)
-        assert est.values[-1] == pytest.approx(hitting_mass(iso_measure, probe), rel=1e-10)
+        assert values[-1] == pytest.approx(vals[-1], rel=1e-10)
+        assert values[-1] == pytest.approx(hitting_mass(iso_measure, probe), rel=1e-10)
 
 
 IDENTITY_PAIRS = {

@@ -74,7 +74,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 class TestRulesParsing:
-    def test_stit_shortcut_sets_flag(self):
+    def test_stit_shortcut_shares_one_measure(self):
         rules = parse_rules(STIT_RULES)
         assert rules.stit_measure is rules.selection.measure is rules.division.measure
 
@@ -89,7 +89,7 @@ class TestRulesParsing:
         assert rules.stit_measure is rules.selection.measure
         assert rules.selection.measure is rules.division.measure
 
-    def test_separate_measures_do_not_set_flag(self):
+    def test_separate_measures_have_no_stit_measure(self):
         rules = parse_rules(
             {
                 "selection": {"kind": "hitting_measure", "measure": ISO},
@@ -541,91 +541,187 @@ def test_python_m_stitsim_runs_the_cli():
 
 class TestCliBadInput:
     @pytest.mark.parametrize(
-        "command, base, key, value",
+        "command, base, key, value, message",
         [
-            ("simulate", SIMULATE, "time", "abc"),
-            ("simulate", SIMULATE, "version", 2),
-            ("simulate", SIMULATE, "window", PENTAGRAM),
-            ("simulate", SIMULATE, "rules", {"stit": {"measure": {"intensity": None, "directions": "isotropic"}}}),
-            ("simulate", SIMULATE, "out_prefix", "sub/x"),
-            ("simulate", SIMULATE, "out_prefix", "a\0b"),
-            ("simulate", SIMULATE, "out_prefix", ""),
-            ("simulate", SIMULATE, "time", True),
-            ("simulate", SIMULATE, "window", [["0", "0"], [1, 0], [True, True], [0, 1]]),
-            ("simulate", SIMULATE, "window", [[0, 0], [1, 0], [True, True], [0, 1]]),
-            ("simulate", SIMULATE, "window", [[0, 0], [1, 0], [1, 1, 1], [0, 1]]),
-            ("simulate", SIMULATE, "window", [[0, 0], [1e155, 0], [1e155, 1e155], [0, 1e155]]),
+            ("simulate", SIMULATE, "time", "abc", "config.time: expected a number, got 'abc'"),
+            ("simulate", SIMULATE, "version", 2, "config: 'version' must be 1"),
+            ("simulate", SIMULATE, "window", PENTAGRAM, "config.window: invalid window: boundary winds more than once"),
+            (
+                "simulate",
+                SIMULATE,
+                "rules",
+                {"stit": {"measure": {"intensity": None, "directions": "isotropic"}}},
+                "rules.stit.measure.intensity: expected a number, got None",
+            ),
+            (
+                "simulate",
+                SIMULATE,
+                "out_prefix",
+                "sub/x",
+                "config.out_prefix: expected a non-empty file name (no path separator or NUL byte), got 'sub/x'",
+            ),
+            (
+                "simulate",
+                SIMULATE,
+                "out_prefix",
+                "a\0b",
+                "config.out_prefix: expected a non-empty file name (no path separator or NUL byte), got 'a\\x00b'",
+            ),
+            (
+                "simulate",
+                SIMULATE,
+                "out_prefix",
+                "",
+                "config.out_prefix: expected a non-empty file name (no path separator or NUL byte), got ''",
+            ),
+            ("simulate", SIMULATE, "time", True, "config.time: expected a number, got True"),
+            (
+                "simulate",
+                SIMULATE,
+                "window",
+                [["0", "0"], [1, 0], [True, True], [0, 1]],
+                "config.window[0]: expected a number, got '0'",
+            ),
+            (
+                "simulate",
+                SIMULATE,
+                "window",
+                [[0, 0], [1, 0], [True, True], [0, 1]],
+                "config.window[2]: expected a number, got True",
+            ),
+            (
+                "simulate",
+                SIMULATE,
+                "window",
+                [[0, 0], [1, 0], [1, 1, 1], [0, 1]],
+                "config.window[2]: expected an [x, y] vertex, got [1, 1, 1]",
+            ),
+            (
+                "simulate",
+                SIMULATE,
+                "window",
+                [[0, 0], [1e155, 0], [1e155, 1e155], [0, 1e155]],
+                "config.window: invalid window: non-finite signed area",
+            ),
             (
                 "simulate",
                 SIMULATE,
                 "rules",
                 {"stit": {"measure": {"intensity": 1.0, "directions": [[0.0, float("nan")], [1.5, 0.5]]}}},
+                "rules.stit.measure.directions: bad direction atoms: atom weights must be positive and finite",
             ),
             (
                 "simulate",
                 SIMULATE,
                 "rules",
                 {"stit": {"measure": {"intensity": 1.0, "directions": [[0.0, 0.5], [math.pi, 0.5]]}}},
+                "rules.stit.measure.directions: bad direction atoms: atom angles must lie in [0, pi)",
             ),
             (
                 "simulate",
                 SIMULATE,
                 "rules",
                 {"selection": {"kind": "hitting_measure", "measure": "shared"}, "division": {"kind": "point_driven"}},
+                "rules.selection: 'shared' used without shared_measure",
             ),
-            ("simulate", SIMULATE, "time", 0),
-            ("simulate", SIMULATE, "time", -1),
-            ("consistency", CONSISTENCY, "times", [0.5, "abc"]),
-            ("consistency", CONSISTENCY, "times", [1.0, 0.5]),
-            ("consistency", CONSISTENCY, "times", []),
-            ("consistency", CONSISTENCY, "times", 0.5),
-            ("consistency", CONSISTENCY, "times", [0.0]),
-            ("consistency", CONSISTENCY, "n_reps", "abc"),
-            ("consistency", CONSISTENCY, "n_reps", 99),
-            ("consistency", CONSISTENCY, "n_reps", 150.5),
-            ("consistency", CONSISTENCY, "n_reps", "150"),
-            ("consistency", CONSISTENCY, "alpha", "abc"),
-            ("consistency", CONSISTENCY, "alpha", -1),
-            ("consistency", CONSISTENCY, "alpha", 5),
-            ("consistency", CONSISTENCY, "probes", 5),
-            ("consistency", CONSISTENCY, "window_inner", [[0, 0], ["1", 0], [1, 1], [0, 1]]),
-            ("consistency", CONSISTENCY, "window_outer", [[0, 0], [3, 0], [3, 3], [False, 3]]),
-            ("consistency", CONSISTENCY, "window_outer", [[0, 0], [1e155, 0], [1e155, 1e155], [0, 1e155]]),
-            ("consistency", CONSISTENCY, "probes", [[[0.1, 0.1], [0.2, 0.1], [True, True], [0.1, 0.2]]]),
-            ("consistency", CONSISTENCY, "probes", [[[0.1, 0.1], [0.2, 0.1], [0.2, 0.2]], [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5]]]),
+            ("simulate", SIMULATE, "time", 0, "config.time: must be positive and finite"),
+            ("simulate", SIMULATE, "time", -1, "config.time: must be positive and finite"),
+            ("consistency", CONSISTENCY, "times", [0.5, "abc"], "config.times[1]: expected a number, got 'abc'"),
+            ("consistency", CONSISTENCY, "times", [1.0, 0.5], "config.times: times must be ascending"),
+            ("consistency", CONSISTENCY, "times", [], "config.times: expected a non-empty list of times"),
+            ("consistency", CONSISTENCY, "times", 0.5, "config.times: expected a non-empty list of times"),
+            ("consistency", CONSISTENCY, "times", [0.0], "config.times: times must be positive and finite"),
+            ("consistency", CONSISTENCY, "n_reps", "abc", "config.n_reps: expected a number, got 'abc'"),
+            ("consistency", CONSISTENCY, "n_reps", 99, "config.n_reps: must be >= 100, got 99"),
+            ("consistency", CONSISTENCY, "n_reps", 150.5, "config.n_reps: expected an integer, got 150.5"),
+            ("consistency", CONSISTENCY, "n_reps", "150", "config.n_reps: expected a number, got '150'"),
+            ("consistency", CONSISTENCY, "alpha", "abc", "config.alpha: expected a number, got 'abc'"),
+            ("consistency", CONSISTENCY, "alpha", -1, "config.alpha: must lie in (0, 1), got -1.0"),
+            ("consistency", CONSISTENCY, "alpha", 5, "config.alpha: must lie in (0, 1), got 5.0"),
+            ("consistency", CONSISTENCY, "probes", 5, 'config.probes: expected "default" or a list of polygons'),
+            (
+                "consistency",
+                CONSISTENCY,
+                "window_inner",
+                [[0, 0], ["1", 0], [1, 1], [0, 1]],
+                "config.window_inner[1]: expected a number, got '1'",
+            ),
+            (
+                "consistency",
+                CONSISTENCY,
+                "window_outer",
+                [[0, 0], [3, 0], [3, 3], [False, 3]],
+                "config.window_outer[3]: expected a number, got False",
+            ),
+            (
+                "consistency",
+                CONSISTENCY,
+                "window_outer",
+                [[0, 0], [1e155, 0], [1e155, 1e155], [0, 1e155]],
+                "config.window_outer: invalid window: non-finite signed area",
+            ),
+            (
+                "consistency",
+                CONSISTENCY,
+                "probes",
+                [[[0.1, 0.1], [0.2, 0.1], [True, True], [0.1, 0.2]]],
+                "config.probes[0][2]: expected a number, got True",
+            ),
+            (
+                "consistency",
+                CONSISTENCY,
+                "probes",
+                [[[0.1, 0.1], [0.2, 0.1], [0.2, 0.2]], [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5]]],
+                "config.probes[1]: probe must be contained in window_inner",
+            ),
             (
                 "consistency",
                 CONSISTENCY,
                 "rules",
                 {"selection": {"kind": "intrinsic_volume", "index": "a"}, "division": {"kind": "point_driven"}},
+                "rules.selection.index: expected a number, got 'a'",
             ),
             (
                 "consistency",
                 CONSISTENCY,
                 "rules",
                 {"selection": {"kind": "intrinsic_volume", "index": 1.5}, "division": {"kind": "point_driven"}},
+                "rules.selection.index: expected an integer, got 1.5",
             ),
             (
                 "consistency",
                 CONSISTENCY,
                 "rules",
                 {"selection": {"kind": "intrinsic_volume", "index": 3}, "division": {"kind": "point_driven"}},
+                "rules.selection.index: intrinsic volume index must be 0, 1 or 2",
             ),
-            ("verify", VERIFY, "n_cases", "abc"),
-            ("verify", VERIFY, "n_cases", 0),
-            ("verify", VERIFY, "identities", [["x"]]),
-            ("verify", VERIFY, "identities", []),
-            ("rate", RATE, "dts", ["abc"]),
-            ("rate", RATE, "dts", [float("nan")]),
-            ("rate", RATE, "dts", [0.0]),
-            ("rate", RATE, "dts", []),
-            ("rate", RATE, "n_reps", "abc"),
-            ("rate", RATE, "n_reps", 0),
-            ("rate", RATE, "window", [[0, 0], [True, 0], [1, 1], [0, 1]]),
-            ("rate", RATE, "probe", [[0.25, 0.25], [0.75, 0.25], ["0.75", "0.75"], [0.25, 0.75]]),
-            ("rate", RATE, "probe", [[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]),
+            ("verify", VERIFY, "n_cases", "abc", "config.n_cases: expected a number, got 'abc'"),
+            ("verify", VERIFY, "n_cases", 0, "config.n_cases: must be >= 1, got 0"),
+            ("verify", VERIFY, "identities", [["x"]], "config.identities: unknown identity '['x']'"),
+            ("verify", VERIFY, "identities", [], "config.identities: expected a non-empty list of identity names"),
+            ("rate", RATE, "dts", ["abc"], "config.dts[0]: expected a number, got 'abc'"),
+            ("rate", RATE, "dts", [float("nan")], "config.dts: need positive, finite time steps"),
+            ("rate", RATE, "dts", [0.0], "config.dts: need positive, finite time steps"),
+            ("rate", RATE, "dts", [], "config.dts: need positive, finite time steps"),
+            ("rate", RATE, "n_reps", "abc", "config.n_reps: expected a number, got 'abc'"),
+            ("rate", RATE, "n_reps", 0, "config.n_reps: must be >= 1, got 0"),
+            ("rate", RATE, "window", [[0, 0], [True, 0], [1, 1], [0, 1]], "config.window[1]: expected a number, got True"),
+            (
+                "rate",
+                RATE,
+                "probe",
+                [[0.25, 0.25], [0.75, 0.25], ["0.75", "0.75"], [0.25, 0.75]],
+                "config.probe[2]: expected a number, got '0.75'",
+            ),
+            (
+                "rate",
+                RATE,
+                "probe",
+                [[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]],
+                "config: probe must be contained in window",
+            ),
             # rate(unit square) = 4/pi for the isotropic STIT pair, so dt = 0.1 gives 0.127
-            ("rate", RATE, "dts", [0.02, 0.1]),
+            ("rate", RATE, "dts", [0.02, 0.1], "config.dts[1]: 0.1 too large; rate(window) * dt = 0.127 must stay below 0.1"),
         ],
         ids=[
             "simulate-time",
@@ -682,12 +778,12 @@ class TestCliBadInput:
             "rate-dt-too-large",
         ],
     )
-    def test_exits_1_with_config_error(self, tmp_path, capsys, command, base, key, value):
+    def test_exits_1_with_config_error(self, tmp_path, capsys, command, base, key, value, message):
         cfg = write_config(tmp_path, {**base, key: value})
         threads = ["--threads", "1"] if command == "consistency" else []
         assert main([command, "--config", cfg, *threads, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and key in err
+        assert err.startswith("config error: ") and key in err and message in err
 
     def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SIMULATE)
@@ -713,7 +809,24 @@ class TestCliBadInput:
     def test_threads_below_1_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CONSISTENCY)
         assert main(["consistency", "--config", cfg, "--threads", "0", "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stitsim consistency ")
+        assert err.endswith("error: argument --threads: must be an integer >= 1, got '0'\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["consistency"], "error: the following arguments are required: --config\n"),
+            (["consistency", "--config", "unread.json", "--seed", "abc"], "error: argument --seed: invalid int value: 'abc'\n"),
+            (["consistency", "--config", "unread.json", "--threads", "two"], "must be an integer >= 1, got 'two'\n"),
+        ],
+        ids=["no-config", "seed-not-an-integer", "threads-not-an-integer"],
+    )
+    def test_bad_command_line_exits_1(self, capsys, argv, message):
+        # argparse's own exit code, 2, would read as "inconsistency detected"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stitsim consistency ") and err.endswith(message)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children are forked only on Linux")
     def test_child_without_a_result_exits_1(self, tmp_path, capsys, monkeypatch):
@@ -733,10 +846,9 @@ class TestCliBadInput:
         assert build_parser().parse_args(["consistency", "--config", "unread.json"]).threads == 3
 
     @pytest.mark.parametrize("command", ["simulate", "verify", "rate"])
-    def test_threads_only_on_consistency(self, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", "unread.json", "--threads", "2"])
-        assert exc.value.code == 2
+    def test_threads_only_on_consistency(self, capsys, command):
+        assert main([command, "--config", "unread.json", "--threads", "2"]) == 1
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --threads 2\n")
 
 
 class TestCliPausesTheCollector:

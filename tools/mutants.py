@@ -41,7 +41,8 @@ PIECES = "tests/test_geometry.py::test_split_pieces_match_full_constructor"
 SLOW_PASS = "tests/test_geometry.py::test_split_piece_fallback_is_reached"
 NEAR_DUPLICATES = "tests/test_geometry.py::test_split_piece_with_crossings_within_snap_tol_takes_the_slow_pass"
 SEEDS = "tests/test_engine.py::TestReplicateSeeds"
-BAD_INPUT = "tests/test_config_cli.py::TestCliBadInput::test_exits_1_with_config_error"
+BAD_CLI = "tests/test_config_cli.py::TestCliBadInput"
+BAD_INPUT = f"{BAD_CLI}::test_exits_1_with_config_error"
 VALIDATION = "tests/test_config_cli.py::TestConfigValidation"
 RULES = "tests/test_config_cli.py::TestRulesParsing"
 CLI_SIMULATE = "tests/test_config_cli.py::TestCliSimulate"
@@ -225,7 +226,14 @@ MUTANTS = [
         "analysis.py",
         "np.round(m * n / (m + n))",
         "m * n / (m + n)",
-        (f"{BATCHED}::test_ks_columns_equal_ks_2samp[137-61]", f"{BATCHED}::test_ks_one_dimensional_pair_gives_floats"),
+        (f"{BATCHED}::test_ks_columns_equal_ks_2samp[137-61]", f"{BATCHED}::test_ks_columns_equal_ks_2samp[500-501]"),
+    ),
+    Mutant(
+        "sides with different columns accepted",
+        "analysis.py",
+        "if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:",
+        "if a.ndim != 2 or b.ndim != 2:",
+        (f"{BATCHED}::test_sides_need_the_same_columns",),
     ),
     Mutant(
         'searchsorted side="left"',
@@ -241,6 +249,13 @@ MUTANTS = [
         "analysis.py",
         '"nu_limit": (2, 10, _nu_limit, EXACT)',
         '"nu_limit": (2, 1, _nu_limit, EXACT)',
+        (f"{IDENT}::test_results_are_pinned[stit-isotropic]",),
+    ),
+    Mutant(
+        "nu_limit containment tested on the smallest square",
+        "analysis.py",
+        "if not squares[-1].contains_polygon(probe):",
+        "if not squares[0].contains_polygon(probe):",
         (f"{IDENT}::test_results_are_pinned[stit-isotropic]",),
     ),
     Mutant(
@@ -330,7 +345,7 @@ MUTANTS = [
         "and sel.measure == div.measure",
         (
             f"{RULE_PAIR}::test_stit_measure_requires_identical_measure_object",
-            f"{RULES}::test_separate_measures_do_not_set_flag",
+            f"{RULES}::test_separate_measures_have_no_stit_measure",
         ),
     ),
     Mutant(
@@ -340,9 +355,9 @@ MUTANTS = [
         "return None",
         (
             f"{RULE_PAIR}::test_stit_measure_requires_identical_measure_object",
-            f"{RULES}::test_stit_shortcut_sets_flag",
+            f"{RULES}::test_stit_shortcut_shares_one_measure",
             f"{RULES}::test_roundtrip_through_dict",
-            "tests/test_analysis.py::TestNuLimit::test_rectangle_and_square_exhaustions_agree",
+            f"{IDENT}::test_shared_measure_pair_passes_everything",
         ),
     ),
     Mutant(
@@ -637,6 +652,21 @@ MUTANTS = [
         "for lo in range(0, len(state.segments), BLOCK):",
         "for lo in range(0, len(state.segments) - BLOCK + 1, BLOCK):",
         (f"{WRITERS}[one-block-plus-one]", f"{WRITERS}[random]"),
+    ),
+    # the CLI's command line: a usage error exits 1, as 2 means "inconsistent"
+    Mutant(
+        "--threads 0 accepted",
+        "cli.py",
+        "if count < 1:",
+        "if count < 0:",
+        (f"{BAD_CLI}::test_threads_below_1_exits_1",),
+    ),
+    Mutant(
+        "usage error exits 2",
+        "cli.py",
+        "return 1 if exc.code else 0",
+        "return 2 if exc.code else 0",
+        (f"{BAD_CLI}::test_bad_command_line_exits_1[no-config]", f"{BAD_CLI}::test_threads_only_on_consistency[verify]"),
     ),
     # the CLI's collector pause
     Mutant(
