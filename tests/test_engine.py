@@ -400,6 +400,34 @@ class TestRegion:
             crop(state, rectangle(0.0, 0.0, 2.0, 2.0))
 
 
+# Every rule family on both window shapes, with times chosen for about 1.5e3
+# to 7e3 chords per family and shape over 25 seeds, plus a state with a region.
+FAMILY_TRAJECTORIES = {
+    "stit": (stit_pair(ISO), 24.0),
+    "stit-axis-aligned": (stit_pair(HyperplaneMeasure(1.0, axis_aligned())), 24.0),
+    "hitting-mass-point-driven": (RulePair(HittingMeasure(ISO), PointDriven()), 24.0),
+    "vertex-count-axis-point-driven": (RulePair(VertexCount(), PointDriven(axis_aligned())), 1.4),
+    "area": (RulePair(IntrinsicVolume(2), RestrictedMeasure(ISO)), 120.0),
+}
+
+
+def test_every_rule_family_keeps_its_trajectory_bits(unit_square, triangle):
+    # sha256 of repr((segments, births)) of each trajectory in turn, recorded
+    # before the division path was rewritten in one pass per piece
+    digest = hashlib.sha256()
+    chords = 0
+    for rules, t in FAMILY_TRAJECTORIES.values():
+        for W in (unit_square, triangle):
+            for seed in range(25):
+                state = new_process(W, rules, (31, seed)).advance(t)
+                digest.update(repr((state.segments, state.births)).encode())
+                chords += len(state.segments)
+    state = new_process(rectangle(0.0, 0.0, 3.0, 3.0), stit_pair(ISO), (31, 99), region=unit_square).advance(30.0)
+    digest.update(repr((state.segments, state.births)).encode())
+    chords += len(state.segments)
+    assert (chords, digest.hexdigest()) == (43489, "7a543c3e8949b12e655ee824953617704ebb71654d4346debb6d65dfbd6d406f")
+
+
 def test_keep_box_is_computed_once_per_window_pair():
     V, W = REGIONS["square"]
     box = engine._keep_box(V, W)
