@@ -18,11 +18,11 @@ state.  A state it does build re-seeds and redraws that same death.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -102,9 +102,9 @@ class ProcessState:
             if x_hi < keep[0] or y_hi < keep[1] or x_lo > keep[2] or y_lo > keep[3]:
                 return
         idx = self._next_index
-        self._next_index += 1
+        self._next_index = idx + 1
         death = death_time(birth, self._rng, rate(self.rules.selection, polygon))
-        heapq.heappush(self._heap, Cell(death, idx, polygon))
+        heappush(self._heap, tuple.__new__(Cell, (death, idx, polygon)))  # a Cell, less the call to its __new__
 
     def advance(self, t: float) -> "ProcessState":
         if not math.isfinite(t):
@@ -112,10 +112,15 @@ class ProcessState:
         if t < self.clock:
             raise ValueError(f"cannot advance backwards: {t} < {self.clock}")
         div = self.rules.division
-        while self._heap and self._heap[0].death_time <= t:
-            t_div, idx, polygon = heapq.heappop(self._heap)
+        heap = self._heap
+        rng = self._rng
+        segments = self.segments
+        births = self.births
+        spawn = self._spawn
+        while heap and heap[0][0] <= t:  # the first cell's death time
+            t_div, idx, polygon = heappop(heap)
             for _ in range(MAX_RESAMPLE):
-                h = divide(div, polygon, self._rng)
+                h = divide(div, polygon, rng)
                 try:
                     plus, minus, trace = split(polygon, h)
                 except DegenerateSplit:
@@ -127,11 +132,11 @@ class ProcessState:
                 raise ReplicateAborted(
                     f"cell {idx}: {MAX_RESAMPLE} degenerate dividing lines in a row"
                 )
-            self.segments.append(trace)
-            self.births.append(t_div)
-            self._spawn(plus, t_div)
-            self._spawn(minus, t_div)
-            if len(self.segments) > MAX_EVENTS:
+            segments.append(trace)
+            births.append(t_div)
+            spawn(plus, t_div)
+            spawn(minus, t_div)
+            if len(segments) > MAX_EVENTS:
                 raise ReplicateAborted(f"event cap {MAX_EVENTS} exceeded")
         self.clock = t
         return self

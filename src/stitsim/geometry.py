@@ -97,7 +97,7 @@ class Polygon:
                     e = hypot(xi - xj, yi - yj)
                     if e > d:
                         d = e
-            object.__setattr__(self, "_diameter", d)
+            _set_diameter(self, d)
         return d
 
     def _reach_terms(self) -> tuple[float, float]:
@@ -147,7 +147,7 @@ class Polygon:
                 inner - self.snap_tol - 64.0 * eps * (k + max(abs(cx), abs(cy))),
                 192.0 * eps,
             )
-            object.__setattr__(self, "_circles", t)
+            _set_circles(self, t)
         return t
 
     def centroid(self) -> tuple[float, float]:
@@ -174,11 +174,25 @@ class Polygon:
         return bool(edge_margins(self, x, y).min() >= -max(self.snap_tol, other.snap_tol) * self._scale)
 
 
+# Writers of Polygon's slots, which go around its __setattr__ (that refuses every write).
+_set_vertices = Polygon.vertices.__set__
+_set_area = Polygon.area.__set__
+_set_perimeter = Polygon.perimeter.__set__
+_set_diameter = Polygon._diameter.__set__
+_set_scale = Polygon._scale.__set__
+_set_box = Polygon._box.__set__
+_set_circles = Polygon._circles.__set__
+_set_edge_arrays = Polygon._edge_arrays.__set__
+
+
 def _build(poly: Polygon, pts: list[tuple[float, float]]) -> None:
     """Check at least 3 finite points as a CCW strictly convex polygon and set poly's slots.
 
-    `_convex_vertices` drops or rejects points, and runs only when `_strictly_convex`
-    fails: when that holds, the slow pass would keep every point in order."""
+    The vertices start at the lexicographically smallest one.  `_strict_measures`
+    tests them and sums their measures in one pass.  `_convex_vertices` drops or
+    rejects points, and runs only when that test fails: when it holds, the slow
+    pass would keep every point in order.  It runs on the points as given, as
+    which of two near duplicates it keeps depends on where it starts."""
     x_lo = x_hi = pts[0][0]
     y_lo = y_hi = pts[0][1]
     for x, y in pts:
@@ -195,16 +209,40 @@ def _build(poly: Polygon, pts: list[tuple[float, float]]) -> None:
         raise InvalidPolygon("degenerate polygon: zero extent")
     tol = SNAP_REL * scale
     cross_tol = tol * scale
-    kept = pts if _strictly_convex(pts, tol, cross_tol) else _convex_vertices(pts, tol, cross_tol)
+    start = pts.index(min(pts))
+    kept = pts[start:] + pts[:start]
+    measures = _strict_measures(kept, tol, cross_tol)
+    if measures is None:
+        kept = _convex_vertices(pts, tol, cross_tol)
+        start = kept.index(min(kept))
+        kept = kept[start:] + kept[:start]
+        measures = _measures(kept)
+    area2, perim, flips = measures
+    if area2 <= 0.0:
+        raise InvalidPolygon("non-positive signed area")
+    if not math.isfinite(area2):  # finite points whose area overflows, or a NaN from inf - inf
+        raise InvalidPolygon("non-finite signed area")
+    if flips > 2:
+        raise InvalidPolygon("boundary winds more than once")
 
-    # Canonical start: lexicographically smallest vertex.
-    start = kept.index(min(kept))
-    kept = kept[start:] + kept[:start]
+    # the box of the points covers the kept vertices, a subset of them
+    _set_vertices(poly, tuple(kept))
+    _set_area(poly, 0.5 * area2)
+    _set_perimeter(poly, perim)
+    _set_diameter(poly, None)
+    _set_scale(poly, scale)
+    _set_box(poly, (x_lo, y_lo, x_hi, y_hi))
+    _set_circles(poly, None)
+    _set_edge_arrays(poly, None)
 
-    # All turns are left turns, so the boundary winds once exactly when the
-    # signs of the nonzero edge dy change at most twice (up, then down).
-    # The cross products are taken about kept[0]: about (0, 0) they cancel
-    # for a small cell far from the origin.
+
+def _measures(kept: list[tuple[float, float]]) -> tuple[float, float, int]:
+    """(2 * signed area, perimeter, sign flips of the edge dy) of the closed path through kept.
+
+    When all turns are left turns, the boundary winds once exactly when the
+    signs of the nonzero edge dy change at most twice (up, then down).  The
+    cross products are taken about kept[0]: about (0, 0) they cancel for a
+    small cell far from the origin."""
     hypot = math.hypot
     area2 = 0.0
     perim = 0.0
@@ -220,36 +258,36 @@ def _build(poly: Polygon, pts: list[tuple[float, float]]) -> None:
                 flips += 1
             up = dy > 0.0
         x0, y0 = x1, y1
-    if area2 <= 0.0:
-        raise InvalidPolygon("non-positive signed area")
-    if not math.isfinite(area2):  # finite points whose area overflows, or a NaN from inf - inf
-        raise InvalidPolygon("non-finite signed area")
-    if flips > 2:
-        raise InvalidPolygon("boundary winds more than once")
-
-    # the box of the points covers the kept vertices, a subset of them
-    object.__setattr__(poly, "vertices", tuple(kept))
-    object.__setattr__(poly, "area", 0.5 * area2)
-    object.__setattr__(poly, "perimeter", perim)
-    object.__setattr__(poly, "_diameter", None)
-    object.__setattr__(poly, "_scale", scale)
-    object.__setattr__(poly, "_box", (x_lo, y_lo, x_hi, y_hi))
-    object.__setattr__(poly, "_circles", None)
-    object.__setattr__(poly, "_edge_arrays", None)
+    return area2, perim, flips
 
 
-def _strictly_convex(pts: list[tuple[float, float]], tol: float, cross_tol: float) -> bool:
-    """Whether every edge of the closed path is longer than tol and every turn
-    is a left turn by more than cross_tol, the two tests of `_convex_vertices`."""
+def _strict_measures(
+    kept: list[tuple[float, float]], tol: float, cross_tol: float
+) -> Optional[tuple[float, float, int]]:
+    """`_measures(kept)`, with the same sums in the same order, or None unless every
+    edge is longer than tol and every turn is a left turn by more than cross_tol,
+    the two tests of `_convex_vertices`."""
     hypot = math.hypot
-    ax, ay = pts[-2]
-    bx, by = pts[-1]
-    for cx, cy in pts:
+    area2 = 0.0
+    perim = 0.0
+    up = None
+    flips = 0
+    ax, ay = kept[-1]
+    ox, oy = bx, by = kept[0]
+    for cx, cy in kept[1:] + kept[:1]:
         # edge b -> c, and the turn at b; a NaN turn fails, as `_convex_vertices` drops it
-        if not (hypot(cx - bx, cy - by) > tol and (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol):
-            return False
+        e = hypot(cx - bx, cy - by)
+        if not (e > tol and (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol):
+            return None
+        area2 += (bx - ox) * (cy - oy) - (cx - ox) * (by - oy)
+        perim += e
+        dy = cy - by
+        if dy != 0.0:
+            if up is not None and up != (dy > 0.0):
+                flips += 1
+            up = dy > 0.0
         ax, ay, bx, by = bx, by, cx, cy
-    return True
+    return area2, perim, flips
 
 
 def _convex_vertices(pts: list[tuple[float, float]], tol: float, cross_tol: float) -> list[tuple[float, float]]:
@@ -302,8 +340,16 @@ def scale_about_centroid(C: Polygon, factor: float) -> Polygon:
 def random_convex_polygon(
     rng, n_points: int = 8, scale: float = 1.0, center: Sequence[float] = (0.0, 0.0)
 ) -> Polygon:
-    """Convex hull of gaussian points; always yields a valid polygon."""
+    """Convex hull of gaussian points; always yields a valid polygon.
+
+    Draws again until the hull is one; raises ValueError first when no draw can give one."""
+    if n_points < 3:
+        raise ValueError(f"need at least 3 points, got {n_points}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     cx, cy = center
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"center must be finite, got {center}")
     while True:
         pts = [(cx + scale * rng.standard_normal(), cy + scale * rng.standard_normal()) for _ in range(n_points)]
         hull = _convex_hull(pts)
@@ -357,9 +403,9 @@ def vertex_count(C: Polygon) -> int:
 
 def _piece(pts: list[tuple[float, float]]) -> Optional[Polygon]:
     """The polygon of a split piece, or None when it is degenerate; the points are
-    CCW finite floats, so `Polygon.__init__` has nothing to check."""
-    if len(pts) < 3:
-        return None
+    CCW finite floats, so `Polygon.__init__` has nothing to check.  `split` passes
+    at least 3 points: each side has a vertex beyond snap_tol, and a piece gets
+    it, a point before it and a point after it."""
     poly = object.__new__(Polygon)
     try:
         _build(poly, pts)
@@ -394,18 +440,26 @@ def split(
     minus_pts: list[tuple[float, float]] = []
     cross_pts: list[tuple[float, float]] = []
     for v, s, w, s2 in zip(vs, side, vs[1:] + vs[:1], side[1:] + side[:1]):
-        if s >= -tol:
+        if s > tol:
             plus_pts.append(v)
-        if s <= tol:
+            if s2 >= -tol:
+                continue
+        elif s < -tol:
             minus_pts.append(v)
-        if -tol < s < tol:
-            cross_pts.append(v)
-        if (s > tol and s2 < -tol) or (s < -tol and s2 > tol):
-            t = s / (s - s2)
-            ip = (v[0] + t * (w[0] - v[0]), v[1] + t * (w[1] - v[1]))
-            plus_pts.append(ip)
-            minus_pts.append(ip)
-            cross_pts.append(ip)
+            if s2 <= tol:
+                continue
+        else:  # in both pieces, and a crossing point unless at exactly +-tol
+            plus_pts.append(v)
+            minus_pts.append(v)
+            if -tol < s < tol:
+                cross_pts.append(v)
+            continue
+        # the edge v -> w crosses from one side beyond tol to the other
+        t = s / (s - s2)
+        ip = (v[0] + t * (w[0] - v[0]), v[1] + t * (w[1] - v[1]))
+        plus_pts.append(ip)
+        minus_pts.append(ip)
+        cross_pts.append(ip)
 
     plus = _piece(plus_pts)
     minus = _piece(minus_pts)
@@ -423,10 +477,20 @@ def split(
             f"sliver piece: areas {plus.area:.3e}/{minus.area:.3e} vs parent {C.area:.3e}"
         )
 
-    # Trace endpoints: the two extreme crossing points along the line direction.
+    # Trace endpoints: the two extreme crossing points along the line direction,
+    # with ties in list order, as a stable sort leaves them.  A vertex at exactly
+    # +-tol from the line is in both pieces but is no crossing point, so there
+    # may be fewer than two.
     dx, dy = -uy, ux  # along the line
-    cross_pts.sort(key=lambda p: p[0] * dx + p[1] * dy)
-    p0, p1 = cross_pts[0], cross_pts[-1]
+    if len(cross_pts) == 2:
+        p0, p1 = cross_pts
+        if p1[0] * dx + p1[1] * dy < p0[0] * dx + p0[1] * dy:
+            p0, p1 = p1, p0
+    elif cross_pts:
+        cross_pts.sort(key=lambda p: p[0] * dx + p[1] * dy)
+        p0, p1 = cross_pts[0], cross_pts[-1]
+    else:
+        raise DegenerateSplit("no crossing point")
     if math.hypot(p1[0] - p0[0], p1[1] - p0[1]) <= tol:
         raise DegenerateSplit("zero-length trace")
     return (plus, minus, Segment(p0, p1))
@@ -497,7 +561,7 @@ def _edges(C: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         edges = (v[:-1, 0, None], v[:-1, 1, None], e[:, 0, None], e[:, 1, None])
         for a in edges:
             a.flags.writeable = False
-        object.__setattr__(C, "_edge_arrays", edges)
+        _set_edge_arrays(C, edges)
     return edges
 
 

@@ -141,9 +141,16 @@ def sample_hitting(L: HyperplaneMeasure, C: Polygon, rng) -> Hyperplane:
         lo, hi = intervals[d.thetas.index(theta)]  # hi - lo is width(C, theta)
     else:
         envelope = C.diameter()
+        vs = C.vertices
+        cos, sin = math.cos, math.sin
         while True:
             theta = rng.random() * math.pi
-            lo, hi = offset_interval(C, theta)
+            # offset_interval(C, theta), inline
+            ux = cos(theta)
+            uy = sin(theta)
+            proj = [x * ux + y * uy for x, y in vs]
+            lo = min(proj)
+            hi = max(proj)
             if rng.random() * envelope <= hi - lo:  # hi - lo is width(C, theta)
                 break
     a = lo + rng.random() * (hi - lo)

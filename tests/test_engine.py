@@ -168,10 +168,20 @@ class TestAdvance:
     )
     def test_split_pieces_equal_full_constructor_pieces(self, monkeypatch, rules, W, seed, t):
         built = new_process(W, rules, seed).advance(t)
+        slow_passes = 0
+        convex_vertices = geometry._convex_vertices
+
+        def counted_slow_pass(pts, tol, cross_tol):
+            nonlocal slow_passes
+            slow_passes += 1
+            return convex_vertices(pts, tol, cross_tol)
+
         # every piece through the slow pass, as if no fast check passed
-        monkeypatch.setattr(geometry, "_strictly_convex", lambda pts, tol, cross_tol: False)
+        monkeypatch.setattr(geometry, "_strict_measures", lambda kept, tol, cross_tol: None)
+        monkeypatch.setattr(geometry, "_convex_vertices", counted_slow_pass)
         full = new_process(W, rules, seed).advance(t)
         assert len(built.segments) > 300
+        assert slow_passes >= 2 * len(full.segments)
         assert (built.segments, built.births) == (full.segments, full.births)
 
     def test_segments_inside_window(self, window, stit_rules):

@@ -78,6 +78,18 @@ class TestPolygonValidation:
         with pytest.raises(InvalidPolygon, match="non-finite signed area"):
             Polygon([(0, 0), (1e155, 0), (1e155, 1e155), (0, 1e155)])
 
+    def test_rejects_zero_extent(self):
+        with pytest.raises(InvalidPolygon, match="zero extent"):
+            Polygon([(1.0, 2.0)] * 3)
+
+    def test_rejects_a_clockwise_triangle_behind_reversals(self):
+        # (0, 0) -> (0, 2) -> (2, 0) is clockwise, but each of its vertices is
+        # reached through a point past it on the line from the vertex before:
+        # every turn is then a left turn or a reversal, which the slow pass
+        # drops as collinear, and only the signed area is left to reject it
+        with pytest.raises(InvalidPolygon, match="non-positive signed area"):
+            Polygon([(0, 0), (0, 4), (0, 2), (4, -2), (2, 0), (-2, 0)])
+
     def test_duplicate_vertices_deduped(self):
         p = Polygon([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)])
         assert vertex_count(p) == 4
@@ -154,6 +166,51 @@ class TestSplit:
         # corner cut with area ~1e-16, far below the sliver floor
         with pytest.raises(DegenerateSplit):
             split(unit_square, Hyperplane(math.pi / 4, 1e-8))
+
+    # A needle about 5e-12 thick and 1.8 long, cut nearly along its length:
+    # each piece is too thin for its own turn tolerance.  Found by a random search.
+    NEEDLE = [
+        (-0.9162589066243496, 2.4884563375748958e-12),
+        (0.11148479565586711, -2.0500388700419752e-13),
+        (0.8483794019049113, 3.215072901667789e-12),
+        (0.01719412730243386, 5.074226263792332e-12),
+    ]
+
+    def test_needle_cut_along_its_length_leaves_no_piece(self):
+        with pytest.raises(DegenerateSplit, match="both split pieces degenerate"):
+            split(Polygon(self.NEEDLE), Hyperplane(1.5707963265900888, 1.331945357486856e-11))
+
+    def test_degenerate_plus_piece_counts_as_a_tangent_line(self):
+        C = Polygon(
+            [
+                (-0.9828504177009447, -3.3207577618875277e-12),
+                (0.4804811741688033, 3.521971133787413e-12),
+                (-0.3941167832859729, 2.307851107193058e-12),
+            ]
+        )
+        h = Hyperplane(1.5707963269250875, 4.9223008069939966e-11)
+        ux, uy = h.normal
+        side = [x * ux + y * uy - h.a for x, y in C.vertices]
+        assert min(side) < -C.snap_tol < C.snap_tol < max(side)  # a vertex beyond snap_tol on each side
+        assert split(C, h) == (None, C, None)
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([(-1.0, 0.0), (0.0, -1.0), (1.0, 1.0)], "zero-length trace"),
+            ([(-1.0, 0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)], "no crossing point"),
+        ],
+        ids=["one-crossing", "none"],
+    )
+    def test_vertices_at_exactly_snap_tol_are_no_crossing_points(self, vertices, message):
+        # the line x = -snap_tol puts each vertex with x = 0 at exactly
+        # +snap_tol: in both pieces, but not on the trace
+        C = Polygon(vertices)
+        h = Hyperplane(0.0, -C.snap_tol)
+        ux, uy = h.normal
+        assert [x * ux + y * uy - h.a for x, y in C.vertices].count(C.snap_tol) == len(vertices) - 2
+        with pytest.raises(DegenerateSplit, match=message):
+            split(C, h)
 
 
 class TestSupportWidth:
@@ -325,7 +382,7 @@ def _piece_test_line(rng, C, kind):
 def _split_checking_pieces(C, h):
     """split(C, h), checking every piece against the reference constructor; returns the number of slow passes.
 
-    A piece that passes the fast check (`_strictly_convex`) must also be kept
+    A piece that passes the fast check (`_strict_measures`) must also be kept
     point for point by the slow pass (`_convex_vertices`).
     """
     build_piece = geometry._piece
@@ -382,6 +439,40 @@ def test_split_piece_with_crossings_within_snap_tol_takes_the_slow_pass():
     e, n = (math.sqrt(0.5), math.sqrt(0.5)), (-math.sqrt(0.5), math.sqrt(0.5))
     C = Polygon([(-0.01 * n[0], -0.01 * n[1]), e, (0.01 * n[0], 0.01 * n[1])])
     assert _split_checking_pieces(C, Hyperplane(math.pi / 4, 1.0 - 3.1e-11)) == 1
+
+
+class TestRandomConvexPolygon:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_points": 2}, "at least 3 points"),
+            ({"scale": 0.0}, "positive and finite"),
+            ({"scale": -1.0}, "positive and finite"),
+            ({"scale": math.inf}, "positive and finite"),
+            ({"scale": math.nan}, "positive and finite"),
+            ({"center": (math.inf, 0.0)}, "center must be finite"),
+        ],
+        ids=["two-points", "scale-0", "scale-negative", "scale-inf", "scale-nan", "center-inf"],
+    )
+    def test_rejects_inputs_that_no_draw_can_make_a_polygon_of(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            random_convex_polygon(np.random.default_rng(0), **kwargs)
+
+    def test_draws_again_until_the_hull_is_a_polygon(self):
+        class Draws:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def standard_normal(self):
+                return next(self.values)
+
+        draws = Draws(
+            [0.0] * 6  # one point three times: its hull has fewer than 3 points
+            + [0.0, 0.0, 1.0, 0.0, 2.0, 1e-14]  # a turn within the tolerance: InvalidPolygon
+            + [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+        )
+        assert random_convex_polygon(draws, n_points=3) == Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        assert next(draws.values, None) is None
 
 
 def test_diameter_is_the_largest_vertex_distance():

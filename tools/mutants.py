@@ -50,6 +50,9 @@ WRITERS = "tests/test_output.py::test_writers_equal_the_references"
 PAUSE = "tests/test_config_cli.py::TestCliPausesTheCollector"
 RULE_PAIR = "tests/test_rules.py::TestRulePair"
 ADVANCE = "tests/test_engine.py::TestAdvance"
+FAMILY_BITS = "tests/test_engine.py::test_every_rule_family_keeps_its_trajectory_bits"
+VALIDATION_POLYGON = "tests/test_geometry.py::TestPolygonValidation"
+SPLIT = "tests/test_geometry.py::TestSplit"
 
 
 class Mutant(NamedTuple):
@@ -286,16 +289,80 @@ MUTANTS = [
     Mutant(
         "fast check without its turn test",
         "geometry.py",
-        "if not (hypot(cx - bx, cy - by) > tol and (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol):",
-        "if not hypot(cx - bx, cy - by) > tol:",
+        "if not (e > tol and (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol):",
+        "if not e > tol:",
         (PIECES, SLOW_PASS),
     ),
     Mutant(
         "fast check without its edge-length test",
         "geometry.py",
-        "if not (hypot(cx - bx, cy - by) > tol and (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol):",
+        "if not (e > tol and (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol):",
         "if not (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > cross_tol:",
         (NEAR_DUPLICATES,),
+    ),
+    Mutant(
+        "no perimeter on the fast pass",
+        "geometry.py",
+        "        perim += e\n",
+        "",
+        ("tests/test_geometry.py::TestIntrinsicVolumes", FAMILY_BITS),
+    ),
+    Mutant(
+        "diameter written to the circles slot",
+        "geometry.py",
+        "_set_diameter = Polygon._diameter.__set__",
+        "_set_diameter = Polygon._circles.__set__",
+        ("tests/test_geometry.py::test_diameter_is_the_largest_vertex_distance",),
+    ),
+    Mutant(
+        "zero extent let through",
+        "geometry.py",
+        "if scale <= 0.0:",
+        "if scale < 0.0:",
+        (f"{VALIDATION_POLYGON}::test_rejects_zero_extent",),
+    ),
+    Mutant(
+        "no signed-area check",
+        "geometry.py",
+        '    if area2 <= 0.0:\n        raise InvalidPolygon("non-positive signed area")\n',
+        "",
+        (f"{VALIDATION_POLYGON}::test_rejects_a_clockwise_triangle_behind_reversals",),
+    ),
+    # split's pieces, and its trace from the crossing points
+    Mutant(
+        "two degenerate pieces as a tangent line",
+        "geometry.py",
+        "if plus is None and minus is None:",
+        "if False:",
+        (f"{SPLIT}::test_needle_cut_along_its_length_leaves_no_piece",),
+    ),
+    Mutant(
+        "a degenerate plus piece keeps the cell on the plus side",
+        "geometry.py",
+        "    if plus is None:\n        return (None, C, None)",
+        "    if plus is None:\n        return (C, None, None)",
+        (f"{SPLIT}::test_degenerate_plus_piece_counts_as_a_tangent_line",),
+    ),
+    Mutant(
+        "two-point trace comparison reversed",
+        "geometry.py",
+        "if p1[0] * dx + p1[1] * dy < p0[0] * dx + p0[1] * dy:",
+        "if p1[0] * dx + p1[1] * dy > p0[0] * dx + p0[1] * dy:",
+        (FAMILY_BITS,),
+    ),
+    Mutant(
+        "no crossing point sorted",
+        "geometry.py",
+        "    elif cross_pts:\n",
+        "    elif True:\n",
+        (f"{SPLIT}::test_vertices_at_exactly_snap_tol_are_no_crossing_points[none]",),
+    ),
+    Mutant(
+        "zero-length trace kept",
+        "geometry.py",
+        "if math.hypot(p1[0] - p0[0], p1[1] - p0[1]) <= tol:",
+        "if math.hypot(p1[0] - p0[0], p1[1] - p0[1]) < 0.0:",
+        (f"{SPLIT}::test_vertices_at_exactly_snap_tol_are_no_crossing_points[one-crossing]",),
     ),
     Mutant(
         "slow pass keeps a flat turn",
@@ -381,8 +448,8 @@ MUTANTS = [
     Mutant(
         "event cap one chord early",
         "engine.py",
-        "if len(self.segments) > MAX_EVENTS:",
-        "if len(self.segments) >= MAX_EVENTS:",
+        "if len(segments) > MAX_EVENTS:",
+        "if len(segments) >= MAX_EVENTS:",
         (f"{ADVANCE}::test_event_cap",),
     ),
     # the W arm builds only the cells that can meet V
