@@ -112,16 +112,18 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     `a` is (m, columns) and `b` is (n, columns).  Each column gets scipy's
     `ks_2samp(method="asymp")` arithmetic: D is the largest gap between the
     empirical CDFs at the pooled points, and its p-value is
-    `kstwo.sf(D, round(m*n/(m+n)))`, the exact law of the one-sample KS
-    statistic at the effective sample size, clipped to [0, 1].  All columns
-    share one `kstwo.sf` call.  Returns an array of D and one of p, a value
-    per column.
+    `kstwo_sf(D, round(m*n/(m+n)))`, the exact law of the one-sample KS
+    statistic at the effective sample size (Simard & L'Ecuyer 2011),
+    clipped to [0, 1].  `kstwo_sf` is a port of scipy's `kstwo.sf` with the
+    same bits that loads only `scipy.special`, not `scipy.stats`.  All
+    columns share one `kstwo_sf` call.  Returns an array of D and one of p,
+    a value per column.
     """
     xs, ys = (x.astype(float) for x in _column_pair(a, b))
     m, n = len(xs), len(ys)
     if m < 20 or n < 20:
         raise InsufficientSamples(f"need >= 20 samples per side, got {m}/{n}")
-    from scipy import stats as scipy_stats  # about 1 s to import, paid on the first test only
+    from .kstwo import kstwo_sf  # loaded by the first test, so `import stitsim` does no more work than before
 
     gaps = np.empty((xs.shape[1], m + n))  # empirical CDF of a minus that of b, at the pooled points
     for c, (x, y) in enumerate(zip(np.sort(xs.T, axis=1), np.sort(ys.T, axis=1))):
@@ -130,7 +132,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     below = np.clip(-gaps.min(axis=1), 0, 1)
     above = gaps.max(axis=1)
     d = np.where(below > above, below, above)
-    p = np.clip(scipy_stats.kstwo.sf(d, np.round(m * n / (m + n))), 0, 1)
+    p = np.clip(kstwo_sf(d, np.round(m * n / (m + n))), 0, 1)
     return d, p
 
 

@@ -20,6 +20,9 @@ from .errors import DegenerateSplit, InvalidPolygon
 SNAP_REL = 1e-12
 # A nonempty split piece smaller than this fraction of the parent is a sliver.
 SLIVER_AREA_REL = 1e-14
+# random_convex_polygon gives up after this many draws without a polygon; at a usable scale
+# the first draw is one with probability 1.
+RANDOM_POLYGON_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -340,9 +343,11 @@ def scale_about_centroid(C: Polygon, factor: float) -> Polygon:
 def random_convex_polygon(
     rng, n_points: int = 8, scale: float = 1.0, center: Sequence[float] = (0.0, 0.0)
 ) -> Polygon:
-    """Convex hull of gaussian points; always yields a valid polygon.
+    """Convex hull of gaussian points, as a valid polygon.
 
-    Draws again until the hull is one; raises ValueError first when no draw can give one."""
+    Draws again until the hull is one; raises ValueError first when no draw can give one, and
+    after RANDOM_POLYGON_DRAWS draws without one (a scale lost in the rounding of the center,
+    or one whose coordinates or area overflow)."""
     if n_points < 3:
         raise ValueError(f"need at least 3 points, got {n_points}")
     if not (math.isfinite(scale) and scale > 0.0):
@@ -350,7 +355,7 @@ def random_convex_polygon(
     cx, cy = center
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise ValueError(f"center must be finite, got {center}")
-    while True:
+    for _ in range(RANDOM_POLYGON_DRAWS):
         pts = [(cx + scale * rng.standard_normal(), cy + scale * rng.standard_normal()) for _ in range(n_points)]
         hull = _convex_hull(pts)
         if len(hull) >= 3:
@@ -358,6 +363,7 @@ def random_convex_polygon(
                 return Polygon(hull)
             except InvalidPolygon:
                 continue
+    raise ValueError(f"no polygon in {RANDOM_POLYGON_DRAWS} draws of {n_points} points at scale {scale} about {center}")
 
 
 def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -31,11 +31,13 @@ from stitsim import (
 )
 from stitsim.analysis import (
     CONSISTENT,
+    ConsistencyReport,
     WindowStats,
     _collect_chunk,
     chi_square_2x2,
     consistency_test,
     default_probes,
+    fundamental_residual,
     holm_adjust,
     identity_suite,
     ks_two_sample,
@@ -505,6 +507,14 @@ class TestConsistencyPipeline:
                 stit_rules, unit_square, unit_square, [1.0], 100, probes=[rectangle(0.5, 0.5, 2.0, 2.0)]
             )
 
+    def test_window_containment_checked_before_replicates(self, unit_square, stit_rules, monkeypatch):
+        def no_replicates(*args):
+            raise AssertionError("a replicate ran before V was checked against W")
+
+        monkeypatch.setattr(analysis, "new_process", no_replicates)
+        with pytest.raises(ContainmentViolation, match="V must be contained in W"):
+            consistency_test(stit_rules, rectangle(0.5, 0.5, 1.5, 1.5), unit_square, [1.0], 100)
+
     def test_requires_min_replicates(self, unit_square, stit_rules):
         with pytest.raises(ValueError):
             consistency_test(stit_rules, unit_square, unit_square, [1.0], 50)
@@ -518,6 +528,10 @@ class TestConsistencyPipeline:
         monkeypatch.setattr("stitsim.analysis.new_process", None)  # no replicate may run
         with pytest.raises(ValueError, match="alpha"):
             consistency_test(stit_rules, unit_square, unit_square, [1.0], 100, alpha=alpha)
+
+    def test_min_p_holm_is_the_smallest_adjusted_p_value(self):
+        results = tuple(analysis.TestResult(1.0, f"s{i}", "ks", 0.1, p / 2, p) for i, p in enumerate([0.3, 0.02, 0.5]))
+        assert ConsistencyReport(results, 100, (0, 0), 0.001, CONSISTENT).min_p_holm == 0.02
 
     def test_report_serialization_roundtrip(self, unit_square, stit_rules):
         report = consistency_test(
@@ -1175,6 +1189,22 @@ class TestIdentitySuite:
         [result] = identity_suite(pair, ["division_bound"], n_cases=20, seed=4)
         assert result.passed, result.max_residual
         assert result.max_residual == 0.0  # every case under its bound: a negative residual is reported as 0
+
+    def test_unknown_identity_is_an_error(self, stit_rules):
+        with pytest.raises(ValueError, match="unknown identity 'fundamentals'"):
+            identity_suite(stit_rules, ["fundamental", "fundamentals"], n_cases=1)
+
+    @pytest.mark.parametrize(
+        "V, W, B",
+        [
+            (rectangle(0, 0, 1, 1), rectangle(0, 0, 2, 2), rectangle(0.5, 0.5, 1.5, 1.5)),
+            (rectangle(0, 0, 3, 3), rectangle(0, 0, 2, 2), rectangle(0.5, 0.5, 1.5, 1.5)),
+        ],
+        ids=["B-outside-V", "V-outside-W"],
+    )
+    def test_fundamental_residual_needs_nested_windows(self, iso_measure, V, W, B):
+        with pytest.raises(ContainmentViolation, match="need B subset V subset W"):
+            fundamental_residual(iso_measure, V, W, B)
 
     @pytest.mark.parametrize("n_cases", [0, -3])
     def test_no_cases_is_an_error(self, iso_measure, n_cases):

@@ -458,21 +458,38 @@ class TestRandomConvexPolygon:
         with pytest.raises(ValueError, match=message):
             random_convex_polygon(np.random.default_rng(0), **kwargs)
 
+    class Draws:
+        def __init__(self, values):
+            self.values = iter(values)
+
+        def standard_normal(self):
+            return next(self.values)
+
     def test_draws_again_until_the_hull_is_a_polygon(self):
-        class Draws:
-            def __init__(self, values):
-                self.values = iter(values)
-
-            def standard_normal(self):
-                return next(self.values)
-
-        draws = Draws(
+        draws = self.Draws(
             [0.0] * 6  # one point three times: its hull has fewer than 3 points
             + [0.0, 0.0, 1.0, 0.0, 2.0, 1e-14]  # a turn within the tolerance: InvalidPolygon
             + [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
         )
         assert random_convex_polygon(draws, n_points=3) == Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         assert next(draws.values, None) is None
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"center": (1e300, 0.0), "scale": 1e-300}, {"scale": 1e307}],
+        ids=["scale-lost-in-center", "area-overflows"],
+    )
+    def test_gives_up_when_no_draw_is_a_polygon(self, kwargs):
+        # every point rounds to the center, or every hull's area overflows
+        with pytest.raises(ValueError, match=f"no polygon in {geometry.RANDOM_POLYGON_DRAWS} draws"):
+            random_convex_polygon(np.random.default_rng(0), **kwargs)
+
+    def test_gives_up_after_exactly_its_draws(self):
+        triangle = [0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+        draws = self.Draws([0.0] * 6 * geometry.RANDOM_POLYGON_DRAWS + triangle)
+        with pytest.raises(ValueError, match="no polygon"):
+            random_convex_polygon(draws, n_points=3)
+        assert list(draws.values) == triangle
 
 
 def test_diameter_is_the_largest_vertex_distance():

@@ -53,6 +53,8 @@ ADVANCE = "tests/test_engine.py::TestAdvance"
 FAMILY_BITS = "tests/test_engine.py::test_every_rule_family_keeps_its_trajectory_bits"
 VALIDATION_POLYGON = "tests/test_geometry.py::TestPolygonValidation"
 SPLIT = "tests/test_geometry.py::TestSplit"
+KSTWO = "tests/test_kstwo.py::test_equals_scipy_bit_for_bit"
+RANDOM_POLYGON = "tests/test_geometry.py::TestRandomConvexPolygon"
 
 
 class Mutant(NamedTuple):
@@ -245,6 +247,49 @@ MUTANTS = [
         'np.searchsorted(x, pooled, side="left")',
         (f"{BATCHED}::test_ks_columns_equal_ks_2samp", "tests/test_analysis.py::TestKSTwoSample::test_identical_samples"),
     ),
+    # the KS p-value: scipy's kstwo.sf, ported
+    Mutant(
+        "DMTW/Pomeranz cut strict",
+        "kstwo.py",
+        "if nxsquared <= 0.754693:",
+        "if nxsquared < 0.754693:",
+        (f"{KSTWO}[10]",),
+    ),
+    Mutant(
+        "smirnov branch above n > 140 strict",
+        "kstwo.py",
+        "elif nxsquared >= 2.2:",
+        "elif nxsquared > 2.2:",
+        (f"{KSTWO}[150]",),
+    ),
+    Mutant(
+        "DMTW matrix power not rescaled",
+        "kstwo.py",
+        "if np.abs(H[k - 1, k - 1]) > _EP128:",
+        "if False:",
+        (f"{KSTWO}[140]",),
+    ),
+    Mutant(
+        "Pelz-Good survival by scipy's cdf=False sign flip, not 1 - cdf",
+        "kstwo.py",
+        "    K0to3 /= powers_of_n\n\n    return sum(K0to3)",
+        "    K0to3 /= powers_of_n\n\n    K0to3 *= -1\n    K0to3[0] += 1\n    return 1.0 - sum(K0to3)",
+        (f"{KSTWO}[1000]",),
+    ),
+    Mutant(
+        "support edge 0.5/n open",
+        "kstwo.py",
+        "sf = (d <= 0.5 / n).astype(float)",
+        "sf = (d < 0.5 / n).astype(float)",
+        (f"{KSTWO}[10]", "tests/test_kstwo.py::test_support_edges_and_no_point"),
+    ),
+    Mutant(
+        "non-integral n accepted",
+        "kstwo.py",
+        "if not (n >= 1 and float(n).is_integer()):",
+        "if not n >= 1:",
+        ("tests/test_kstwo.py::test_n_must_be_a_positive_integer",),
+    ),
 
     # the identity suite: one loop over each identity's cases
     Mutant(
@@ -284,6 +329,66 @@ MUTANTS = [
         '    if n_cases < 1:\n        raise ValueError(f"n_cases must be >= 1, got {n_cases}")\n',
         "",
         (f"{IDENT}::test_no_cases_is_an_error",),
+    ),
+    Mutant(
+        "unknown identity looked up",
+        "analysis.py",
+        "        if name not in IDENTITIES:\n",
+        "        if False:\n",
+        (f"{IDENT}::test_unknown_identity_is_an_error",),
+    ),
+    Mutant(
+        "fundamental residual without V in W",
+        "analysis.py",
+        "if not (V.contains_polygon(B) and W.contains_polygon(V)):",
+        "if not V.contains_polygon(B):",
+        (f"{IDENT}::test_fundamental_residual_needs_nested_windows[V-outside-W]",),
+    ),
+    Mutant(
+        "consistency test without V in W",
+        "analysis.py",
+        "    if not W.contains_polygon(V):\n",
+        "    if False:\n",
+        (f"{PIPELINE}::test_window_containment_checked_before_replicates",),
+    ),
+    Mutant(
+        "min_p_holm the largest",
+        "analysis.py",
+        "return min(r.p_holm for r in self.results)",
+        "return max(r.p_holm for r in self.results)",
+        (f"{PIPELINE}::test_min_p_holm_is_the_smallest_adjusted_p_value",),
+    ),
+    # random_convex_polygon: checks up front, then at most RANDOM_POLYGON_DRAWS draws
+    Mutant(
+        "two points accepted",
+        "geometry.py",
+        "    if n_points < 3:\n",
+        "    if n_points < 2:\n",
+        (f"{RANDOM_POLYGON}::test_rejects_inputs_that_no_draw_can_make_a_polygon_of[two-points]",),
+    ),
+    Mutant(
+        "any finite scale accepted",
+        "geometry.py",
+        "if not (math.isfinite(scale) and scale > 0.0):",
+        "if not math.isfinite(scale):",
+        (
+            f"{RANDOM_POLYGON}::test_rejects_inputs_that_no_draw_can_make_a_polygon_of[scale-0]",
+            f"{RANDOM_POLYGON}::test_rejects_inputs_that_no_draw_can_make_a_polygon_of[scale-negative]",
+        ),
+    ),
+    Mutant(
+        "infinite center accepted",
+        "geometry.py",
+        "if not (math.isfinite(cx) and math.isfinite(cy)):",
+        "if not (math.isfinite(cx) or math.isfinite(cy)):",
+        (f"{RANDOM_POLYGON}::test_rejects_inputs_that_no_draw_can_make_a_polygon_of[center-inf]",),
+    ),
+    Mutant(
+        "one draw more",
+        "geometry.py",
+        "    for _ in range(RANDOM_POLYGON_DRAWS):\n",
+        "    for _ in range(RANDOM_POLYGON_DRAWS + 1):\n",
+        (f"{RANDOM_POLYGON}::test_gives_up_after_exactly_its_draws",),
     ),
     # the one polygon builder: a fast check, else the slow pass
     Mutant(
