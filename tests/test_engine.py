@@ -438,6 +438,30 @@ def test_every_rule_family_keeps_its_trajectory_bits(unit_square, triangle):
     assert (chords, digest.hexdigest()) == (43489, "7a543c3e8949b12e655ee824953617704ebb71654d4346debb6d65dfbd6d406f")
 
 
+# The intrinsic-volume selections, whose rates are no hitting mass, each with
+# isotropic restricted and axis-aligned point-driven division.
+INTRINSIC_VOLUME_TRAJECTORIES = {
+    "v0-isotropic": (RulePair(IntrinsicVolume(0), RestrictedMeasure(ISO)), 5.0),
+    "v0-axis-point-driven": (RulePair(IntrinsicVolume(0), PointDriven(axis_aligned())), 5.0),
+    "v1-isotropic": (RulePair(IntrinsicVolume(1), RestrictedMeasure(ISO)), 14.0),
+    "v1-axis-point-driven": (RulePair(IntrinsicVolume(1), PointDriven(axis_aligned())), 8.0),
+}
+
+
+def test_intrinsic_volume_selections_keep_their_trajectory_bits(unit_square, triangle):
+    # sha256 of repr((segments, births)) of each trajectory in turn, recorded
+    # before the rate became a function bound once per state
+    digest = hashlib.sha256()
+    chords = 0
+    for rules, t in INTRINSIC_VOLUME_TRAJECTORIES.values():
+        for W in (unit_square, triangle):
+            for seed in range(25):
+                state = new_process(W, rules, (32, seed)).advance(t)
+                digest.update(repr((state.segments, state.births)).encode())
+                chords += len(state.segments)
+    assert (chords, digest.hexdigest()) == (28499, "3effb0e1bee1ea51dfc4ae15afa590f326c0d94f84c8e6735d56bf0e5aad24f5")
+
+
 def test_keep_box_is_computed_once_per_window_pair():
     V, W = REGIONS["square"]
     box = engine._keep_box(V, W)
