@@ -29,8 +29,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ContainmentViolation, DegenerateSplit, ReplicateAborted
-from .geometry import Polygon, Segment, clip_segments, segment_rows, split
-from .rules import RulePair, divide, rate
+from .geometry import Polygon, Segment, clip_segments, segment_rows, split_line
+from .rules import RulePair, line_drawer, rate_function
 
 MAX_RESAMPLE = 100
 MAX_EVENTS = 2_000_000
@@ -72,7 +72,8 @@ class ProcessState:
     """
 
     __slots__ = (
-        "window", "rules", "seed", "region", "clock", "segments", "births", "_heap", "_next_index", "_rng", "_keep"
+        "window", "rules", "seed", "region", "clock", "segments", "births",
+        "_heap", "_next_index", "_rng", "_keep", "_rate", "_draw",
     )
 
     def __init__(
@@ -92,8 +93,23 @@ class ProcessState:
         self._heap: list[Cell] = []
         self._next_index = 0
         self._keep = None if region is None else _keep_box(region, window)
+        self._bind()
         self._rng = np.random.default_rng(seed)
         self._spawn(window, 0.0)
+
+    def _bind(self) -> None:
+        """Binds the rules' rate function and line drawer, once per state."""
+        self._rate = rate_function(self.rules.selection)
+        self._draw = line_drawer(self.rules.division)
+
+    def __getstate__(self):
+        # the bound functions are closures, which do not pickle; __setstate__ binds them again
+        return {name: getattr(self, name) for name in self.__slots__ if name not in ("_rate", "_draw")}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._bind()
 
     def _spawn(self, polygon: Polygon, birth: float) -> None:
         keep = self._keep
@@ -103,7 +119,7 @@ class ProcessState:
                 return
         idx = self._next_index
         self._next_index = idx + 1
-        death = death_time(birth, self._rng, rate(self.rules.selection, polygon))
+        death = birth + self._rng.standard_exponential() / self._rate(polygon)  # death_time, inline
         heappush(self._heap, tuple.__new__(Cell, (death, idx, polygon)))  # a Cell, less the call to its __new__
 
     def advance(self, t: float) -> "ProcessState":
@@ -111,7 +127,7 @@ class ProcessState:
             raise ValueError(f"cannot advance to a non-finite time: {t}")
         if t < self.clock:
             raise ValueError(f"cannot advance backwards: {t} < {self.clock}")
-        div = self.rules.division
+        draw = self._draw
         heap = self._heap
         rng = self._rng
         segments = self.segments
@@ -120,9 +136,9 @@ class ProcessState:
         while heap and heap[0][0] <= t:  # the first cell's death time
             t_div, idx, polygon = heappop(heap)
             for _ in range(MAX_RESAMPLE):
-                h = divide(div, polygon, rng)
+                _, ux, uy, a = draw(polygon, rng)
                 try:
-                    plus, minus, trace = split(polygon, h)
+                    plus, minus, trace = split_line(polygon, ux, uy, a)
                 except DegenerateSplit:
                     continue
                 if plus is not None and minus is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,26 +33,60 @@ class Hyperplane:
     a: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta < math.pi):
-            raise ValueError(f"theta must lie in [0, pi), got {self.theta}")
-        if not (math.isfinite(self.theta) and math.isfinite(self.a)):
-            raise ValueError("hyperplane parameters must be finite")
+        check_line(self.theta, self.a)
 
     @property
     def normal(self) -> tuple[float, float]:
         return (math.cos(self.theta), math.sin(self.theta))
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A closed line segment with distinct endpoints."""
+def check_line(theta: float, a: float) -> None:
+    """The checks of a line (theta, a): theta in [0, pi) and a finite offset; raises ValueError."""
+    if not (0.0 <= theta < math.pi):
+        raise ValueError(f"theta must lie in [0, pi), got {theta}")
+    if not math.isfinite(a):
+        raise ValueError("hyperplane parameters must be finite")
 
-    p: tuple[float, float]
-    q: tuple[float, float]
+
+class Segment:
+    """A closed line segment with distinct endpoints; immutable, with the eq, hash
+    and repr of a frozen dataclass of the fields p and q."""
+
+    __slots__ = ("p", "q")
+    __match_args__ = ("p", "q")
+
+    def __init__(self, p: tuple[float, float], q: tuple[float, float]):
+        _set_p(self, p)
+        _set_q(self, q)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) == (other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
+
+    def __repr__(self):
+        return f"Segment(p={self.p!r}, q={self.q!r})"
+
+    def __reduce__(self):
+        return (Segment, (self.p, self.q))
 
     @property
     def length(self) -> float:
         return math.hypot(self.q[0] - self.p[0], self.q[1] - self.p[1])
+
+
+# Writers of Segment's slots, which go around its __setattr__ (that refuses every write).
+_set_p = Segment.p.__set__
+_set_q = Segment.q.__set__
 
 
 class Polygon:
@@ -407,32 +441,30 @@ def vertex_count(C: Polygon) -> int:
     return len(C.vertices)
 
 
-def _piece(pts: list[tuple[float, float]]) -> Optional[Polygon]:
-    """The polygon of a split piece, or None when it is degenerate; the points are
-    CCW finite floats, so `Polygon.__init__` has nothing to check.  `split` passes
-    at least 3 points: each side has a vertex beyond snap_tol, and a piece gets
-    it, a point before it and a point after it."""
-    poly = object.__new__(Polygon)
-    try:
-        _build(poly, pts)
-    except InvalidPolygon:
-        return None
-    return poly
-
-
 def split(
     C: Polygon, h: Hyperplane
 ) -> tuple[Optional[Polygon], Optional[Polygon], Optional[Segment]]:
-    """Split C by h into (C n h+, C n h-, h n C).
-
-    A side with empty interior comes back as None; the trace is None unless
-    both sides are nonempty.  Raises DegenerateSplit for sliver pieces so the
-    caller can resample the line.  Each piece is built by `_piece` from the
-    parent's vertices and the crossing points, in the parent's CCW order, so
-    it is exactly what `Polygon(points)` would build.
-    """
+    """Split C by h into (C n h+, C n h-, h n C): `split_line` by h's normal and offset."""
     ux, uy = h.normal
-    a = h.a
+    return split_line(C, ux, uy, h.a)
+
+
+def split_line(
+    C: Polygon, ux: float, uy: float, a: float
+) -> tuple[Optional[Polygon], Optional[Polygon], Optional[Segment]]:
+    """Split C by the line {x : <x, (ux, uy)> = a} into (C n h+, C n h-, h n C).
+
+    (ux, uy) is the unit normal (cos theta, sin theta) of the line.  A side
+    with empty interior comes back as None; the trace is None unless both
+    sides are nonempty.  Raises DegenerateSplit for sliver pieces so the
+    caller can resample the line.  Each piece is built by `_build` from the
+    parent's vertices and the crossing points, in the parent's CCW order, so
+    it is exactly what `Polygon(points)` would build; the points are CCW
+    finite floats, so `Polygon.__init__` has nothing to check.  Each side has
+    a vertex beyond snap_tol, and its piece gets it, a point before it and a
+    point after it, so `_build` gets at least 3 points.  A piece that
+    `_build` rejects is degenerate.
+    """
     vs = C.vertices
     tol = C.snap_tol
 
@@ -467,8 +499,17 @@ def split(
         minus_pts.append(ip)
         cross_pts.append(ip)
 
-    plus = _piece(plus_pts)
-    minus = _piece(minus_pts)
+    new = object.__new__
+    plus = new(Polygon)
+    try:
+        _build(plus, plus_pts)
+    except InvalidPolygon:
+        plus = None
+    minus = new(Polygon)
+    try:
+        _build(minus, minus_pts)
+    except InvalidPolygon:
+        minus = None
 
     if plus is None and minus is None:
         raise DegenerateSplit("both split pieces degenerate")
@@ -499,7 +540,10 @@ def split(
         raise DegenerateSplit("no crossing point")
     if math.hypot(p1[0] - p0[0], p1[1] - p0[1]) <= tol:
         raise DegenerateSplit("zero-length trace")
-    return (plus, minus, Segment(p0, p1))
+    trace = new(Segment)  # Segment(p0, p1), less the call to its __init__
+    _set_p(trace, p0)
+    _set_q(trace, p1)
+    return (plus, minus, trace)
 
 
 def sample_uniform_point(C: Polygon, rng) -> tuple[float, float]:

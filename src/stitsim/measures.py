@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from .geometry import Hyperplane, Polygon, offset_interval, width
+from .geometry import Hyperplane, Polygon, check_line, offset_interval, width
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -72,12 +72,26 @@ class HyperplaneMeasure:
             raise ValueError("intensity must be positive and finite")
 
 
-def hitting_mass(L: HyperplaneMeasure, C: Polygon) -> float:
-    """Mass of the lines hitting C: intensity * integral of width(C, theta) phi(dtheta)."""
+# A dividing line as a division event carries it from its draw to
+# `geometry.split_line`: (theta, ux, uy, a), with the unit normal
+# (ux, uy) = (cos theta, sin theta) and the offset a.
+Line = tuple[float, float, float, float]
+
+
+def hitting_mass_function(L: HyperplaneMeasure) -> Callable[[Polygon], float]:
+    """C -> the mass of the lines of L hitting C: intensity * integral of width(C, theta) phi(dtheta)."""
+    k = L.intensity
     d = L.directions
     if isinstance(d, Isotropic):
-        return L.intensity * C.perimeter / math.pi
-    return L.intensity * ordered_sum(w * width(C, t) for t, w in zip(d.thetas, d.weights))
+        pi = math.pi
+        return lambda C: k * C.perimeter / pi
+    thetas, weights = d.thetas, d.weights
+    return lambda C: k * ordered_sum(w * width(C, t) for t, w in zip(thetas, weights))
+
+
+def hitting_mass(L: HyperplaneMeasure, C: Polygon) -> float:
+    """Mass of the lines hitting C (`hitting_mass_function`)."""
+    return hitting_mass_function(L)(C)
 
 
 def joint_hitting_mass(L: HyperplaneMeasure, A: Polygon, B: Polygon) -> float:
@@ -118,33 +132,48 @@ def _edge_normal_angles(C: Polygon) -> list[float]:
 
 
 def sample_atom(thetas: Sequence[float], weights: Sequence[float], rng) -> float:
-    """Draw one of the angles with probability proportional to its weight."""
+    """Draw one of the angles with probability proportional to its weight.
+
+    u = r * (the sum of the weights), r in [0, 1), is at most the last partial
+    sum, which adds the same weights in the same order; so the last angle is
+    drawn when u passes every partial sum before it."""
     u = rng.random() * ordered_sum(weights)
     acc = 0.0
-    for t, w in zip(thetas, weights):
+    for t, w in zip(thetas[:-1], weights):
         acc += w
         if u <= acc:
             return t
-    return thetas[-1]  # rounding left u above the last partial sum
+    return thetas[-1]
 
 
-def sample_hitting(L: HyperplaneMeasure, C: Polygon, rng) -> Hyperplane:
-    """Draw a line from the restriction of L to the lines hitting C.
+def hitting_drawer(L: HyperplaneMeasure) -> Callable[[Polygon, object], Line]:
+    """(C, rng) -> a line (theta, ux, uy, a) drawn from the restriction of L to the lines hitting C.
 
     The angle density is proportional to width(C, theta) * phi(theta); the
-    offset is then uniform on the hitting interval for that angle.
+    offset is then uniform on the hitting interval for that angle.  The line
+    passes `check_line`.
     """
     d = L.directions
+    cos, sin = math.cos, math.sin
     if isinstance(d, Atoms):
-        intervals = [offset_interval(C, t) for t in d.thetas]
-        theta = sample_atom(d.thetas, [w * (hi - lo) for (lo, hi), w in zip(intervals, d.weights)], rng)
-        lo, hi = intervals[d.thetas.index(theta)]  # hi - lo is width(C, theta)
-    else:
+        thetas, weights = d.thetas, d.weights
+
+        def draw(C: Polygon, rng) -> Line:
+            intervals = [offset_interval(C, t) for t in thetas]
+            theta = sample_atom(thetas, [w * (hi - lo) for (lo, hi), w in zip(intervals, weights)], rng)
+            lo, hi = intervals[thetas.index(theta)]  # hi - lo is width(C, theta)
+            a = lo + rng.random() * (hi - lo)
+            check_line(theta, a)
+            return (theta, cos(theta), sin(theta), a)
+
+        return draw
+    pi = math.pi
+
+    def draw(C: Polygon, rng) -> Line:
         envelope = C.diameter()
         vs = C.vertices
-        cos, sin = math.cos, math.sin
         while True:
-            theta = rng.random() * math.pi
+            theta = rng.random() * pi
             # offset_interval(C, theta), inline
             ux = cos(theta)
             uy = sin(theta)
@@ -153,6 +182,14 @@ def sample_hitting(L: HyperplaneMeasure, C: Polygon, rng) -> Hyperplane:
             hi = max(proj)
             if rng.random() * envelope <= hi - lo:  # hi - lo is width(C, theta)
                 break
-    a = lo + rng.random() * (hi - lo)
-    return Hyperplane(theta, a)
+        a = lo + rng.random() * (hi - lo)
+        check_line(theta, a)
+        return (theta, ux, uy, a)
 
+    return draw
+
+
+def sample_hitting(L: HyperplaneMeasure, C: Polygon, rng) -> Hyperplane:
+    """Draw a line from the restriction of L to the lines hitting C (`hitting_drawer`)."""
+    theta, _, _, a = hitting_drawer(L)(C, rng)
+    return Hyperplane(theta, a)

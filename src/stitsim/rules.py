@@ -4,23 +4,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .geometry import (
     Hyperplane,
     Polygon,
+    check_line,
     intrinsic_volumes,
     sample_uniform_point,
-    split,
+    split_line,
     vertex_count,
 )
 from .measures import (
     DirectionalDistribution,
     HyperplaneMeasure,
     Isotropic,
-    hitting_mass,
+    Line,
+    hitting_drawer,
+    hitting_mass_function,
     sample_atom,
-    sample_hitting,
 )
 from .errors import DegenerateSplit
 
@@ -85,12 +87,18 @@ def stit_pair(measure: HyperplaneMeasure) -> RulePair:
     return RulePair(HittingMeasure(measure), RestrictedMeasure(measure))
 
 
-def rate(r: SelectionRule, C: Polygon) -> float:
+def rate_function(r: SelectionRule) -> Callable[[Polygon], float]:
+    """C -> the rate of C under r; `ProcessState` binds it once."""
     if isinstance(r, IntrinsicVolume):
-        return intrinsic_volumes(C)[r.index]
+        index = r.index
+        return lambda C: intrinsic_volumes(C)[index]
     if isinstance(r, VertexCount):
-        return float(vertex_count(C))
-    return hitting_mass(r.measure, C)
+        return lambda C: float(vertex_count(C))
+    return hitting_mass_function(r.measure)
+
+
+def rate(r: SelectionRule, C: Polygon) -> float:
+    return rate_function(r)(C)
 
 
 def min_expected_chords(rules: RulePair, W: Polygon, t: float) -> float:
@@ -119,16 +127,34 @@ def min_expected_chords(rules: RulePair, W: Polygon, t: float) -> float:
     return n
 
 
-def divide(r: DivisionRule, C: Polygon, rng) -> Hyperplane:
+def line_drawer(r: DivisionRule) -> Callable[[Polygon, object], Line]:
+    """(C, rng) -> r's dividing line (theta, ux, uy, a) of C; `ProcessState` binds it once.
+
+    Restricted division draws from `measures.hitting_drawer`.  Point-driven
+    division draws a uniform point of C, then the direction.  The line passes
+    `check_line`.
+    """
     if isinstance(r, RestrictedMeasure):
-        return sample_hitting(r.measure, C, rng)
-    x, y = sample_uniform_point(C, rng)
+        return hitting_drawer(r.measure)
     d = r.directions
-    if isinstance(d, Isotropic):
-        theta = rng.random() * math.pi
-    else:
-        theta = sample_atom(d.thetas, d.weights, rng)
-    a = x * math.cos(theta) + y * math.sin(theta)
+    atoms = None if isinstance(d, Isotropic) else (d.thetas, d.weights)
+    cos, sin, pi = math.cos, math.sin, math.pi
+
+    def draw(C: Polygon, rng) -> Line:
+        x, y = sample_uniform_point(C, rng)
+        theta = rng.random() * pi if atoms is None else sample_atom(*atoms, rng)
+        ux = cos(theta)
+        uy = sin(theta)
+        a = x * ux + y * uy
+        check_line(theta, a)
+        return (theta, ux, uy, a)
+
+    return draw
+
+
+def divide(r: DivisionRule, C: Polygon, rng) -> Hyperplane:
+    """r's dividing line of C (`line_drawer`)."""
+    theta, _, _, a = line_drawer(r)(C, rng)
     return Hyperplane(theta, a)
 
 
@@ -141,16 +167,17 @@ def check_bound(r: SelectionRule, C: Polygon, n_samples: int, rng) -> float:
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    ref = HyperplaneMeasure(1.0, Isotropic())
-    base = rate(r, C)
+    draw = hitting_drawer(HyperplaneMeasure(1.0, Isotropic()))
+    rate_of = rate_function(r)
+    base = rate_of(C)
     k_hat = 0.0
     for _ in range(n_samples):
-        h = sample_hitting(ref, C, rng)
+        _, ux, uy, a = draw(C, rng)
         try:
-            plus, minus, _ = split(C, h)
+            plus, minus, _ = split_line(C, ux, uy, a)
         except DegenerateSplit:
             continue
         for piece in (plus, minus):
             if piece is not None and piece is not C:
-                k_hat = max(k_hat, rate(r, piece) / base)
+                k_hat = max(k_hat, rate_of(piece) / base)
     return k_hat

@@ -29,6 +29,16 @@ def translate(poly, dx, dy):
     return Polygon([(x + dx, y + dy) for x, y in poly.vertices])
 
 
+class ScriptedRng:
+    """A stand-in generator whose random() returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
 def live_cells(state):
     """The live cells of a state, in heap order."""
     return list(state._heap)

@@ -1,5 +1,8 @@
+import functools
 import gc
 import hashlib
+import heapq
+import itertools
 import math
 import pickle
 
@@ -26,8 +29,8 @@ from stitsim import (
     stit_pair,
 )
 from stitsim.geometry import clip_segments, scale_about_centroid, segment_rows
-from stitsim.measures import axis_aligned
-from stitsim.rules import RestrictedMeasure, RulePair, VertexCount
+from stitsim.measures import axis_aligned, sample_hitting
+from stitsim.rules import RestrictedMeasure, RulePair, VertexCount, divide, rate
 
 from reference import check_tiling, live_cells, translate
 
@@ -77,19 +80,19 @@ class TestNewProcess:
 def _degenerate_draws(monkeypatch, n):
     """Makes the first n splits degenerate, alternately a DegenerateSplit and a
     tangent line (one empty piece); the later ones are real.  Returns the list
-    of dividing lines drawn."""
-    real = engine.split
+    of dividing lines drawn, as (ux, uy, a)."""
+    real = engine.split_line
     drawn = []
 
-    def stand_in(C, h):
-        drawn.append(h)
+    def stand_in(C, ux, uy, a):
+        drawn.append((ux, uy, a))
         if len(drawn) > n:
-            return real(C, h)
+            return real(C, ux, uy, a)
         if len(drawn) % 2:
             raise DegenerateSplit("stand-in: degenerate")
         return C, None, None
 
-    monkeypatch.setattr(engine, "split", stand_in)
+    monkeypatch.setattr(engine, "split_line", stand_in)
     return drawn
 
 
@@ -140,6 +143,17 @@ class TestAdvance:
         with pytest.raises(ReplicateAborted, match="^event cap 5 exceeded$"):
             state.advance(births[5])
         assert len(state.segments) == 6
+
+    @pytest.mark.parametrize("family", ["stit-axis-aligned", "vertex-count-axis-point-driven"])
+    def test_a_pickled_state_continues_the_same_trajectory(self, family):
+        rules, t = FAMILY_TRAJECTORIES[family]
+        state = new_process(regular_ngon((0.0, 0.0), 1.0, 6), rules, 4).advance(t / 2)
+        again = pickle.loads(pickle.dumps(state))
+        assert (again.segments, again.births, again.clock) == (state.segments, state.births, state.clock)
+        again.advance(t)
+        state.advance(t)
+        assert len(state.segments) > 50
+        assert repr((again.segments, again.births)) == repr((state.segments, state.births))
 
     def test_cells_equal_segments_plus_one(self, unit_square, stit_rules):
         state = new_process(unit_square, stit_rules, 17).advance(2.0)
@@ -340,13 +354,13 @@ class TestRegion:
         drift = 2.5 * np.finfo(float).eps * max(map(abs, W._box)) * (1 + 1e-8)
         divisions = []
 
-        def recording_split(C, h):
-            pieces = geometry.split(C, h)
+        def recording_split(C, ux, uy, a):
+            pieces = geometry.split_line(C, ux, uy, a)
             if pieces[0] is not None and pieces[1] is not None:
                 divisions.append((C, pieces))
             return pieces
 
-        monkeypatch.setattr(engine, "split", recording_split)
+        monkeypatch.setattr(engine, "split_line", recording_split)
         for seed in range(20):
             new_process(W, RULE_PAIRS[pair], (5, seed)).advance(1.5)  # no region: every cell divides
         left_out = 0
@@ -436,6 +450,62 @@ def test_every_rule_family_keeps_its_trajectory_bits(unit_square, triangle):
     digest.update(repr((state.segments, state.births)).encode())
     chords += len(state.segments)
     assert (chords, digest.hexdigest()) == (43489, "7a543c3e8949b12e655ee824953617704ebb71654d4346debb6d65dfbd6d406f")
+
+
+def _public_trajectory(W, rules, seed, t, draw):
+    """The trajectory of `new_process(W, rules, seed).advance(t)`, rebuilt in the
+    event order of `advance` from the public `rate`, `draw(C, rng) -> Hyperplane`
+    and `split(C, h)`."""
+    rng = np.random.default_rng(seed)
+    heap, segments, births = [], [], []
+    index = itertools.count()
+
+    def spawn(C, birth):
+        heapq.heappush(heap, (birth + rng.standard_exponential() / rate(rules.selection, C), next(index), C))
+
+    spawn(W, 0.0)
+    while heap and heap[0][0] <= t:
+        t_div, _, C = heapq.heappop(heap)
+        for _ in range(engine.MAX_RESAMPLE):
+            h = draw(C, rng)
+            try:
+                plus, minus, trace = geometry.split(C, h)
+            except DegenerateSplit:
+                continue
+            if plus is not None and minus is not None:
+                break
+        else:
+            raise AssertionError("no dividing line")
+        segments.append(trace)
+        births.append(t_div)
+        spawn(plus, t_div)
+        spawn(minus, t_div)
+    return segments, births
+
+
+@pytest.mark.parametrize(
+    "family, entry",
+    [(family, "divide") for family in FAMILY_TRAJECTORIES]
+    + [
+        (family, "sample_hitting")
+        for family, (rules, _) in FAMILY_TRAJECTORIES.items()
+        if isinstance(rules.division, RestrictedMeasure)
+    ],
+)
+def test_public_entry_points_draw_the_same_trajectory(unit_square, triangle, family, entry):
+    rules, t = FAMILY_TRAJECTORIES[family]
+    if entry == "divide":
+        draw = functools.partial(divide, rules.division)
+    else:
+        draw = functools.partial(sample_hitting, rules.division.measure)
+    chords = 0
+    for W in (unit_square, triangle):
+        for seed in range(10):
+            state = new_process(W, rules, (31, seed)).advance(t)
+            rebuilt = _public_trajectory(W, rules, (31, seed), t, draw)
+            assert repr(rebuilt) == repr((state.segments, state.births))
+            chords += len(state.segments)
+    assert chords > 300
 
 
 # The intrinsic-volume selections, whose rates are no hitting mass, each with

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from unittest import mock
@@ -104,6 +105,42 @@ class TestPolygonValidation:
         with pytest.raises(AttributeError, match="Polygon is immutable"):
             setattr(unit_square, name, 2.0)
         assert unit_square.area == 1.0
+
+    def test_repr_rebuilds_the_polygon(self, triangle):
+        assert repr(triangle) == "Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])"
+        assert eval(repr(triangle), {"Polygon": Polygon}) == triangle
+
+
+class TestSegment:
+    """A trace that `split` builds through the slot writers keeps the contract of `Segment(p, q)`."""
+
+    @pytest.fixture
+    def trace(self, unit_square):
+        return split(unit_square, Hyperplane(0.0, 0.25))[2]
+
+    def test_equals_and_hashes_as_the_constructed_segment(self, trace):
+        built = Segment((0.25, 0.0), (0.25, 1.0))
+        assert (trace.p, trace.q, trace.length) == (built.p, built.q, 1.0)
+        assert trace == built and hash(trace) == hash(built) == hash((built.p, built.q))
+        assert trace != Segment(built.q, built.p)
+        assert trace != (built.p, built.q)
+        assert len({trace, built}) == 1
+
+    def test_repr(self, trace):
+        assert repr(trace) == "Segment(p=(0.25, 0.0), q=(0.25, 1.0))"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_to_an_equal_segment(self, trace, protocol):
+        again = pickle.loads(pickle.dumps(trace, protocol))
+        assert type(again) is Segment and again == trace and again is not trace
+
+    @pytest.mark.parametrize("name", ["p", "q", "extra"])
+    def test_is_immutable(self, trace, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trace, name, (0.0, 0.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(trace, name)
+        assert trace == Segment((0.25, 0.0), (0.25, 1.0))
 
 
 class TestHyperplane:
@@ -385,24 +422,26 @@ def _split_checking_pieces(C, h):
     A piece that passes the fast check (`_strict_measures`) must also be kept
     point for point by the slow pass (`_convex_vertices`).
     """
-    build_piece = geometry._piece
+    build = geometry._build  # split builds each piece with it, and rejects it by its InvalidPolygon
     slow_passes = 0
 
-    def checked_piece(pts):
+    def checked_build(piece, pts):
         nonlocal slow_passes
-        with mock.patch.object(geometry, "_convex_vertices", wraps=geometry._convex_vertices) as slow:
-            piece = build_piece(pts)
-        slow_passes += slow.call_count
         expected = _reference_polygon(pts) if len(pts) >= 3 else None
-        if expected is None:
-            assert piece is None
-            return None
+        with mock.patch.object(geometry, "_convex_vertices", wraps=geometry._convex_vertices) as slow:
+            try:
+                build(piece, pts)
+            except InvalidPolygon:
+                assert expected is None
+                raise
+            finally:
+                slow_passes += slow.call_count
+        assert expected is not None
         assert (piece.vertices, piece.area, piece.perimeter, piece._scale, piece._box) == expected
         if not slow.call_count:
             assert geometry._convex_vertices(pts, piece.snap_tol, piece.snap_tol * piece._scale) == pts
-        return piece
 
-    with mock.patch.object(geometry, "_piece", checked_piece):
+    with mock.patch.object(geometry, "_build", checked_build):
         try:
             split(C, h)
         except DegenerateSplit:

@@ -12,11 +12,12 @@ from stitsim.measures import (
     hitting_mass,
     joint_hitting_mass,
     ordered_sum,
+    sample_atom,
     sample_hitting,
 )
 
 from conftest import trapezoid_width_integral
-from reference import translate
+from reference import ScriptedRng, translate
 
 
 class TestDirectionalDistributions:
@@ -27,6 +28,24 @@ class TestDirectionalDistributions:
     def test_atoms_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             Atoms((0.0, 1.0), (0.6, 0.6))
+
+    def test_atoms_need_a_weight_per_angle(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Atoms((0.0, 1.0), (1.0,))
+
+
+class TestSampleAtom:
+    @pytest.mark.parametrize(
+        "r, expected",
+        [(0.0, 0.0), (0.25, 0.0), (0.2500000000000001, 1.0), (0.5, 1.0), (0.5000000000000001, 2.0), (1.0, 2.0)],
+    )
+    def test_draws_the_first_angle_whose_partial_sum_reaches_u(self, r, expected):
+        # weights 0.25, 0.25, 0.5: u = r and the partial sums are 0.25, 0.5 and 1
+        assert sample_atom((0.0, 1.0, 2.0), (0.25, 0.25, 0.5), ScriptedRng([r])) == expected
+
+    @pytest.mark.parametrize("r", [float("nan"), 2.0], ids=["nan", "past-the-sum"])
+    def test_u_past_every_partial_sum_draws_the_last_angle(self, r):
+        assert sample_atom((0.0, 1.0, 2.0), (0.25, 0.25, 0.5), ScriptedRng([r])) == 2.0
 
     def test_intensity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -43,6 +62,14 @@ class TestHittingMass:
         oracle = trapezoid_width_integral(unit_square)
         assert oracle == pytest.approx(4.0 / math.pi, rel=1e-4)
         assert hitting_mass(iso_measure, unit_square) == pytest.approx(4.0 / math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("intensity", [0.7, 1.3, 3.1])
+    def test_isotropic_mass_keeps_the_bits_of_its_expression(self, intensity, rng):
+        # intensity * perimeter / pi, in that order: a rate sets death times, so its last bit moves dumps
+        L = HyperplaneMeasure(intensity)
+        for _ in range(20):
+            poly = random_convex_polygon(rng, n_points=7)
+            assert hitting_mass(L, poly) == intensity * poly.perimeter / math.pi
 
     def test_translation_invariance(self, iso_measure, rng):
         poly = random_convex_polygon(rng, n_points=7)

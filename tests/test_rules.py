@@ -7,7 +7,7 @@ from scipy import stats as scipy_stats
 from stitsim import HyperplaneMeasure, new_process
 from stitsim.engine import replicate_seeds
 from stitsim.geometry import offset_interval, random_convex_polygon, rectangle, split
-from stitsim.measures import axis_aligned
+from stitsim.measures import axis_aligned, sample_hitting
 from stitsim.rules import (
     HittingMeasure,
     IntrinsicVolume,
@@ -17,13 +17,14 @@ from stitsim.rules import (
     VertexCount,
     check_bound,
     divide,
+    line_drawer,
     min_expected_chords,
     rate,
     stit_pair,
 )
 from stitsim.errors import DegenerateSplit
 
-from reference import translate
+from reference import ScriptedRng, translate
 
 
 class TestRate:
@@ -115,7 +116,58 @@ class TestDivide:
         assert failures / n < 1e-3
 
 
+# Scripted draws of random(): the hitting drawer draws the angle, its acceptance
+# and the offset; point-driven division draws the point (three) and then the angle.
+BAD_LINES = [
+    (RestrictedMeasure(HyperplaneMeasure(1.0)), [1.0, 0.0, 0.5], "theta must lie in"),
+    (RestrictedMeasure(HyperplaneMeasure(1.0)), [0.25, 0.0, float("nan")], "parameters must be finite"),
+    (RestrictedMeasure(HyperplaneMeasure(1.0, axis_aligned())), [0.0, float("nan")], "parameters must be finite"),
+    (PointDriven(), [0.5, 0.25, 0.5, 1.0], "theta must lie in"),
+    (PointDriven(), [0.5, float("nan"), 0.5, 0.3], "parameters must be finite"),
+    (PointDriven(axis_aligned()), [0.5, float("nan"), 0.5, 0.0], "parameters must be finite"),
+]
+BAD_LINE_IDS = [
+    "restricted-theta-pi",
+    "restricted-offset-nan",
+    "restricted-axis-offset-nan",
+    "point-driven-theta-pi",
+    "point-driven-offset-nan",
+    "point-driven-axis-offset-nan",
+]
+
+
+class TestLineDrawer:
+    """Each drawer makes the checks of `Hyperplane`: theta in [0, pi) and a finite offset."""
+
+    @pytest.mark.parametrize("division, draws, message", BAD_LINES, ids=BAD_LINE_IDS)
+    def test_rejects_a_bad_line(self, unit_square, division, draws, message):
+        with pytest.raises(ValueError, match=message):
+            line_drawer(division)(unit_square, ScriptedRng(draws))
+        with pytest.raises(ValueError, match=message):
+            divide(division, unit_square, ScriptedRng(draws))
+
+    @pytest.mark.parametrize("division, draws, message", BAD_LINES[:2], ids=BAD_LINE_IDS[:2])
+    def test_a_bad_line_ends_the_advance(self, unit_square, division, draws, message):
+        state = new_process(unit_square, RulePair(IntrinsicVolume(2), division), 1)
+        state._rng = ScriptedRng(draws)  # the root's death is drawn already
+        with pytest.raises(ValueError, match=message):
+            state.advance(1e9)
+
+
 class TestCheckBound:
+    def test_needs_a_sample(self, unit_square, rng):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            check_bound(IntrinsicVolume(2), unit_square, 0, rng)
+
+    def test_skips_a_degenerate_line(self, unit_square):
+        # at pi/4 and 5e-8 of the offset interval short of the corner (1, 1): a sliver
+        sliver = [0.25, 0.0, 1.0 - 5e-8]
+        with pytest.raises(DegenerateSplit, match="sliver piece"):
+            split(unit_square, sample_hitting(HyperplaneMeasure(1.0), unit_square, ScriptedRng(sliver)))
+        assert check_bound(IntrinsicVolume(2), unit_square, 1, ScriptedRng(sliver)) == 0.0
+        # then a vertical bisection: each half has half the area
+        assert check_bound(IntrinsicVolume(2), unit_square, 2, ScriptedRng(sliver + [0.0, 0.0, 0.5])) == 0.5
+
     def test_area_monotone(self, rng):
         poly = random_convex_polygon(rng, n_points=7)
         assert check_bound(IntrinsicVolume(2), poly, 500, rng) <= 1.0 + 1e-12

@@ -55,6 +55,10 @@ VALIDATION_POLYGON = "tests/test_geometry.py::TestPolygonValidation"
 SPLIT = "tests/test_geometry.py::TestSplit"
 KSTWO = "tests/test_kstwo.py::test_equals_scipy_bit_for_bit"
 RANDOM_POLYGON = "tests/test_geometry.py::TestRandomConvexPolygon"
+LINES = "tests/test_rules.py::TestLineDrawer"
+CHECK_BOUND = "tests/test_rules.py::TestCheckBound"
+SEGMENT = "tests/test_geometry.py::TestSegment"
+SAMPLE_ATOM = "tests/test_measures.py::TestSampleAtom"
 
 
 class Mutant(NamedTuple):
@@ -634,6 +638,82 @@ MUTANTS = [
         "reps[-1] < 2**32",
         "reps[-1] < 2**33",
         (f"{SEEDS}::test_reps_from_2_to_the_32_are_plain_tuples",),
+    ),
+    # the line drawers, the bound rate functions and the trace writers
+    Mutant(
+        "drawer without its theta check",
+        "geometry.py",
+        "    if not (0.0 <= theta < math.pi):\n",
+        "    if False:\n",
+        (f"{LINES}::test_rejects_a_bad_line[restricted-theta-pi]", f"{LINES}::test_rejects_a_bad_line[point-driven-theta-pi]"),
+    ),
+    Mutant(
+        "drawer without its finite-offset check",
+        "geometry.py",
+        "    if not math.isfinite(a):\n",
+        "    if False:\n",
+        (
+            f"{LINES}::test_rejects_a_bad_line[restricted-offset-nan]",
+            f"{LINES}::test_rejects_a_bad_line[restricted-axis-offset-nan]",
+            f"{LINES}::test_rejects_a_bad_line[point-driven-offset-nan]",
+            f"{LINES}::test_a_bad_line_ends_the_advance[restricted-offset-nan]",
+        ),
+    ),
+    Mutant(
+        "bound rate reassociated",
+        "measures.py",
+        "return lambda C: k * C.perimeter / pi",
+        "return lambda C: k * (C.perimeter / pi)",
+        ("tests/test_measures.py::TestHittingMass::test_isotropic_mass_keeps_the_bits_of_its_expression",),
+    ),
+    Mutant(
+        "trace writers swapped",
+        "geometry.py",
+        "_set_p = Segment.p.__set__\n_set_q = Segment.q.__set__",
+        "_set_p = Segment.q.__set__\n_set_q = Segment.p.__set__",
+        (f"{SEGMENT}::test_repr", FAMILY_BITS),
+    ),
+    Mutant(
+        "unpickled state without its bound functions",
+        "engine.py",
+        "            setattr(self, name, value)\n        self._bind()\n",
+        "            setattr(self, name, value)\n",
+        (f"{ADVANCE}::test_a_pickled_state_continues_the_same_trajectory",),
+    ),
+    Mutant(
+        "polygon repr of the vertex tuple",
+        "geometry.py",
+        'return f"Polygon({list(self.vertices)!r})"',
+        'return f"Polygon({self.vertices!r})"',
+        ("tests/test_geometry.py::TestPolygonValidation::test_repr_rebuilds_the_polygon",),
+    ),
+    Mutant(
+        "atoms of unequal lengths accepted",
+        "measures.py",
+        "        if len(self.thetas) != len(self.weights):\n",
+        "        if False:\n",
+        ("tests/test_measures.py::TestDirectionalDistributions::test_atoms_need_a_weight_per_angle",),
+    ),
+    Mutant(
+        "atom drawn past its partial sum",
+        "measures.py",
+        "        if u <= acc:\n",
+        "        if u < acc:\n",
+        (f"{SAMPLE_ATOM}::test_draws_the_first_angle_whose_partial_sum_reaches_u",),
+    ),
+    Mutant(
+        "check_bound with no sample",
+        "rules.py",
+        "    if n_samples < 1:\n",
+        "    if n_samples < 0:\n",
+        (f"{CHECK_BOUND}::test_needs_a_sample",),
+    ),
+    Mutant(
+        "check_bound stops on a degenerate line",
+        "rules.py",
+        "        except DegenerateSplit:\n            continue\n",
+        "        except ZeroDivisionError:\n            continue\n",
+        (f"{CHECK_BOUND}::test_skips_a_degenerate_line",),
     ),
     # the config parsers and the dump
     Mutant(
